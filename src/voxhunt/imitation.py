@@ -88,15 +88,43 @@ class Discriminator(nn.Net):
 
     def core_forward(self, occ_emb: np.ndarray, act_onehot: np.ndarray):
         """Forward from the embedded surfaces; the entry point the penalty differentiates."""
+        x, conv0_cache = self.layers["conv0"].forward(occ_emb)
+        d, caches = self._upper_forward(x, act_onehot)
+        caches["conv0"] = conv0_cache
+        return d, caches
+
+    def core_backward(self, caches, dout: np.ndarray):
+        """Returns (param grads, d occ_emb, d act_onehot) for per-sample dout."""
+        grads, dx, d_actin = self._upper_backward(caches, dout)
+        d_emb, g = self.layers["conv0"].backward(caches["conv0"], dx)
+        nn.accumulate(grads, g, "conv0")
+        return grads, d_emb, d_actin
+
+    def forward(self, occ_codes: np.ndarray, act_onehot: np.ndarray):
+        """Forward from integer codes (N, L^3), with the embedding folded into conv0."""
         a = self.arch
-        n = occ_emb.shape[0]
+        codes = occ_codes.reshape(-1, a.L, a.L, a.L)
+        x, stem_cache = nn.embed_conv_forward(self.layers["occ_embed"], self.layers["conv0"], codes)
+        d, caches = self._upper_forward(x, act_onehot)
+        caches["stem"] = stem_cache
+        return d, caches
+
+    def backward(self, caches, dout: np.ndarray) -> dict[str, np.ndarray]:
+        grads, dx, _ = self._upper_backward(caches, dout)
+        g_embed, g_conv = nn.embed_conv_backward(
+            self.layers["occ_embed"], self.layers["conv0"], caches["stem"], dx
+        )
+        nn.accumulate(grads, g_embed, "occ_embed")
+        nn.accumulate(grads, g_conv, "conv0")
+        return grads
+
+    def _upper_forward(self, x: np.ndarray, act_onehot: np.ndarray):
+        """Everything above conv0: the remaining convs, the action branch, trunk and head."""
+        a = self.arch
+        n = x.shape[0]
         caches: dict[str, object] = {}
-        x = occ_emb
-        conv_caches = []
-        for i in range(len(a.conv)):
-            x, c = self.layers[f"conv{i}"].forward(x)
-            conv_caches.append(c)
-        caches["convs"] = conv_caches
+        for i in range(1, len(a.conv)):
+            x, caches[f"conv{i}"] = self.layers[f"conv{i}"].forward(x)
         caches["conv_out_shape"] = x.shape
         act_out, caches["act_fc"] = self.layers["act_fc"].forward(act_onehot)
         x = np.concatenate([x.reshape(n, -1), act_out], axis=-1)
@@ -107,8 +135,8 @@ class Discriminator(nn.Net):
         out, caches["head"] = self.layers["head"].forward(x)
         return out[:, 0], caches
 
-    def core_backward(self, caches, dout: np.ndarray):
-        """Returns (param grads, d occ_emb, d act_onehot) for per-sample dout."""
+    def _upper_backward(self, caches, dout: np.ndarray):
+        """Returns (param grads above conv0, d conv0 output, d act_onehot)."""
         a = self.arch
         grads: dict[str, np.ndarray] = {}
         dx, g = self.layers["head"].backward(caches["head"], dout[:, None])
@@ -121,26 +149,10 @@ class Discriminator(nn.Net):
         d_actin, g = self.layers["act_fc"].backward(caches["act_fc"], d_act)
         nn.accumulate(grads, g, "act_fc")
         dxc = d_conv.reshape(caches["conv_out_shape"])
-        for i in reversed(range(len(a.conv))):
-            dxc, g = self.layers[f"conv{i}"].backward(caches["convs"][i], dxc)
+        for i in reversed(range(1, len(a.conv))):
+            dxc, g = self.layers[f"conv{i}"].backward(caches[f"conv{i}"], dxc)
             nn.accumulate(grads, g, f"conv{i}")
         return grads, dxc, d_actin
-
-    def forward(self, occ_codes: np.ndarray, act_onehot: np.ndarray):
-        emb, emb_cache = self.embed_occupancy(occ_codes)
-        d, caches = self.core_forward(emb, act_onehot)
-        caches["occ_embed"] = emb_cache
-        return d, caches
-
-    def backward(self, caches, dout: np.ndarray) -> dict[str, np.ndarray]:
-        a = self.arch
-        grads, d_emb, _ = self.core_backward(caches, dout)
-        n = d_emb.shape[0]
-        _, g = self.layers["occ_embed"].backward(
-            caches["occ_embed"], d_emb.reshape(n, a.L**3, a.occ_embed)
-        )
-        nn.accumulate(grads, g, "occ_embed")
-        return grads
 
     def score(self, occ_codes: np.ndarray, act_onehot: np.ndarray) -> np.ndarray:
         d, _ = self.forward(occ_codes, act_onehot)

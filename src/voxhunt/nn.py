@@ -6,6 +6,13 @@ Layers operate on batch-first arrays. ``forward`` returns ``(y, cache)``;
 layer's parameter names to arrays of matching shapes. Everything is float64:
 the gradient acceptance checks compare against central finite differences and
 need the headroom.
+
+``embed_conv_forward`` / ``embed_conv_backward`` compute an ``Embedding``
+followed by a ``Conv3d`` (the occupancy stem of the policy, critic and
+discriminator nets) as one exact step. Each kernel tap's weights are folded
+into the few embedded code rows, and the conv runs on an im2col of the one-hot
+codes, so the embedded cube and its input gradient are never built. The two
+layers keep their own parameters; only the arithmetic is shared.
 """
 
 from __future__ import annotations
@@ -140,21 +147,34 @@ class Embedding:
         }
 
     def forward(self, codes: np.ndarray):
-        pre = self.table[codes]
-        y = _apply_activation(pre, self.activation)
-        return y, (codes, pre, y)
+        rows = _apply_activation(self.table, self.activation)
+        return np.take(rows, codes, axis=0), (codes, rows)
 
     def backward(self, cache, dy: np.ndarray):
-        codes, pre, y = cache
-        dpre = _activation_grad(dy, pre, y, self.activation)
-        # Scatter-add via one-hot matmul: much faster than np.add.at for the
-        # large flat batches the conv branch produces.
-        flat_codes = codes.reshape(-1)
-        flat_d = dpre.reshape(-1, self.dim)
-        onehot = np.zeros((flat_codes.size, self.num_codes), dtype=np.float64)
-        onehot[np.arange(flat_codes.size), flat_codes] = 1.0
-        g = onehot.T @ flat_d
-        return None, {"table": g}
+        codes, rows = cache
+        # Scatter-sum dy by code, then apply the activation grad once per row.
+        bins = codes.reshape(-1, 1).astype(np.intp) * self.dim + np.arange(self.dim)
+        g = np.bincount(
+            bins.reshape(-1), weights=dy.reshape(-1), minlength=self.num_codes * self.dim
+        ).reshape(self.num_codes, self.dim)
+        return None, {"table": _activation_grad(g, self.table, rows, self.activation)}
+
+
+def im2col(xp: np.ndarray, kernel: int, stride: int, od: tuple[int, int, int]) -> np.ndarray:
+    """Patches of a padded channels-last volume (N, X, Y, Z, C) as rows.
+
+    Returns (N, ox*oy*oz, kernel**3 * C), tap-major and channel-minor, which is
+    the row order of a ``Conv3d`` weight matrix.
+    """
+    k, s = kernel, stride
+    n, c = xp.shape[0], xp.shape[-1]
+    ox, oy, oz = od
+    # One strided gather: window view (n, wx, wy, wz, c, k, k, k) then a
+    # single stride-s slice + copy, instead of k^3 separate assignments.
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k, k), axis=(1, 2, 3))
+    patches = win[:, ::s, ::s, ::s][:, :ox, :oy, :oz]
+    cols = patches.transpose(0, 1, 2, 3, 5, 6, 7, 4).reshape(n, ox * oy * oz, k**3 * c)
+    return np.ascontiguousarray(cols)
 
 
 class Conv3d:
@@ -199,28 +219,20 @@ class Conv3d:
     def out_size(self, n: int) -> int:
         return (n + 2 * self.pad - self.kernel) // self.stride + 1
 
-    def _cols(self, xp: np.ndarray, od: tuple[int, int, int]):
-        k, s = self.kernel, self.stride
-        n = xp.shape[0]
-        ox, oy, oz = od
-        # One strided gather: window view (n, wx, wy, wz, c, k, k, k) then a
-        # single stride-s slice + copy, instead of k^3 separate assignments.
-        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k, k), axis=(1, 2, 3))
-        patches = win[:, ::s, ::s, ::s][:, :ox, :oy, :oz]
-        cols = patches.transpose(0, 1, 2, 3, 5, 6, 7, 4).reshape(
-            n, ox * oy * oz, k**3 * self.c_in
-        )
-        return np.ascontiguousarray(cols)
+    def _padded_out(self, x: np.ndarray, fill: int = 0):
+        """Pad (N, X, Y, Z, C) by ``pad`` with ``fill``; return it and the output dims."""
+        p = self.pad
+        xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p), (0, 0)), constant_values=fill) if p else x
+        od = tuple(self.out_size(x.shape[i + 1]) for i in range(3))
+        if min(od) < 1:
+            raise ShapeError(f"conv3d output collapses for input {x.shape}")
+        return xp, od
 
     def forward(self, x: np.ndarray):
         if x.ndim != 5 or x.shape[-1] != self.c_in:
             raise ShapeError(f"conv3d expects (N,X,Y,Z,{self.c_in}), got {x.shape}")
-        p = self.pad
-        xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p), (0, 0))) if p else x
-        od = tuple(self.out_size(x.shape[i + 1]) for i in range(3))
-        if min(od) < 1:
-            raise ShapeError(f"conv3d output collapses for input {x.shape}")
-        cols = self._cols(xp, od)
+        xp, od = self._padded_out(x)
+        cols = im2col(xp, self.kernel, self.stride, od)
         pre = (cols @ self.w + self.b).reshape(x.shape[0], *od, self.c_out)
         y = _apply_activation(pre, self.activation)
         return y, (x.shape, xp.shape, cols, pre, y, od)
@@ -254,6 +266,47 @@ class Conv3d:
         else:
             dx = dxp
         return dx, {"w": gw, "b": gb}
+
+
+def embed_conv_forward(embed: Embedding, conv: Conv3d, codes: np.ndarray):
+    """``conv.forward(embed.forward(codes))`` for integer codes (N, X, Y, Z),
+    computed without building the embedded (N, X, Y, Z, dim) cube.
+
+    With E = act(table) and W_t the (dim, c_out) block of kernel tap t, a voxel
+    holding code c adds E[c] @ W_t =: P[t, c] through tap t. The conv is then
+    an im2col of the one-hot codes, kernel**3 * num_codes wide, times P.
+    Padding voxels get a code that matches no table row, so their one-hot row
+    is zero, as an embedded zero vector would be.
+    """
+    if codes.ndim != 4 or conv.c_in != embed.dim:
+        raise ShapeError(f"stem expects codes (N,X,Y,Z) into {embed.dim} channels, got {codes.shape}")
+    if codes.size and (codes.min() < 0 or codes.max() >= embed.num_codes):
+        raise IndexError(f"codes outside [0, {embed.num_codes})")
+    xp, od = conv._padded_out(codes[..., None], fill=embed.num_codes)
+    code_cols = im2col(xp, conv.kernel, conv.stride, od)
+    one_hot = np.eye(embed.num_codes + 1, embed.num_codes)  # last row: padding
+    cols = np.take(one_hot, code_cols, axis=0).reshape(*code_cols.shape[:2], -1)
+    rows = _apply_activation(embed.table, embed.activation)
+    taps = rows @ conv.w.reshape(-1, embed.dim, conv.c_out)
+    pre = (cols @ taps.reshape(-1, conv.c_out) + conv.b).reshape(codes.shape[0], *od, conv.c_out)
+    y = _apply_activation(pre, conv.activation)
+    return y, (cols, rows, pre, y)
+
+
+def embed_conv_backward(embed: Embedding, conv: Conv3d, cache, dy: np.ndarray):
+    """Parameter grads ``(embed grads, conv grads)`` of ``embed_conv_forward``.
+
+    One GEMM gives gP = cols^T dpre, the grad of every P[t, c]; from it
+    gW_t = E^T gP_t and dE = sum_t gP_t W_t^T. The codes take no gradient.
+    """
+    cols, rows, pre, y = cache
+    dpre = _activation_grad(dy, pre, y, conv.activation).reshape(-1, conv.c_out)
+    g_taps = (cols.reshape(-1, cols.shape[-1]).T @ dpre).reshape(-1, embed.num_codes, conv.c_out)
+    w = conv.w.reshape(-1, embed.dim, conv.c_out)
+    gw = rows.T @ g_taps
+    d_rows = np.einsum("tko,tdo->kd", g_taps, w)
+    g_table = _activation_grad(d_rows, embed.table, rows, embed.activation)
+    return {"table": g_table}, {"w": gw.reshape(-1, conv.c_out), "b": dpre.sum(axis=0)}
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

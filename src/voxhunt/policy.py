@@ -124,12 +124,11 @@ class ObsNet(nn.Net):
         if a.perception == "occupancy":
             occ = inputs["occ"]
             n = occ.shape[0]
-            emb, caches["occ_embed"] = self.layers["occ_embed"].forward(
-                occ.reshape(n, -1)
+            x, stem_cache = nn.embed_conv_forward(
+                self.layers["occ_embed"], self.layers["conv0"], occ.reshape(n, a.L, a.L, a.L)
             )
-            x = emb.reshape(n, a.L, a.L, a.L, a.occ_embed)
-            conv_caches = []
-            for i in range(len(a.conv)):
+            conv_caches = [stem_cache]
+            for i in range(1, len(a.conv)):
                 x, c = self.layers[f"conv{i}"].forward(x)
                 conv_caches.append(c)
             caches["convs"] = conv_caches
@@ -192,14 +191,14 @@ class ObsNet(nn.Net):
 
         if a.perception == "occupancy":
             dxc = d_conv.reshape(caches["conv_out_shape"])
-            for i in reversed(range(len(a.conv))):
+            for i in reversed(range(1, len(a.conv))):
                 dxc, g = self.layers[f"conv{i}"].backward(caches["convs"][i], dxc)
                 nn.accumulate(grads, g, f"conv{i}")
-            n = dxc.shape[0]
-            _, g = self.layers["occ_embed"].backward(
-                caches["occ_embed"], dxc.reshape(n, a.L**3, a.occ_embed)
+            g_embed, g_conv = nn.embed_conv_backward(
+                self.layers["occ_embed"], self.layers["conv0"], caches["convs"][0], dxc
             )
-            nn.accumulate(grads, g, "occ_embed")
+            nn.accumulate(grads, g_embed, "occ_embed")
+            nn.accumulate(grads, g_conv, "conv0")
         elif a.perception == "raycast":
             _, g = self.layers["ray_fc"].backward(caches["ray_fc"], d_ray)
             nn.accumulate(grads, g, "ray_fc")

@@ -93,6 +93,30 @@ class TestAdversarialLoss:
         assert_grads_close(grads, fd)
 
 
+class TestDiscriminatorStem:
+    """The codes path folds the embedding into conv0; the penalty path does not."""
+
+    def test_codes_path_matches_embedded_path(self):
+        rng = np.random.default_rng(9)
+        disc = Discriminator(tiny_disc_arch(), rng)
+        occ, act = random_pairs(rng, 12)
+        onehot = one_hot_actions(act)
+
+        d, caches = disc.forward(occ, onehot)
+        emb, emb_cache = disc.embed_occupancy(occ)
+        d_ref, core_caches = disc.core_forward(emb, onehot)
+        assert np.abs(d - d_ref).max() <= 1e-12 * np.abs(d_ref).max()
+
+        dout = rng.normal(size=12)
+        grads = disc.backward(caches, dout)
+        ref, d_emb, _ = disc.core_backward(core_caches, dout)
+        _, g = disc.layers["occ_embed"].backward(emb_cache, d_emb.reshape(12, -1, 4))
+        ref["occ_embed.table"] = g["table"]
+        assert set(grads) == set(ref) == set(disc.params())
+        for k in ref:
+            assert np.abs(grads[k] - ref[k]).max() <= 1e-12 * max(np.abs(ref[k]).max(), 1e-300), k
+
+
 class TestGradientPenalty:
     def test_constant_discriminator_zero_penalty(self):
         rng = np.random.default_rng(3)

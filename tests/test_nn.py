@@ -182,6 +182,72 @@ class TestConv3d:
             assert abs(got - fd_v) / max(abs(fd_v), 1e-7) < 1e-4
 
 
+def max_rel_err(got, want):
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
+
+
+class TestEmbedConvStem:
+    """The fused stem against the Embedding -> Conv3d chain it replaces."""
+
+    def make_stem(self, rng, dim, c_out, stride, pad):
+        embed = nn.Embedding(4, dim, "tanh", rng)
+        conv = nn.Conv3d(dim, c_out, kernel=3, stride=stride, pad=pad, activation="relu", rng=rng)
+        conv.b[:] = rng.normal(scale=0.1, size=c_out)
+        return embed, conv
+
+    @pytest.mark.parametrize(
+        "n,side,stride,pad",
+        [(256, 7, 2, 0), (8, 7, 1, 1), (8, 7, 2, 1)],
+    )
+    def test_matches_embedding_conv_chain(self, n, side, stride, pad):
+        rng = np.random.default_rng(11)
+        embed, conv = self.make_stem(rng, 8, 8, stride, pad)
+        codes = rng.integers(0, 4, size=(n, side, side, side)).astype(np.uint8)
+
+        emb, emb_cache = embed.forward(codes.reshape(n, -1))
+        y_ref, conv_cache = conv.forward(emb.reshape(n, side, side, side, 8))
+        y, cache = nn.embed_conv_forward(embed, conv, codes)
+        assert y.shape == y_ref.shape
+        assert max_rel_err(y, y_ref) <= 1e-12
+
+        dy = rng.normal(size=y.shape)
+        dx, g_conv_ref = conv.backward(conv_cache, dy)
+        _, g_embed_ref = embed.backward(emb_cache, dx.reshape(n, -1, 8))
+        g_embed, g_conv = nn.embed_conv_backward(embed, conv, cache, dy)
+        assert max_rel_err(g_embed["table"], g_embed_ref["table"]) <= 1e-12
+        for k in ("w", "b"):
+            assert max_rel_err(g_conv[k], g_conv_ref[k]) <= 1e-12
+
+    @pytest.mark.parametrize("stride,pad", [(2, 0), (1, 1), (2, 1)])
+    def test_backward_matches_finite_differences(self, stride, pad):
+        rng = np.random.default_rng(12)
+        embed, conv = self.make_stem(rng, 3, 4, stride, pad)
+        codes = rng.integers(0, 4, size=(3, 5, 5, 5))
+        y, cache = nn.embed_conv_forward(embed, conv, codes)
+        w_out = loss_weights(rng, y.shape)
+
+        def loss():
+            out, _ = nn.embed_conv_forward(embed, conv, codes)
+            return float((out * w_out).sum())
+
+        g_embed, g_conv = nn.embed_conv_backward(embed, conv, cache, w_out)
+        fd = fd_param_gradients(
+            loss,
+            {"table": embed.table, "w": conv.w, "b": conv.b},
+            probes_per_array=10,
+            rng=rng,
+        )
+        assert_grads_close({**g_embed, **g_conv}, fd)
+
+    def test_out_of_range_code_rejected(self):
+        rng = np.random.default_rng(13)
+        embed, conv = self.make_stem(rng, 3, 4, 2, 0)
+        codes = np.zeros((1, 5, 5, 5), dtype=np.uint8)
+        codes[0, 2, 2, 2] = 4
+        with pytest.raises(IndexError):
+            nn.embed_conv_forward(embed, conv, codes)
+
+
 class TestSoftmax:
     def test_sums_to_one_and_positive(self):
         rng = np.random.default_rng(9)
