@@ -41,56 +41,12 @@ class RNDArch:
 class RNDNet(nn.Net):
     def __init__(self, arch: RNDArch, rng: np.random.Generator):
         super().__init__()
-        self.arch = arch
-        a = arch
+        self.arch = a = arch
         self.layers["pos_fc"] = nn.Dense(a.pos_dim, a.pos_units, "relu", rng)
-        prev = a.info_dim
-        for i, width in enumerate(a.info_units):
-            self.layers[f"info_fc{i}"] = nn.Dense(prev, width, "relu", rng)
-            prev = width
-        concat = a.pos_units + prev
-        prev = concat
-        for i, width in enumerate(a.trunk):
-            self.layers[f"trunk_fc{i}"] = nn.Dense(prev, width, "relu", rng)
-            prev = width
-        self.layers["out"] = nn.Dense(prev, a.out_dim, None, rng)
-
-    def forward(self, inputs: dict[str, np.ndarray]):
-        a = self.arch
-        caches: dict[str, object] = {}
-        pos_out, caches["pos_fc"] = self.layers["pos_fc"].forward(inputs["pos"])
-        h = inputs["info"]
-        info_caches = []
-        for i in range(len(a.info_units)):
-            h, c = self.layers[f"info_fc{i}"].forward(h)
-            info_caches.append(c)
-        caches["info_path"] = info_caches
-        x = np.concatenate([pos_out, h], axis=-1)
-        caches["split"] = pos_out.shape[-1]
-        trunk_caches = []
-        for i in range(len(a.trunk)):
-            x, c = self.layers[f"trunk_fc{i}"].forward(x)
-            trunk_caches.append(c)
-        caches["trunk_path"] = trunk_caches
-        out, caches["out"] = self.layers["out"].forward(x)
-        return out, caches
-
-    def backward(self, caches, dout: np.ndarray) -> dict[str, np.ndarray]:
-        a = self.arch
-        grads: dict[str, np.ndarray] = {}
-        dx, g = self.layers["out"].backward(caches["out"], dout)
-        nn.accumulate(grads, g, "out")
-        for i in reversed(range(len(a.trunk))):
-            dx, g = self.layers[f"trunk_fc{i}"].backward(caches["trunk_path"][i], dx)
-            nn.accumulate(grads, g, f"trunk_fc{i}")
-        split = caches["split"]
-        d_pos, d_info = dx[:, :split], dx[:, split:]
-        _, g = self.layers["pos_fc"].backward(caches["pos_fc"], d_pos)
-        nn.accumulate(grads, g, "pos_fc")
-        for i in reversed(range(len(a.info_units))):
-            d_info, g = self.layers[f"info_fc{i}"].backward(caches["info_path"][i], d_info)
-            nn.accumulate(grads, g, f"info_fc{i}")
-        return grads
+        info, width = self.dense_chain("info_fc", a.info_dim, a.info_units, rng)
+        trunk, width = self.dense_chain("trunk_fc", a.pos_units + width, a.trunk, rng)
+        self.layers["out"] = nn.Dense(width, a.out_dim, None, rng)
+        self.graph = [nn.Concat([("pos", ["pos_fc"]), ("info", info)]), *trunk, "out"]
 
 
 class RunningStd:

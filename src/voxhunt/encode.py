@@ -59,40 +59,6 @@ def normalized_position(pos3: Vec3, dims: Vec3) -> np.ndarray:
     return np.array([pos3[i] / dims[i] for i in range(3)], dtype=np.float64)
 
 
-@dataclass
-class LearnedPositionTable:
-    """Trainable per-coordinate row lookup, the ablation alternative to sin/cos."""
-
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray]  # (n_axis, d) each
-
-    @classmethod
-    def create(cls, dims: Vec3, d: int, rng: np.random.Generator) -> "LearnedPositionTable":
-        return cls(tuple(rng.uniform(-1.0, 1.0, size=(n, d)) for n in dims))
-
-    def encode(self, pos3: Vec3) -> np.ndarray:
-        return np.concatenate([self.tables[i][pos3[i]] for i in range(3)])
-
-
-def encode_position_ablation(
-    pos3: Vec3,
-    mode: str,
-    cfg: PEConfig = PEConfig(),
-    dims: Vec3 | None = None,
-    table: LearnedPositionTable | None = None,
-) -> np.ndarray:
-    if mode == "sinusoidal":
-        return encode_position(pos3, cfg)
-    if mode == "normalized":
-        if dims is None:
-            raise ValueError("normalized mode requires map dims")
-        return normalized_position(pos3, dims)
-    if mode == "learned":
-        if table is None:
-            raise ValueError("learned mode requires a parameter table")
-        return table.encode(pos3)
-    raise ValueError(f"unknown position encoding mode {mode!r}")
-
-
 @dataclass(slots=True)
 class Observation:
     occupancy: np.ndarray  # uint8 (L, L, L), center cell = agent code 3
@@ -123,35 +89,6 @@ def agent_info_vector(state: AgentState) -> np.ndarray:
         ],
         dtype=np.float64,
     )
-
-
-def local_occupancy(
-    vmap: VoxelMap, state: AgentState, L: int, tick: int = 0
-) -> np.ndarray:
-    """Semantic L^3 cube centered on the agent; out-of-bounds encodes as solid.
-
-    Moving platforms render as solid at their position for `tick`.
-    """
-    if L < 1 or L % 2 == 0:
-        raise ValueError(f"L must be odd and positive, got {L}")
-    r = L // 2
-    out = np.full((L, L, L), SOLID, dtype=np.uint8)
-    nx, ny, nz = vmap.dims
-    x, y, z = state.pos
-    x0, x1 = max(0, x - r), min(nx, x + r + 1)
-    y0, y1 = max(0, y - r), min(ny, y + r + 1)
-    z0, z1 = max(0, z - r), min(nz, z + r + 1)
-    out[
-        x0 - (x - r) : x1 - (x - r),
-        y0 - (y - r) : y1 - (y - r),
-        z0 - (z - r) : z1 - (z - r),
-    ] = vmap.voxels[x0:x1, y0:y1, z0:z1]
-    for p in vmap.platforms:
-        for (px, py, pz) in p.cells_at(tick):
-            if x0 <= px < x1 and y0 <= py < y1 and z0 <= pz < z1:
-                out[px - (x - r), py - (y - r), pz - (z - r)] = SOLID
-    out[r, r, r] = AGENT_CODE
-    return out
 
 
 _RAY_ELEVATIONS = (-30.0, 0.0, 30.0)

@@ -22,7 +22,7 @@ import numpy as np
 from . import nn
 from .encode import ObservationEncoder
 from .mapio import load_demo_script
-from .policy import N_ACTIONS
+from .policy import N_ACTIONS, occupancy_branch
 from .world import Action, Trajectory, VoxelMap, WorldError, play_script
 
 
@@ -58,105 +58,49 @@ class DiscArch:
 
 
 class Discriminator(nn.Net):
-    """Occupancy conv branch + action one-hot branch -> trunk -> linear D(s,a)."""
+    """Occupancy conv branch + action one-hot branch -> trunk -> linear D(s,a).
+
+    ``graph`` reads integer occupancy codes through the fused stem;
+    ``core_graph`` reads the embedded cube, the surface the penalty
+    differentiates.
+    """
 
     def __init__(self, arch: DiscArch, rng: np.random.Generator):
         super().__init__()
-        self.arch = arch
-        a = arch
-        self.layers["occ_embed"] = nn.Embedding(4, a.occ_embed, "tanh", rng)
-        c_prev, side = a.occ_embed, a.L
-        for i, (c_out, stride, pad) in enumerate(a.conv):
-            layer = nn.Conv3d(c_prev, c_out, 3, stride, pad, "relu", rng)
-            self.layers[f"conv{i}"] = layer
-            side = layer.out_size(side)
-            c_prev = c_out
-        self._conv_out = (side, c_prev)
+        self.arch = a = arch
+        stem, width = occupancy_branch(self, a.L, a.occ_embed, a.conv, rng)
         self.layers["act_fc"] = nn.Dense(N_ACTIONS, a.act_units, "relu", rng)
-        prev = side**3 * c_prev + a.act_units
-        for i, width in enumerate(a.trunk):
-            self.layers[f"trunk_fc{i}"] = nn.Dense(prev, width, "relu", rng)
-            prev = width
-        self.layers["head"] = nn.Dense(prev, 1, None, rng)
+        trunk, width = self.dense_chain("trunk_fc", width + a.act_units, a.trunk, rng)
+        self.layers["head"] = nn.Dense(width, 1, None, rng)
+        act = ("act", ["act_fc"])
+        self.graph = [nn.Concat([("occ", stem), act]), *trunk, "head"]
+        self.core_graph = [nn.Concat([("occ_emb", ["conv0", *stem[1:]]), act]), *trunk, "head"]
 
     def embed_occupancy(self, occ_codes: np.ndarray):
         """Map integer codes (N, L^3) onto the continuous embedded cube."""
-        n = occ_codes.shape[0]
-        emb, cache = self.layers["occ_embed"].forward(occ_codes.reshape(n, -1))
-        a = self.arch
-        return emb.reshape(n, a.L, a.L, a.L, a.occ_embed), cache
+        L = self.arch.L
+        return self.layers["occ_embed"].forward(occ_codes.reshape(-1, L, L, L))
 
     def core_forward(self, occ_emb: np.ndarray, act_onehot: np.ndarray):
         """Forward from the embedded surfaces; the entry point the penalty differentiates."""
-        x, conv0_cache = self.layers["conv0"].forward(occ_emb)
-        d, caches = self._upper_forward(x, act_onehot)
-        caches["conv0"] = conv0_cache
-        return d, caches
+        d, caches = self.run(self.core_graph, {"occ_emb": occ_emb, "act": act_onehot})
+        return d[:, 0], caches
 
     def core_backward(self, caches, dout: np.ndarray):
         """Returns (param grads, d occ_emb, d act_onehot) for per-sample dout."""
-        grads, dx, d_actin = self._upper_backward(caches, dout)
-        d_emb, g = self.layers["conv0"].backward(caches["conv0"], dx)
-        nn.accumulate(grads, g, "conv0")
-        return grads, d_emb, d_actin
+        grads, (d_emb, d_act) = self.run_backward(self.core_graph, caches, dout[:, None])
+        return grads, d_emb, d_act
 
     def forward(self, occ_codes: np.ndarray, act_onehot: np.ndarray):
         """Forward from integer codes (N, L^3), with the embedding folded into conv0."""
-        a = self.arch
-        codes = occ_codes.reshape(-1, a.L, a.L, a.L)
-        x, stem_cache = nn.embed_conv_forward(self.layers["occ_embed"], self.layers["conv0"], codes)
-        d, caches = self._upper_forward(x, act_onehot)
-        caches["stem"] = stem_cache
-        return d, caches
+        d, caches = self.run(self.graph, {"occ": occ_codes, "act": act_onehot})
+        return d[:, 0], caches
 
     def backward(self, caches, dout: np.ndarray) -> dict[str, np.ndarray]:
-        grads, dx, _ = self._upper_backward(caches, dout)
-        g_embed, g_conv = nn.embed_conv_backward(
-            self.layers["occ_embed"], self.layers["conv0"], caches["stem"], dx
-        )
-        nn.accumulate(grads, g_embed, "occ_embed")
-        nn.accumulate(grads, g_conv, "conv0")
-        return grads
-
-    def _upper_forward(self, x: np.ndarray, act_onehot: np.ndarray):
-        """Everything above conv0: the remaining convs, the action branch, trunk and head."""
-        a = self.arch
-        n = x.shape[0]
-        caches: dict[str, object] = {}
-        for i in range(1, len(a.conv)):
-            x, caches[f"conv{i}"] = self.layers[f"conv{i}"].forward(x)
-        caches["conv_out_shape"] = x.shape
-        act_out, caches["act_fc"] = self.layers["act_fc"].forward(act_onehot)
-        x = np.concatenate([x.reshape(n, -1), act_out], axis=-1)
-        caches["split"] = x.shape[-1] - act_out.shape[-1]
-        for i in range(len(a.trunk)):
-            x, c = self.layers[f"trunk_fc{i}"].forward(x)
-            caches[f"trunk_fc{i}"] = c
-        out, caches["head"] = self.layers["head"].forward(x)
-        return out[:, 0], caches
-
-    def _upper_backward(self, caches, dout: np.ndarray):
-        """Returns (param grads above conv0, d conv0 output, d act_onehot)."""
-        a = self.arch
-        grads: dict[str, np.ndarray] = {}
-        dx, g = self.layers["head"].backward(caches["head"], dout[:, None])
-        nn.accumulate(grads, g, "head")
-        for i in reversed(range(len(a.trunk))):
-            dx, g = self.layers[f"trunk_fc{i}"].backward(caches[f"trunk_fc{i}"], dx)
-            nn.accumulate(grads, g, f"trunk_fc{i}")
-        split = caches["split"]
-        d_conv, d_act = dx[:, :split], dx[:, split:]
-        d_actin, g = self.layers["act_fc"].backward(caches["act_fc"], d_act)
-        nn.accumulate(grads, g, "act_fc")
-        dxc = d_conv.reshape(caches["conv_out_shape"])
-        for i in reversed(range(1, len(a.conv))):
-            dxc, g = self.layers[f"conv{i}"].backward(caches[f"conv{i}"], dxc)
-            nn.accumulate(grads, g, f"conv{i}")
-        return grads, dxc, d_actin
+        return super().backward(caches, dout[:, None])
 
     def score(self, occ_codes: np.ndarray, act_onehot: np.ndarray) -> np.ndarray:
-        d, _ = self.forward(occ_codes, act_onehot)
-        return d
+        return self.forward(occ_codes, act_onehot)[0]
 
 
 def one_hot_actions(actions: np.ndarray) -> np.ndarray:
@@ -186,6 +130,20 @@ def adversarial_loss_and_grads(
     return loss, grads
 
 
+def _expert_input_grads(disc: Discriminator, expert_occ: np.ndarray, expert_act: np.ndarray):
+    """D's input gradients at the embedded surfaces of expert samples.
+
+    Returns (emb, onehot, g_emb, g_act, norms): the surfaces, dD/d(surface)
+    per sample, and each row's norm over both surfaces together.
+    """
+    onehot = one_hot_actions(expert_act)
+    emb, _ = disc.embed_occupancy(expert_occ)
+    _, caches = disc.core_forward(emb, onehot)
+    _, g_emb, g_act = disc.core_backward(caches, np.ones(len(expert_occ)))
+    flat = np.concatenate([g_emb.reshape(len(g_act), -1), g_act], axis=1)
+    return emb, onehot, g_emb, g_act, np.sqrt((flat**2).sum(axis=1))
+
+
 def gradient_penalty(
     disc: Discriminator,
     expert_occ: np.ndarray,
@@ -198,12 +156,8 @@ def gradient_penalty(
     occupancy and action one-hot). Returns (penalty, g_emb, g_act) so training
     can reuse the directions.
     """
-    onehot = one_hot_actions(expert_act)
-    emb, _ = disc.embed_occupancy(expert_occ)
-    _, caches = disc.core_forward(emb, onehot)
-    _, g_emb, g_act = disc.core_backward(caches, np.ones(len(expert_occ)))
-    sq = (g_emb.reshape(len(expert_occ), -1) ** 2).sum(axis=1) + (g_act**2).sum(axis=1)
-    return coef * float(sq.mean()), g_emb, g_act
+    _, _, g_emb, g_act, norms = _expert_input_grads(disc, expert_occ, expert_act)
+    return coef * float((norms**2).mean()), g_emb, g_act
 
 
 def penalty_parameter_grads(
@@ -224,13 +178,8 @@ def penalty_parameter_grads(
     penalty is defined at (and regularizes the network above) the embedded
     surface.
     """
-    onehot = one_hot_actions(expert_act)
-    emb, _ = disc.embed_occupancy(expert_occ)
-    _, caches = disc.core_forward(emb, onehot)
-    _, g_emb, g_act = disc.core_backward(caches, np.ones(len(expert_occ)))
+    emb, onehot, g_emb, g_act, norms = _expert_input_grads(disc, expert_occ, expert_act)
     n = len(expert_occ)
-    flat = np.concatenate([g_emb.reshape(n, -1), g_act], axis=1)
-    norms = np.sqrt((flat**2).sum(axis=1))
     penalty = coef * float((norms**2).mean())
 
     safe = np.maximum(norms, 1e-12)

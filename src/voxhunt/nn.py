@@ -13,6 +13,14 @@ discriminator nets) as one exact step. Each kernel tap's weights are folded
 into the few embedded code rows, and the conv runs on an im2col of the one-hot
 codes, so the embedded cube and its input gradient are never built. The two
 layers keep their own parameters; only the arithmetic is shared.
+
+``Net`` holds the one forward/backward wiring every network uses. A network
+builds named layers and a graph: a list of stages run in order, each a layer
+name, a fused ``Stem``, or a ``Concat`` of parallel branches whose flattened
+outputs are joined. The policy, critic, discriminator and novelty nets are all
+branches -> concat -> trunk -> head; ``Net.run`` / ``Net.run_backward`` run any
+such graph, and ``run_backward`` also returns the input gradients a
+``Concat`` receives (the discriminator's penalty entry reads them).
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 import io
 import json
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -361,15 +370,94 @@ class Adam:
             p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
-class Net:
-    """Base for composite networks: an ordered dict of named layers.
+@dataclass(frozen=True)
+class Stem:
+    """Graph stage: integer codes reshaped to ``(N, *cube)``, then the layers
+    ``embed`` and ``conv`` as one ``embed_conv_forward`` step."""
 
-    Subclasses define ``forward``/``backward`` wiring and a ``descriptor``.
-    Parameter names are ``<layer>.<param>`` and serialize in layer order.
+    embed: str
+    conv: str
+    cube: tuple[int, int, int]
+
+
+@dataclass(frozen=True)
+class Concat:
+    """Graph stage: parallel ``(key, stages)`` branches. Each runs its stages on
+    ``x[key]`` (a dict entry, or ``np.s_[:, i]`` for a column of an array); the
+    branch outputs are flattened and concatenated along the last axis."""
+
+    branches: list[tuple[object, list]]
+
+
+class Net:
+    """Base for composite networks: an ordered dict of named layers and a graph.
+
+    ``graph`` lists the stages ``forward`` runs in order: a layer name, a
+    ``Stem`` or a ``Concat``. Subclasses build layers and graphs; ``run`` and
+    ``run_backward`` wire any graph over the layers. Parameter names are
+    ``<layer>.<param>`` and serialize in layer order.
     """
 
     def __init__(self):
         self.layers: dict[str, object] = {}
+        self.graph: list = []
+
+    def forward(self, inputs):
+        return self.run(self.graph, inputs)
+
+    def backward(self, caches, dout: np.ndarray) -> dict[str, np.ndarray]:
+        return self.run_backward(self.graph, caches, dout)[0]
+
+    def run(self, stages: list, x):
+        """Forward ``x`` through ``stages``; returns (output, caches)."""
+        caches = []
+        for stage in stages:
+            if isinstance(stage, str):
+                x, cache = self.layers[stage].forward(x)
+            elif isinstance(stage, Stem):
+                embed, conv = self.layers[stage.embed], self.layers[stage.conv]
+                x, cache = embed_conv_forward(embed, conv, x.reshape(-1, *stage.cube))
+            else:
+                outs = [self.run(sub, x[key]) for key, sub in stage.branches]
+                cache = [(c, y.shape) for y, c in outs]
+                x = np.concatenate([y.reshape(len(y), -1) for y, _ in outs], axis=-1)
+            caches.append(cache)
+        return x, caches
+
+    def run_backward(self, stages: list, caches, dy: np.ndarray, grads=None):
+        """Back-propagate ``dy`` through ``stages``; returns (param grads, input grad).
+
+        A ``Concat`` input grad is the list of its branches' input grads; a
+        ``Stem`` (integer codes) has none.
+        """
+        grads = {} if grads is None else grads
+        for stage, cache in zip(reversed(stages), reversed(caches)):
+            if isinstance(stage, str):
+                dy, g = self.layers[stage].backward(cache, dy)
+                accumulate(grads, g, stage)
+            elif isinstance(stage, Stem):
+                embed, conv = self.layers[stage.embed], self.layers[stage.conv]
+                g_embed, g_conv = embed_conv_backward(embed, conv, cache, dy)
+                accumulate(grads, g_embed, stage.embed)
+                accumulate(grads, g_conv, stage.conv)
+                dy = None
+            else:
+                widths = [int(np.prod(shape[1:])) for _, shape in cache]
+                parts = np.split(dy, np.cumsum(widths)[:-1], axis=-1)
+                dy = [
+                    self.run_backward(sub, c, d.reshape(shape), grads)[1]
+                    for (_, sub), (c, shape), d in zip(stage.branches, cache, parts)
+                ]
+        return grads, dy
+
+    def dense_chain(self, prefix: str, n_in: int, widths, rng) -> tuple[list[str], int]:
+        """Add ReLU ``Dense`` layers ``<prefix>0..``; returns their names and output width."""
+        names = []
+        for i, width in enumerate(widths):
+            names.append(f"{prefix}{i}")
+            self.layers[names[-1]] = Dense(n_in, width, "relu", rng)
+            n_in = width
+        return names, n_in
 
     def params(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
@@ -486,11 +574,8 @@ def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def accumulate(total: dict[str, np.ndarray], grads: dict[str, np.ndarray], prefix: str, scale: float = 1.0) -> None:
+def accumulate(total: dict[str, np.ndarray], grads: dict[str, np.ndarray], prefix: str) -> None:
     """Add layer grads into a net-level dict under `<prefix>.<name>` keys."""
     for name, g in grads.items():
         key = f"{prefix}.{name}"
-        if key in total:
-            total[key] += scale * g
-        else:
-            total[key] = scale * g if scale != 1.0 else g.copy()
+        total[key] = total[key] + g if key in total else g

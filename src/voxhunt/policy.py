@@ -45,51 +45,57 @@ class ObsNetArch:
         return 3 * self.pe_d
 
 
+def occupancy_branch(net: nn.Net, L: int, channels: int, conv, rng: np.random.Generator):
+    """Add ``occ_embed`` (the 4 occupancy codes) and ``conv0..`` to ``net``.
+
+    Returns the branch stages from the integer codes (the fused stem first)
+    and the flattened output width.
+    """
+    net.layers["occ_embed"] = nn.Embedding(4, channels, "tanh", rng)
+    c_prev, side = channels, L
+    for i, (c_out, stride, pad) in enumerate(conv):
+        layer = net.layers[f"conv{i}"] = nn.Conv3d(c_prev, c_out, 3, stride, pad, "relu", rng)
+        side, c_prev = layer.out_size(side), c_out
+    if side < 1:
+        raise nn.ShapeError(f"conv stack collapses an L={L} cube")
+    upper = [f"conv{i}" for i in range(1, len(conv))]
+    return [nn.Stem("occ_embed", "conv0", (L, L, L)), *upper], side**3 * c_prev
+
+
 class ObsNet(nn.Net):
     """One observation-conditioned network (actor head or scalar critic)."""
 
     def __init__(self, arch: ObsNetArch, rng: np.random.Generator):
         super().__init__()
-        self.arch = arch
-        a = arch
+        self.arch = a = arch
 
+        pos = ("pos", ["pos_fc"])
         if a.position_mode == "learned":
+            tables = []
             for i, axis in enumerate("xyz"):
                 self.layers[f"pos_table_{axis}"] = nn.Embedding(a.dims[i], a.pe_d, rng=rng)
+                tables.append((np.s_[:, i], [f"pos_table_{axis}"]))
+            pos = ("pos_idx", [nn.Concat(tables), "pos_fc"])
         self.layers["pos_fc"] = nn.Dense(a.pos_input_dim(), a.pos_units, "relu", rng)
+        info, width = self.dense_chain("info_fc", a.info_dim, a.info_units, rng)
+        branches = [pos, ("info", info)]
+        width += a.pos_units + 1  # +1: alpha
 
-        prev = a.info_dim
-        for i, width in enumerate(a.info_units):
-            self.layers[f"info_fc{i}"] = nn.Dense(prev, width, "relu", rng)
-            prev = width
-        self._info_out = prev
-
-        self._perc_out = 0
         if a.perception == "occupancy":
-            self.layers["occ_embed"] = nn.Embedding(4, a.occ_embed, "tanh", rng)
-            c_prev, side = a.occ_embed, a.L
-            for i, (c_out, stride, pad) in enumerate(a.conv):
-                layer = nn.Conv3d(c_prev, c_out, 3, stride, pad, "relu", rng)
-                self.layers[f"conv{i}"] = layer
-                side = layer.out_size(side)
-                c_prev = c_out
-            if side < 1:
-                raise nn.ShapeError(f"conv stack collapses an L={a.L} cube")
-            self._conv_side = side
-            self._perc_out = side**3 * c_prev
+            stages, perc_width = occupancy_branch(self, a.L, a.occ_embed, a.conv, rng)
+            branches.append(("occ", stages))
+            width += perc_width
         elif a.perception == "raycast":
             self.layers["ray_fc"] = nn.Dense(48, a.ray_units, "relu", rng)
-            self._perc_out = a.ray_units
+            branches.append(("rays", ["ray_fc"]))
+            width += a.ray_units
         elif a.perception != "none":
             raise ValueError(f"unknown perception {a.perception!r}")
+        branches.append(("alpha", []))
 
-        concat = a.pos_units + self._info_out + self._perc_out + 1  # +1: alpha
-        self._concat = concat
-        prev = concat
-        for i, width in enumerate(a.trunk):
-            self.layers[f"trunk_fc{i}"] = nn.Dense(prev, width, "relu", rng)
-            prev = width
-        self.layers["head"] = nn.Dense(prev, a.out_dim, None, rng, w_scale=a.head_scale)
+        trunk, width = self.dense_chain("trunk_fc", width, a.trunk, rng)
+        self.layers["head"] = nn.Dense(width, a.out_dim, None, rng, w_scale=a.head_scale)
+        self.graph = [nn.Concat(branches), *trunk, "head"]
 
     def descriptor(self) -> dict:
         d = super().descriptor()
@@ -101,108 +107,6 @@ class ObsNet(nn.Net):
             "L": self.arch.L,
         }
         return d
-
-    def forward(self, inputs: dict[str, np.ndarray]):
-        a = self.arch
-        caches: dict[str, object] = {}
-
-        if a.position_mode == "learned":
-            idx = inputs["pos_idx"]
-            parts = []
-            for i, axis in enumerate("xyz"):
-                part, caches[f"pos_table_{axis}"] = self.layers[f"pos_table_{axis}"].forward(idx[:, i])
-                parts.append(part)
-            pos_in = np.concatenate(parts, axis=-1)
-        else:
-            pos_in = inputs["pos"]
-        pos_out, caches["pos_fc"] = self.layers["pos_fc"].forward(pos_in)
-
-        h, caches["info_path"] = self._chain_forward("info_fc", len(a.info_units), inputs["info"])
-        info_out = h
-
-        parts = [pos_out, info_out]
-        if a.perception == "occupancy":
-            occ = inputs["occ"]
-            n = occ.shape[0]
-            x, stem_cache = nn.embed_conv_forward(
-                self.layers["occ_embed"], self.layers["conv0"], occ.reshape(n, a.L, a.L, a.L)
-            )
-            conv_caches = [stem_cache]
-            for i in range(1, len(a.conv)):
-                x, c = self.layers[f"conv{i}"].forward(x)
-                conv_caches.append(c)
-            caches["convs"] = conv_caches
-            caches["conv_out_shape"] = x.shape
-            parts.append(x.reshape(n, -1))
-        elif a.perception == "raycast":
-            ray_out, caches["ray_fc"] = self.layers["ray_fc"].forward(inputs["rays"])
-            parts.append(ray_out)
-        parts.append(inputs["alpha"])
-
-        x = np.concatenate(parts, axis=-1)
-        caches["split"] = [p.shape[-1] for p in parts]
-        out, caches["trunk_path"] = self._chain_forward("trunk_fc", len(a.trunk), x)
-        out, caches["head"] = self.layers["head"].forward(out)
-        return out, caches
-
-    def _chain_forward(self, prefix: str, count: int, x: np.ndarray):
-        subcaches = []
-        for i in range(count):
-            x, c = self.layers[f"{prefix}{i}"].forward(x)
-            subcaches.append(c)
-        return x, subcaches
-
-    def backward(self, caches, dout: np.ndarray) -> dict[str, np.ndarray]:
-        a = self.arch
-        grads: dict[str, np.ndarray] = {}
-
-        dx, g = self.layers["head"].backward(caches["head"], dout)
-        nn.accumulate(grads, g, "head")
-        for i in reversed(range(len(a.trunk))):
-            dx, g = self.layers[f"trunk_fc{i}"].backward(caches["trunk_path"][i], dx)
-            nn.accumulate(grads, g, f"trunk_fc{i}")
-
-        split = caches["split"]
-        bounds = np.cumsum(split)[:-1]
-        parts = np.split(dx, bounds, axis=-1)
-        d_pos, d_info = parts[0], parts[1]
-        idx = 2
-        if a.perception == "occupancy":
-            d_conv = parts[idx]
-            idx += 1
-        elif a.perception == "raycast":
-            d_ray = parts[idx]
-            idx += 1
-
-        d_posin, g = self.layers["pos_fc"].backward(caches["pos_fc"], d_pos)
-        nn.accumulate(grads, g, "pos_fc")
-        if a.position_mode == "learned":
-            for i, axis in enumerate("xyz"):
-                dpart = d_posin[:, i * a.pe_d : (i + 1) * a.pe_d]
-                _, g = self.layers[f"pos_table_{axis}"].backward(
-                    caches[f"pos_table_{axis}"], dpart
-                )
-                nn.accumulate(grads, g, f"pos_table_{axis}")
-
-        dx2 = d_info
-        for i in reversed(range(len(a.info_units))):
-            dx2, g = self.layers[f"info_fc{i}"].backward(caches["info_path"][i], dx2)
-            nn.accumulate(grads, g, f"info_fc{i}")
-
-        if a.perception == "occupancy":
-            dxc = d_conv.reshape(caches["conv_out_shape"])
-            for i in reversed(range(1, len(a.conv))):
-                dxc, g = self.layers[f"conv{i}"].backward(caches["convs"][i], dxc)
-                nn.accumulate(grads, g, f"conv{i}")
-            g_embed, g_conv = nn.embed_conv_backward(
-                self.layers["occ_embed"], self.layers["conv0"], caches["convs"][0], dxc
-            )
-            nn.accumulate(grads, g_embed, "occ_embed")
-            nn.accumulate(grads, g_conv, "conv0")
-        elif a.perception == "raycast":
-            _, g = self.layers["ray_fc"].backward(caches["ray_fc"], d_ray)
-            nn.accumulate(grads, g, "ray_fc")
-        return grads
 
 
 def make_policy_net(arch: ObsNetArch, rng: np.random.Generator) -> ObsNet:

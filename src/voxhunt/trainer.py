@@ -29,7 +29,6 @@ from .encode import ObservationEncoder, agent_info_vector, normalized_position, 
 from .imitation import AMPModule, demo_pairs, load_demos
 from .mapio import load_map
 from .policy import (
-    ObsNet,
     PPOTrainer,
     RolloutBatch,
     act,
@@ -40,6 +39,10 @@ from .policy import (
 from .world import Env, Trajectory, VoxelMap
 
 FORMAT_VERSION = 1
+
+
+class TriageError(Exception):
+    """A run directory cannot be read back for triage or export."""
 
 
 class TrainingDiverged(Exception):
@@ -103,10 +106,15 @@ class TrajectoryLog:
     def read(path: str | Path) -> list[dict]:
         records = []
         with open(path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, start=1):
                 line = line.strip()
                 if line:
-                    records.append(json.loads(line))
+                    try:
+                        records.append(json.loads(line))
+                    except json.JSONDecodeError as e:
+                        raise TriageError(
+                            f"{path}: line {number}: torn or malformed record ({e.msg})"
+                        ) from e
         return records
 
 
@@ -209,20 +217,8 @@ class Trainer:
 
         T = cfg.episode_length
         state_rows: list[list[dict]] = [[] for _ in range(k)]
-        actions = np.zeros((k, T), dtype=np.int64)
         logps = np.zeros((k, T))
-        r_es = np.zeros((k, T))
-        trajs = [
-            Trajectory(
-                states=[env.state],
-                actions=[],
-                r_e=[],
-                goal_flags=[env.physics.state_in_goal(env.state.pos)],
-                bug_region_steps=[],
-                bug_kind_steps=[],
-            )
-            for env in envs
-        ]
+        trajs = [Trajectory.start(env) for env in envs]
 
         for t in range(T):
             rows = [self._state_features(envs[i]) for i in range(k)]
@@ -231,18 +227,8 @@ class Trainer:
             inputs = self._policy_inputs(rows, alphas)
             acts, logp, _ = act(self.policy, inputs, rngs)
             for i in range(k):
-                a = int(acts[i])
-                res = envs[i].step(a)
-                actions[i, t] = a
+                trajs[i].step(envs[i], int(acts[i]))
                 logps[i, t] = logp[i]
-                r_es[i, t] = res.r_e
-                tr = trajs[i]
-                tr.states.append(res.state)
-                tr.actions.append(a)
-                tr.r_e.append(res.r_e)
-                tr.goal_flags.append(envs[i].physics.state_in_goal(res.state.pos))
-                tr.bug_region_steps.append(res.bug_regions)
-                tr.bug_kind_steps.append(res.bug_kinds)
         for i in range(k):
             state_rows[i].append(self._state_features(envs[i]))
 
@@ -258,9 +244,9 @@ class Trainer:
                     pos_feat=np.stack([r["pos_feat"] for r in rows]),
                     pos_pe=np.stack([r["pos_pe"] for r in rows]),
                     info=np.stack([r["info"] for r in rows]),
-                    actions=actions[i],
+                    actions=np.array(trajs[i].actions, dtype=np.int64),
                     logp=logps[i],
-                    r_e=r_es[i],
+                    r_e=np.array(trajs[i].r_e),
                 )
             )
             self.visited.update(s.pos for s in trajs[i].states)

@@ -27,15 +27,11 @@ from .curiosity import RNDPair
 from .encode import ObservationEncoder, agent_info_vector
 from .imitation import load_demos
 from .mapio import load_map
-from .trainer import TrajectoryLog, coverage
+from .trainer import TrajectoryLog, TriageError, coverage
 from .world import Trajectory, VoxelMap, play_script
 
 REPORT_FORMAT_VERSION = 1
 EXPORT_FORMAT_VERSION = 1
-
-
-class TriageError(Exception):
-    pass
 
 
 @dataclass

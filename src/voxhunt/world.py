@@ -349,9 +349,6 @@ class Physics:
             return False
         return bool(self._climb[pos])
 
-    def in_glitch(self, pos: Vec3) -> bool:
-        return self.map.in_bounds(pos) and bool(self._glitch[pos])
-
     def _adjacent_climbable(self, pos: Vec3) -> bool:
         x, y, z = pos
         for dx, dz in _ADJACENT_8:
@@ -511,7 +508,6 @@ class Env:
         self.episode_length = episode_length
         self._tick = 0
         self.state = self.physics.initial_state()
-        self.visited: set[Vec3] = {self.state.pos}
 
     @property
     def tick(self) -> int:
@@ -523,7 +519,6 @@ class Env:
         del seed
         self._tick = 0
         self.state = self.physics.initial_state()
-        self.visited = {self.state.pos}
         return self.state
 
     def step(self, action: Action) -> StepResult:
@@ -532,7 +527,6 @@ class Env:
         )
         self._tick += 1
         self.state = new_state
-        self.visited.add(new_state.pos)
         return StepResult(
             state=new_state,
             r_e=r_e,
@@ -553,6 +547,22 @@ class Trajectory:
     goal_flags: list[bool]  # per state, length len(states)
     bug_region_steps: list[tuple[int, ...]]  # per action step
     bug_kind_steps: list[tuple[str, ...]]
+
+    @classmethod
+    def start(cls, env: Env) -> Trajectory:
+        """An empty trajectory at ``env``'s current state."""
+        return cls([env.state], [], [], [env.physics.state_in_goal(env.state.pos)], [], [])
+
+    def step(self, env: Env, action: Action) -> StepResult:
+        """Step ``env`` by ``action`` and record the transition."""
+        res = env.step(action)
+        self.states.append(res.state)
+        self.actions.append(action)
+        self.r_e.append(res.r_e)
+        self.goal_flags.append(env.physics.state_in_goal(res.state.pos))
+        self.bug_region_steps.append(res.bug_regions)
+        self.bug_kind_steps.append(res.bug_kinds)
+        return res
 
     @property
     def positions(self) -> list[Vec3]:
@@ -596,21 +606,8 @@ def play_script(
             f"script has {len(actions)} actions, episode allows {episode_length}"
         )
     env = Env(vmap, episode_length=max(len(actions), 1), bugs_enabled=bugs_enabled)
-    state = env.reset()
-    traj = Trajectory(
-        states=[state],
-        actions=[],
-        r_e=[],
-        goal_flags=[env.physics.state_in_goal(state.pos)],
-        bug_region_steps=[],
-        bug_kind_steps=[],
-    )
+    env.reset()
+    traj = Trajectory.start(env)
     for action in actions:
-        res = env.step(action)
-        traj.states.append(res.state)
-        traj.actions.append(action)
-        traj.r_e.append(res.r_e)
-        traj.goal_flags.append(env.physics.state_in_goal(res.state.pos))
-        traj.bug_region_steps.append(res.bug_regions)
-        traj.bug_kind_steps.append(res.bug_kinds)
+        traj.step(env, action)
     return traj

@@ -11,7 +11,7 @@ from collections import deque
 
 import numpy as np
 
-from voxhunt.world import Action
+from voxhunt.world import AGENT_CODE, SOLID, Action
 
 
 def fd_param_gradients(loss_fn, arrays, probes_per_array=5, h=1e-6, rng=None):
@@ -106,3 +106,32 @@ def explore_states(physics, max_keys=2_000_000):
                     climbing_at.add(ns.pos)
                 queue.append((ns, nph))
     return positions, climbing_at, len(seen)
+
+
+def local_occupancy(vmap, state, L, tick=0):
+    """Semantic L^3 cube centered on the agent, cut from the map per call;
+    out-of-bounds encodes as solid. The oracle for
+    ``ObservationEncoder.occupancy``, which reads a pre-padded copy instead.
+
+    Moving platforms render as solid at their position for `tick`.
+    """
+    if L < 1 or L % 2 == 0:
+        raise ValueError(f"L must be odd and positive, got {L}")
+    r = L // 2
+    out = np.full((L, L, L), SOLID, dtype=np.uint8)
+    nx, ny, nz = vmap.dims
+    x, y, z = state.pos
+    x0, x1 = max(0, x - r), min(nx, x + r + 1)
+    y0, y1 = max(0, y - r), min(ny, y + r + 1)
+    z0, z1 = max(0, z - r), min(nz, z + r + 1)
+    out[
+        x0 - (x - r) : x1 - (x - r),
+        y0 - (y - r) : y1 - (y - r),
+        z0 - (z - r) : z1 - (z - r),
+    ] = vmap.voxels[x0:x1, y0:y1, z0:z1]
+    for p in vmap.platforms:
+        for (px, py, pz) in p.cells_at(tick):
+            if x0 <= px < x1 and y0 <= py < y1 and z0 <= pz < z1:
+                out[px - (x - r), py - (y - r), pz - (z - r)] = SOLID
+    out[r, r, r] = AGENT_CODE
+    return out

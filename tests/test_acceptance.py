@@ -21,7 +21,6 @@ from voxhunt.encode import (
     ObservationEncoder,
     PEConfig,
     agent_info_vector,
-    local_occupancy,
     positional_embedding,
     raycast_observation,
 )

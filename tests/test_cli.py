@@ -82,6 +82,21 @@ class TestTrainTriageExport:
         main(["triage", str(out)])
         assert (out / "triage_report.json").read_bytes() == first
 
+    def test_torn_dataset_line_exits_1_with_line_number(self, quick_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(quick_config), "--out", str(out)]) == 0
+        data = out / "dataset.jsonl"
+        lines = data.read_bytes().splitlines(keepends=True)
+        assert len(lines) >= 3
+        data.write_bytes(b"".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
+        capsys.readouterr()
+
+        assert main(["triage", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{data}: line 3:" in err and "Traceback" not in err
+        assert main(["export", str(out)]) == 1
+        assert f"{data}: line 3:" in capsys.readouterr().err
+
     def test_deterministic_flag_forces_single_worker(self, quick_config, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):

@@ -5,13 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voxhunt.encode import (
-    LearnedPositionTable,
     ObservationEncoder,
     PEConfig,
     agent_info_vector,
     encode_position,
-    encode_position_ablation,
-    local_occupancy,
     normalized_position,
     positional_embedding,
     raycast_observation,
@@ -19,7 +16,7 @@ from voxhunt.encode import (
 from voxhunt.world import AGENT_CODE, AgentState, Env, SOLID
 
 from .conftest import flat_map
-from .oracles import positional_embedding_ref
+from .oracles import local_occupancy, positional_embedding_ref
 
 
 class TestPositionalEmbedding:
@@ -91,24 +88,8 @@ class TestEncodePosition:
 class TestAblationEncoders:
     def test_normalized_endpoints(self):
         dims = (10, 20, 40)
-        assert np.array_equal(
-            encode_position_ablation((0, 0, 0), "normalized", dims=dims), np.zeros(3)
-        )
-        assert np.array_equal(
-            encode_position_ablation(dims, "normalized", dims=dims), np.ones(3)
-        )
-
-    def test_learned_lookup_deterministic(self):
-        rng = np.random.default_rng(0)
-        table = LearnedPositionTable.create((4, 5, 6), d=8, rng=rng)
-        a = encode_position_ablation((1, 2, 3), "learned", table=table)
-        b = encode_position_ablation((1, 2, 3), "learned", table=table)
-        assert np.array_equal(a, b)
-        assert a.shape == (24,)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            encode_position_ablation((0, 0, 0), "fourier")
+        assert np.array_equal(normalized_position((0, 0, 0), dims), np.zeros(3))
+        assert np.array_equal(normalized_position(dims, dims), np.ones(3))
 
 
 class TestLocalOccupancy:

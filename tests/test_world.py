@@ -99,11 +99,6 @@ class TestReset:
         env = Env(area1)
         assert env.reset(seed=3) == env.reset(seed=3)
 
-    def test_visited_starts_at_spawn(self, area1):
-        env = Env(area1)
-        env.reset()
-        assert env.visited == {area1.spawn}
-
 
 class TestStepMechanics:
     def test_free_move_keeps_grounded(self, flat5):
