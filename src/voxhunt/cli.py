@@ -51,10 +51,6 @@ def _load_config(args) -> TrainConfig:
         overrides.append(f"profile={args.profile}")
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
-    if args.workers is not None:
-        overrides.append(f"workers={args.workers}")
-    if getattr(args, "deterministic", False):
-        overrides.append("workers=1")
     try:
         cfg = cfg.apply_overrides(overrides)
     except ConfigError as e:
@@ -148,7 +144,7 @@ def cmd_export(args) -> int:
             )
     demos = []
     if args.demos:
-        cfg = TrainConfig.from_json_file(run_dir / "config.json")
+        cfg = TrainConfig.from_run_dir(run_dir)
         vmap = load_map(resolve_path(cfg.map_path))
         for p in cfg.demo_paths:
             _, _, actions = load_demo_script(resolve_path(p))
@@ -317,12 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--profile", choices=["desk", "paper"], help="architecture profile")
         p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--workers", type=int, help="lockstep rollout group size")
-        p.add_argument(
-            "--deterministic",
-            action="store_true",
-            help="force workers=1 for bit-exact reproduction",
-        )
         p.add_argument(
             "--set",
             action="append",

@@ -99,7 +99,6 @@ class TrainConfig:
     episodes_per_iter: int = 10
     episode_length: int = 128
     seed: int = 0
-    workers: int = 1
     profile: str = "desk"
     alpha_mode: str = "uniform"  # uniform | fixed
     alpha_value: float = 0.5  # used when alpha_mode == fixed
@@ -132,8 +131,6 @@ class TrainConfig:
             problems.append("episodes_per_iter must be >= 1")
         if self.episode_length < 1:
             problems.append("episode_length must be >= 1")
-        if self.workers < 1:
-            problems.append("workers must be >= 1")
         if self.profile not in PROFILES:
             problems.append(f"unknown profile {self.profile!r} (desk|paper)")
         if self.alpha_mode not in ("uniform", "fixed"):
@@ -144,6 +141,10 @@ class TrainConfig:
             problems.append(f"unknown position_mode {self.position_mode!r}")
         if self.perception not in ("occupancy", "raycast", "none"):
             problems.append(f"unknown perception {self.perception!r}")
+        if self.eval_every < 0:
+            problems.append(f"eval_every must be >= 0, got {self.eval_every}")
+        if self.eval_episodes < 1:
+            problems.append(f"eval_episodes must be >= 1, got {self.eval_episodes}")
         return problems
 
     def net_profile(self) -> Profile:
@@ -206,7 +207,7 @@ class TrainConfig:
         return cls(**doc)
 
     @classmethod
-    def from_json_file(cls, path: str | Path) -> "TrainConfig":
+    def from_json_file(cls, path: str | Path, retired: tuple[str, ...] = ()) -> "TrainConfig":
         try:
             doc = json.loads(Path(path).read_text())
         except OSError as e:
@@ -215,7 +216,12 @@ class TrainConfig:
             raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: top level must be an object")
-        return cls.from_dict(doc)
+        return cls.from_dict({k: v for k, v in doc.items() if k not in retired})
+
+    @classmethod
+    def from_run_dir(cls, run_dir: str | Path) -> "TrainConfig":
+        """A run directory's ``config.json``, minus fields retired since it was written."""
+        return cls.from_json_file(Path(run_dir) / "config.json", retired=("workers",))
 
     def apply_overrides(self, overrides: list[str]) -> "TrainConfig":
         """Apply `dotted.path=value` strings; values parse as JSON when possible."""

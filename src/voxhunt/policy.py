@@ -96,6 +96,7 @@ class ObsNet(nn.Net):
         trunk, width = self.dense_chain("trunk_fc", width, a.trunk, rng)
         self.layers["head"] = nn.Dense(width, a.out_dim, None, rng, w_scale=a.head_scale)
         self.graph = [nn.Concat(branches), *trunk, "head"]
+        self.input_keys = [key for key, _ in branches]  # the inputs forward reads
 
     def descriptor(self) -> dict:
         d = super().descriptor()

@@ -68,20 +68,33 @@ def coverage(position_lists) -> int:
     return len(seen)
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """Per-episode arrays (m, n, ...) as one batch of m*n rows."""
+    return a.reshape(-1, *a.shape[2:])
+
+
 @dataclass
-class EpisodeRollout:
-    alpha: float
-    trajectory: Trajectory
-    # state-aligned features, length T+1
-    occ: np.ndarray
-    rays: np.ndarray | None
-    pos_feat: np.ndarray  # pe / normalized / idx rows
-    pos_pe: np.ndarray  # always sinusoidal, for the curiosity nets
-    info: np.ndarray
-    # step-aligned, length T
-    actions: np.ndarray
-    logp: np.ndarray
-    r_e: np.ndarray
+class Rollout:
+    """One iteration's m episodes of T steps, rolled in lockstep."""
+
+    alphas: np.ndarray  # (m,)
+    trajectories: list[Trajectory]
+    logp: np.ndarray  # (m, T)
+    # (m, T+1, ...) per state: the network inputs by name, and pos_pe for RND
+    features: dict[str, np.ndarray]
+
+    @property
+    def actions(self) -> np.ndarray:
+        return np.array([tr.actions for tr in self.trajectories], dtype=np.int64)
+
+    def occ_steps(self) -> np.ndarray:
+        """Occupancy of the state each action was taken in, one row per step."""
+        return _rows(self.features["occ"][:, :-1])
+
+    def novelty_inputs(self, states=np.s_[:]) -> dict[str, np.ndarray]:
+        """RND inputs of the given states (all, or e.g. the next states), one row each."""
+        f = self.features
+        return {"pos": _rows(f["pos_pe"][:, states]), "info": _rows(f["info"][:, states])}
 
 
 class TrajectoryLog:
@@ -164,143 +177,88 @@ class Trainer:
             np.random.SeedSequence(entropy=self.cfg.seed, spawn_key=(1, iteration, episode))
         )
 
-    def _state_features(self, env: Env):
+    def _state_features(self, env: Env) -> dict[str, np.ndarray]:
+        """One state's network inputs by name, plus pos_pe for the novelty nets."""
         state, tick = env.state, env.tick
         cfg = self.cfg
-        row: dict[str, np.ndarray] = {}
         # Occupancy is always recorded: the discriminator consumes it even when
         # the policy's perception branch is ablated away.
-        row["occ"] = self.encoder.occupancy(state, tick).reshape(-1)
+        row = {"occ": self.encoder.occupancy(state, tick).reshape(-1)}
         if cfg.perception == "raycast":
             row["rays"] = raycast_observation(self.map, state, tick=tick)
-        pe = self.encoder.position_code(state.pos)
-        row["pos_pe"] = pe
+        row["pos_pe"] = self.encoder.position_code(state.pos)
         if cfg.position_mode == "sinusoidal":
-            row["pos_feat"] = pe
+            row["pos"] = row["pos_pe"]
         elif cfg.position_mode == "normalized":
-            row["pos_feat"] = normalized_position(state.pos, self.map.dims)
+            row["pos"] = normalized_position(state.pos, self.map.dims)
         else:
-            row["pos_feat"] = np.array(state.pos, dtype=np.int64)
+            row["pos_idx"] = np.array(state.pos, dtype=np.int64)
         row["info"] = agent_info_vector(state)
         return row
 
-    def _policy_inputs(self, rows: list[dict], alphas: np.ndarray) -> dict[str, np.ndarray]:
-        cfg = self.cfg
-        inputs: dict[str, np.ndarray] = {
-            "info": np.stack([r["info"] for r in rows]),
-            "alpha": alphas.reshape(-1, 1).astype(np.float64),
-        }
-        if cfg.position_mode == "learned":
-            inputs["pos_idx"] = np.stack([r["pos_feat"] for r in rows]).astype(np.int64)
-        else:
-            inputs["pos"] = np.stack([r["pos_feat"] for r in rows])
-        if cfg.perception == "occupancy":
-            inputs["occ"] = np.stack([r["occ"] for r in rows])
-        elif cfg.perception == "raycast":
-            inputs["rays"] = np.stack([r["rays"] for r in rows])
-        return inputs
+    def _net_inputs(self, features: dict, alpha: np.ndarray) -> dict[str, np.ndarray]:
+        """Policy/critic inputs: the features the nets read and the dial, each
+        with ``alpha``'s batch shape flattened into rows."""
+        x = {**features, "alpha": alpha[..., None]}
+        n, lead = alpha.size, alpha.ndim
+        return {k: x[k].reshape(n, *x[k].shape[lead:]) for k in self.policy.input_keys}
 
-    def collect_group(self, iteration: int, episode_ids: list[int]) -> list[EpisodeRollout]:
-        """Roll a group of episodes in lockstep with a frozen policy."""
+    def collect_group(self, iteration: int) -> Rollout:
+        """Roll all of an iteration's episodes in lockstep with a frozen policy."""
         cfg = self.cfg
-        k = len(episode_ids)
-        rngs = [self._episode_rng(iteration, e) for e in episode_ids]
+        m, T = cfg.episodes_per_iter, cfg.episode_length
+        rngs = [self._episode_rng(iteration, e) for e in range(m)]
         if cfg.alpha_mode == "fixed":
-            alphas = np.full(k, cfg.alpha_value)
+            alphas = np.full(m, cfg.alpha_value, dtype=np.float64)
             for r in rngs:
                 r.random()  # keep stream alignment with uniform mode
         else:
             alphas = np.array([sample_alpha(r) for r in rngs])
-        envs = [Env(self.map, cfg.episode_length) for _ in range(k)]
+        envs = [Env(self.map, T) for _ in range(m)]
         for env in envs:
             env.reset()
-
-        T = cfg.episode_length
-        state_rows: list[list[dict]] = [[] for _ in range(k)]
-        logps = np.zeros((k, T))
         trajs = [Trajectory.start(env) for env in envs]
 
-        for t in range(T):
-            rows = [self._state_features(envs[i]) for i in range(k)]
-            for i in range(k):
-                state_rows[i].append(rows[i])
-            inputs = self._policy_inputs(rows, alphas)
-            acts, logp, _ = act(self.policy, inputs, rngs)
-            for i in range(k):
-                trajs[i].step(envs[i], int(acts[i]))
-                logps[i, t] = logp[i]
-        for i in range(k):
-            state_rows[i].append(self._state_features(envs[i]))
+        states: list[dict[str, np.ndarray]] = []
+        logp = np.zeros((m, T))
+        for t in range(T + 1):
+            rows = [self._state_features(env) for env in envs]
+            states.append({k: np.stack([r[k] for r in rows]) for k in rows[0]})
+            if t == T:
+                break
+            acts, logp[:, t], _ = act(self.policy, self._net_inputs(states[-1], alphas), rngs)
+            for tr, env, a in zip(trajs, envs, acts):
+                tr.step(env, int(a))
 
-        out = []
-        for i in range(k):
-            rows = state_rows[i]
-            out.append(
-                EpisodeRollout(
-                    alpha=float(alphas[i]),
-                    trajectory=trajs[i],
-                    occ=np.stack([r["occ"] for r in rows]),
-                    rays=np.stack([r["rays"] for r in rows]) if cfg.perception == "raycast" else None,
-                    pos_feat=np.stack([r["pos_feat"] for r in rows]),
-                    pos_pe=np.stack([r["pos_pe"] for r in rows]),
-                    info=np.stack([r["info"] for r in rows]),
-                    actions=np.array(trajs[i].actions, dtype=np.int64),
-                    logp=logps[i],
-                    r_e=np.array(trajs[i].r_e),
-                )
-            )
-            self.visited.update(s.pos for s in trajs[i].states)
-            self.total_env_steps += T
-        return out
+        for tr in trajs:
+            self.visited.update(tr.positions)
+        self.total_env_steps += m * T
+        features = {k: np.stack([s[k] for s in states], axis=1) for k in states[0]}
+        return Rollout(alphas, trajs, logp, features)
 
     # --------------------------------------------------------------- update
 
-    def _reward_components(self, rollouts: list[EpisodeRollout]):
-        """Per-step r_i and r_c for each episode, batched across the group."""
-        cfg = self.cfg
-        T = cfg.episode_length
-        m = len(rollouts)
-        if cfg.reward_mode == "extrinsic_only" or self.amp is None:
+    def _reward_components(self, ro: Rollout):
+        """Per-step r_i and r_c of every episode, each (m, T)."""
+        m, T = ro.logp.shape
+        if self.cfg.reward_mode == "extrinsic_only" or self.amp is None:
             zeros = np.zeros((m, T))
             return zeros, zeros, zeros
-
-        occ_steps = np.concatenate([ep.occ[:-1] for ep in rollouts])
-        act_steps = np.concatenate([ep.actions for ep in rollouts])
-        r_i = self.amp.reward(occ_steps, act_steps).reshape(m, T)
-
-        next_inputs = {
-            "pos": np.concatenate([ep.pos_pe[1:] for ep in rollouts]),
-            "info": np.concatenate([ep.info[1:] for ep in rollouts]),
-        }
-        rc_raw = self.rnd.raw_reward(next_inputs).reshape(m, T)
+        r_i = self.amp.reward(ro.occ_steps(), ro.actions.reshape(-1)).reshape(m, T)
+        rc_raw = self.rnd.raw_reward(ro.novelty_inputs(np.s_[1:])).reshape(m, T)
         self.rnd.observe_rewards(rc_raw.reshape(-1))
         rc_norm = self.rnd.normalized_reward(rc_raw.reshape(-1)).reshape(m, T)
         return r_i, rc_raw, rc_norm
 
-    def _build_batch(self, rollouts, r_i, rc_norm):
+    def _build_batch(self, ro: Rollout, r_i, rc_norm):
         cfg = self.cfg
-        m = len(rollouts)
-        T = cfg.episode_length
-
-        alphas = np.array([ep.alpha for ep in rollouts])
-        R = combine_reward(rc_norm, r_i, np.stack([ep.r_e for ep in rollouts]), alphas[:, None])
+        m, T = ro.logp.shape
+        r_e = np.array([tr.r_e for tr in ro.trajectories])
+        R = combine_reward(rc_norm, r_i, r_e, ro.alphas[:, None])
 
         # Critic values for every state (bootstraps the truncated tail).
-        all_rows_inputs = {
-            "info": np.concatenate([ep.info for ep in rollouts]),
-            "alpha": np.repeat(alphas, T + 1).reshape(-1, 1),
-        }
-        if cfg.position_mode == "learned":
-            all_rows_inputs["pos_idx"] = np.concatenate(
-                [ep.pos_feat for ep in rollouts]
-            ).astype(np.int64)
-        else:
-            all_rows_inputs["pos"] = np.concatenate([ep.pos_feat for ep in rollouts])
-        if cfg.perception == "occupancy":
-            all_rows_inputs["occ"] = np.concatenate([ep.occ for ep in rollouts])
-        elif cfg.perception == "raycast":
-            all_rows_inputs["rays"] = np.concatenate([ep.rays for ep in rollouts])
-        values, _ = self.critic.forward(all_rows_inputs)
+        alpha = np.repeat(ro.alphas[:, None], T + 1, axis=1)
+        values, _ = self.critic.forward(self._net_inputs(ro.features, alpha))
         values = values[:, 0].reshape(m, T + 1)
 
         advs = np.zeros((m, T))
@@ -310,13 +268,11 @@ class Trainer:
                 R[i], values[i], cfg.ppo.gamma, cfg.ppo.gae_lambda
             )
 
-        step_mask = np.ones((m, T + 1), dtype=bool)
-        step_mask[:, -1] = False
-        step_inputs = {k: v[step_mask.reshape(-1)] for k, v in all_rows_inputs.items()}
+        steps = {k: v[:, :-1] for k, v in ro.features.items()}
         batch = RolloutBatch(
-            inputs=step_inputs,
-            actions=np.concatenate([ep.actions for ep in rollouts]),
-            logp_old=np.concatenate([ep.logp for ep in rollouts]),
+            inputs=self._net_inputs(steps, alpha[:, :-1]),
+            actions=ro.actions.reshape(-1),
+            logp_old=ro.logp.reshape(-1),
             advantages=advs.reshape(-1),
             returns=rets.reshape(-1),
         )
@@ -324,47 +280,33 @@ class Trainer:
 
     def train_iteration(self, iteration: int, log: TrajectoryLog | None) -> dict:
         cfg = self.cfg
-        m = cfg.episodes_per_iter
-        rollouts: list[EpisodeRollout] = []
-        episode_ids = list(range(m))
-        for start in range(0, m, cfg.workers):
-            group = episode_ids[start : start + cfg.workers]
-            rollouts.extend(self.collect_group(iteration, group))
-
-        r_i, rc_raw, rc_norm = self._reward_components(rollouts)
-        batch, R = self._build_batch(rollouts, r_i, rc_norm)
+        ro = self.collect_group(iteration)
+        r_i, rc_raw, rc_norm = self._reward_components(ro)
+        batch, R = self._build_batch(ro, r_i, rc_norm)
 
         update_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(2, iteration))
         )
         stats: dict[str, float] = {}
         if self.amp is not None:
-            occ_steps = np.concatenate([ep.occ[:-1] for ep in rollouts])
-            act_steps = np.concatenate([ep.actions for ep in rollouts])
-            self.amp.observe_policy_pairs(occ_steps, act_steps)
+            self.amp.observe_policy_pairs(ro.occ_steps(), batch.actions)
             stats.update(self.amp.update(update_rng))
-            rnd_inputs = {
-                "pos": np.concatenate([ep.pos_pe for ep in rollouts]),
-                "info": np.concatenate([ep.info for ep in rollouts]),
-            }
-            stats["rnd_loss"] = self.rnd.update(rnd_inputs, update_rng)
+            stats["rnd_loss"] = self.rnd.update(ro.novelty_inputs(), update_rng)
         stats.update(self.ppo.update(batch, update_rng))
 
         if log is not None:
-            for i, ep in enumerate(rollouts):
-                tr = ep.trajectory
-                fg = tr.first_goal_state_index
+            for i, (alpha, tr) in enumerate(zip(ro.alphas, ro.trajectories)):
                 log.append(
                     {
                         "id": self.traj_count,
                         "iter": iteration,
                         "ep": i,
-                        "alpha": ep.alpha,
+                        "alpha": float(alpha),
                         "reached_goal": tr.reached_goal,
-                        "first_goal": fg,
+                        "first_goal": tr.first_goal_state_index,
                         "positions": [list(p) for p in tr.positions],
-                        "actions": [int(a) for a in ep.actions],
-                        "re": [float(v) for v in ep.r_e],
+                        "actions": tr.actions,
+                        "re": [float(v) for v in tr.r_e],
                         "ri": [float(v) for v in r_i[i]],
                         "rc_raw": [float(v) for v in rc_raw[i]],
                         "rc_norm": [float(v) for v in rc_norm[i]],
@@ -376,7 +318,7 @@ class Trainer:
                 self.traj_count += 1
             log.flush()
 
-        goal_rate = float(np.mean([ep.trajectory.reached_goal for ep in rollouts]))
+        goal_rate = float(np.mean([tr.reached_goal for tr in ro.trajectories]))
         metrics = {
             "iteration": iteration,
             "env_steps": self.total_env_steps,
@@ -406,8 +348,7 @@ class Trainer:
             alpha = sample_alpha(rng)
             hit = env.physics.state_in_goal(env.state.pos)
             for t in range(cfg.episode_length):
-                row = self._state_features(env)
-                inputs = self._policy_inputs([row], np.array([alpha]))
+                inputs = self._net_inputs(self._state_features(env), np.array(alpha))
                 acts, _, _ = act(self.policy, inputs, greedy=True)
                 res = env.step(acts[0])
                 hit = hit or bool(res.goal_ids)
@@ -438,7 +379,6 @@ class Trainer:
             "format_version": FORMAT_VERSION,
             "config_hash": cfg.config_hash(),
             "seed": cfg.seed,
-            "workers": cfg.workers,
             "profile": cfg.profile,
             "map": self.map.name,
         }

@@ -238,7 +238,7 @@ def run_triage(
     for p in (cfg_path, data_path, ckpt_dir / "rnd_target.vxnp", ckpt_dir / "rnd_predictor.vxnp"):
         if not p.exists():
             raise TriageError(f"missing run artifact: {p}")
-    cfg = TrainConfig.from_dict(json.loads(cfg_path.read_text()))
+    cfg = TrainConfig.from_run_dir(run_dir)
     vmap = load_map(resolve_path(cfg.map_path))
     profile = cfg.net_profile()
     encoder = ObservationEncoder(vmap, L=profile.L)

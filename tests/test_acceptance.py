@@ -86,7 +86,6 @@ def sweep_config(**patch) -> TrainConfig:
         episodes_per_iter=10,
         episode_length=128,
         seed=0,
-        workers=10,
         imitation=ImitationConfig(gp_coef=0.1),
     )
     base.update(patch)
@@ -515,7 +514,6 @@ def corridor_run(tmp_path_factory):
         episodes_per_iter=10,
         episode_length=48,
         seed=0,
-        workers=10,
         eval_every=10,
         eval_episodes=20,
         stop_at_goal_rate=0.9,
@@ -581,7 +579,7 @@ def test_criterion_08_baseline_ordering(reward_sweep):
 
 
 def test_criterion_09_bit_exact_reproduction(tmp_path):
-    with criterion(9, "workers=1 deterministic rerun is bit-identical"):
+    with criterion(9, "rerun with the same seed is bit-identical"):
         cfg_doc = sweep_config(
             iterations=3, episodes_per_iter=4, episode_length=32, seed=33
         ).to_dict()
@@ -595,9 +593,6 @@ def test_criterion_09_bit_exact_reproduction(tmp_path):
                     "train",
                     "--config",
                     str(cfg_path),
-                    "--workers",
-                    "1",
-                    "--deterministic",
                     "--seed",
                     "33",
                     "--out",

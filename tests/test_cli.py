@@ -22,7 +22,6 @@ def quick_config(tmp_path, area1_demo_paths):
         "episodes_per_iter": 2,
         "episode_length": 16,
         "seed": 5,
-        "workers": 2,
     }
     p = tmp_path / "config.json"
     p.write_text(json.dumps(cfg))
@@ -53,6 +52,31 @@ class TestValidation:
         (out / "something").write_text("x")
         rc = main(["train", "--config", str(quick_config), "--out", str(out)])
         assert rc == 2
+
+    def test_zero_eval_episodes_exits_2_before_start(self, quick_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main([
+            "train", "--config", str(quick_config), "--out", str(out),
+            "--set", "eval_every=1", "--set", "eval_episodes=0",
+        ])
+        assert rc == 2
+        assert "eval_episodes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_workers_setting_rejected_before_side_effect(
+        self, quick_config, tmp_path, capsys
+    ):
+        p = tmp_path / "old.json"
+        p.write_text(json.dumps({**json.loads(quick_config.read_text()), "workers": 2}))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(p), "--out", str(out)]) == 2
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+        for flags in (["--workers", "2"], ["--deterministic"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["train", "--config", str(quick_config), "--out", str(out), *flags])
+            assert exc.value.code == 2
+        assert not out.exists()
 
 
 class TestTrainTriageExport:
@@ -97,17 +121,36 @@ class TestTrainTriageExport:
         assert main(["export", str(out)]) == 1
         assert f"{data}: line 3:" in capsys.readouterr().err
 
-    def test_deterministic_flag_forces_single_worker(self, quick_config, tmp_path):
+    def test_rerun_with_same_seed_is_bit_identical(self, quick_config, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
-            rc = main([
-                "train", "--config", str(quick_config),
-                "--deterministic", "--seed", "7", "--out", str(out),
-            ])
+            rc = main(["train", "--config", str(quick_config), "--seed", "7", "--out", str(out)])
             assert rc == 0
         assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
         assert (out1 / "dataset.jsonl").read_bytes() == (out2 / "dataset.jsonl").read_bytes()
-        assert json.loads((out1 / "manifest.json").read_text())["workers"] == 1
+        assert "workers" not in json.loads((out1 / "manifest.json").read_text())
+
+    def test_torn_config_exits_1_with_path(self, quick_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(quick_config), "--out", str(out)]) == 0
+        cfg = out / "config.json"
+        cfg.write_text(cfg.read_text()[:40])
+        capsys.readouterr()
+        for argv in (["triage", str(out)], ["export", str(out), "--demos"]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert f"error: {cfg}: invalid JSON at line" in err and "Traceback" not in err
+
+    def test_run_written_with_workers_field_still_triages(self, quick_config, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(quick_config), "--out", str(out)]) == 0
+        main(["triage", str(out)])
+        report = (out / "triage_report.json").read_bytes()
+        cfg = out / "config.json"
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "workers": 2}))
+        assert main(["triage", str(out)]) == 0
+        assert (out / "triage_report.json").read_bytes() == report
+        assert main(["export", str(out), "--demos"]) == 0
 
 
 class TestDemoTools:
@@ -154,7 +197,6 @@ class TestAblateReward:
             "episodes_per_iter": 3,
             "episode_length": 24,
             "seed": 9,
-            "workers": 3,
         }
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(cfg))

@@ -26,7 +26,6 @@ def tiny_cfg(area1_demo_paths, **kw):
         episodes_per_iter=3,
         episode_length=24,
         seed=11,
-        workers=3,
     )
     base.update(kw)
     return TrainConfig(**base)
@@ -102,8 +101,8 @@ class TestTrainingRuns:
             for v in rec["rc_raw"]:
                 assert v >= 0.0
 
-    def test_single_worker_bit_identical_datasets(self, tmp_path, area1_demo_paths):
-        cfg = tiny_cfg(area1_demo_paths, workers=1, seed=21)
+    def test_rerun_bit_identical_datasets(self, tmp_path, area1_demo_paths):
+        cfg = tiny_cfg(area1_demo_paths, seed=21)
         run_training(cfg, tmp_path / "a")
         run_training(cfg, tmp_path / "b")
         assert (tmp_path / "a" / "dataset.jsonl").read_bytes() == (
@@ -129,7 +128,6 @@ class TestTrainingRuns:
             episodes_per_iter=2,
             episode_length=16,
             seed=3,
-            workers=2,
         )
         run_training(cfg, tmp_path / "run")
         records = TrajectoryLog.read(tmp_path / "run" / "dataset.jsonl")
@@ -162,9 +160,15 @@ class TestTrainingRuns:
 
 class TestConfig:
     def test_validation_lists_all_problems(self):
-        cfg = TrainConfig(map_path="missing.json", iterations=-1, workers=0)
+        cfg = TrainConfig(map_path="missing.json", iterations=-1, episode_length=0)
         problems = cfg.validate()
         assert len(problems) >= 3
+
+    def test_eval_settings_validated(self, area1_demo_paths):
+        assert tiny_cfg(area1_demo_paths, eval_every=0).validate() == []
+        problems = tiny_cfg(area1_demo_paths, eval_every=-1, eval_episodes=0).validate()
+        assert any("eval_every" in p for p in problems)
+        assert any("eval_episodes" in p for p in problems)
 
     def test_round_trip_and_overrides(self, area1_demo_paths):
         cfg = tiny_cfg(area1_demo_paths)

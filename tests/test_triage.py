@@ -179,7 +179,6 @@ def tiny_run(tmp_path_factory, area1_demo_paths):
         episodes_per_iter=4,
         episode_length=24,
         seed=13,
-        workers=4,
     )
     run_dir = tmp_path_factory.mktemp("runs") / "tiny"
     run_training(cfg, run_dir)
