@@ -17,7 +17,7 @@ from .config import ConfigError, TrainConfig, resolve_path
 from .imitation import DemoError, record_demo
 from .mapio import load_demo_script, load_map, save_demo_script
 from .trainer import TrainingDiverged, TrajectoryLog, run_training
-from .triage import TriageError, run_triage, export_trajectories
+from .triage import TriageError, export_trajectories, read_report, run_triage
 from .world import NAME_TO_ACTION, WorldError, play_script
 
 VALIDATION_EXIT = 2
@@ -98,10 +98,7 @@ def cmd_triage(args) -> int:
 
 
 def cmd_report(args) -> int:
-    path = Path(args.run_dir) / "triage_report.json"
-    if not path.exists():
-        raise TriageError(f"no triage report at {path}; run `voxhunt triage` first")
-    doc = json.loads(path.read_text())
+    doc = read_report(args.run_dir)
     print(f"epsilon {doc['epsilon']} ({doc['mode']} mode)")
     print(f"highlighted trajectories: {len(doc['theta'])}")
     print(f"bugs found {doc['bugs_found']}  bugs highlighted {doc['bugs_highlighted']}")
@@ -121,27 +118,11 @@ def cmd_export(args) -> int:
     if not data_path.exists():
         raise TriageError(f"missing dataset: {data_path}")
     records = TrajectoryLog.read(data_path)
-    only_ids = None
-    scores_by_id = {}
-    report_path = run_dir / "triage_report.json"
-    if args.theta_only:
-        if not report_path.exists():
-            raise TriageError("--theta-only needs a triage report; run `voxhunt triage`")
-        doc = json.loads(report_path.read_text())
-        only_ids = set(doc["theta"])
-    if report_path.exists():
-        doc = json.loads(report_path.read_text())
-        from .triage import TrajectoryScore
-
-        for s in doc["scores"]:
-            scores_by_id[s["traj_id"]] = TrajectoryScore(
-                traj_id=s["traj_id"],
-                alpha=s["alpha"],
-                reached_goal=s["reached_goal"],
-                first_goal=s["first_goal"],
-                rc_avg=s["rc_avg"],
-                bug_regions=tuple(s["bug_regions"]),
-            )
+    report = None
+    if args.theta_only or (run_dir / "triage_report.json").exists():
+        report = read_report(run_dir)
+    only_ids = set(report["theta"]) if args.theta_only else None
+    rc_by_id = {s["traj_id"]: s["rc_avg"] for s in report["scores"]} if report else {}
     demos = []
     if args.demos:
         cfg = TrainConfig.from_run_dir(run_dir)
@@ -150,7 +131,7 @@ def cmd_export(args) -> int:
             _, _, actions = load_demo_script(resolve_path(p))
             demos.append((Path(p).stem, play_script(vmap, actions), None))
     out = Path(args.out) if args.out else run_dir / "trajectories.tsv"
-    n = export_trajectories(records, scores_by_id, out, only_ids=only_ids, demos=demos)
+    n = export_trajectories(records, rc_by_id, out, only_ids=only_ids, demos=demos)
     print(json.dumps({"file": str(out), "trajectories": n}, sort_keys=True))
     return 0
 

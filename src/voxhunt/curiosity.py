@@ -12,7 +12,6 @@ step reward.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +122,3 @@ class RNDPair:
             idx = rng.integers(0, n, size=min(self.cfg.batch_size, n))
             total += self.train_step({k: v[idx] for k, v in inputs.items()})
         return total / max(self.cfg.updates_per_iter, 1)
-
-    def target_hash(self) -> str:
-        return hashlib.sha256(self.target.param_bytes()).hexdigest()

@@ -50,21 +50,8 @@ def positional_embedding(pos: int, cfg: PEConfig = PEConfig()) -> np.ndarray:
     return out
 
 
-def encode_position(pos3: Vec3, cfg: PEConfig = PEConfig()) -> np.ndarray:
-    """Concatenated per-coordinate codes in X, Y, Z order (length 3d)."""
-    return np.concatenate([positional_embedding(int(c), cfg) for c in pos3])
-
-
 def normalized_position(pos3: Vec3, dims: Vec3) -> np.ndarray:
     return np.array([pos3[i] / dims[i] for i in range(3)], dtype=np.float64)
-
-
-@dataclass(slots=True)
-class Observation:
-    occupancy: np.ndarray  # uint8 (L, L, L), center cell = agent code 3
-    agent_info: np.ndarray  # float64 (9,)
-    global_pos: Vec3
-    alpha: float
 
 
 def agent_info_vector(state: AgentState) -> np.ndarray:
@@ -184,12 +171,4 @@ class ObservationEncoder:
     def position_code(self, pos: Vec3) -> np.ndarray:
         return np.concatenate(
             [self._pe_tables[i][pos[i]] for i in range(3)]
-        )
-
-    def observe(self, state: AgentState, tick: int, alpha: float) -> Observation:
-        return Observation(
-            occupancy=self.occupancy(state, tick),
-            agent_info=agent_info_vector(state),
-            global_pos=state.pos,
-            alpha=alpha,
         )

@@ -130,36 +130,6 @@ def adversarial_loss_and_grads(
     return loss, grads
 
 
-def _expert_input_grads(disc: Discriminator, expert_occ: np.ndarray, expert_act: np.ndarray):
-    """D's input gradients at the embedded surfaces of expert samples.
-
-    Returns (emb, onehot, g_emb, g_act, norms): the surfaces, dD/d(surface)
-    per sample, and each row's norm over both surfaces together.
-    """
-    onehot = one_hot_actions(expert_act)
-    emb, _ = disc.embed_occupancy(expert_occ)
-    _, caches = disc.core_forward(emb, onehot)
-    _, g_emb, g_act = disc.core_backward(caches, np.ones(len(expert_occ)))
-    flat = np.concatenate([g_emb.reshape(len(g_act), -1), g_act], axis=1)
-    return emb, onehot, g_emb, g_act, np.sqrt((flat**2).sum(axis=1))
-
-
-def gradient_penalty(
-    disc: Discriminator,
-    expert_occ: np.ndarray,
-    expert_act: np.ndarray,
-    coef: float = 5.0,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """coef * mean squared norm of the input gradients on expert samples.
-
-    Gradients are taken with respect to the continuous surfaces (embedded
-    occupancy and action one-hot). Returns (penalty, g_emb, g_act) so training
-    can reuse the directions.
-    """
-    _, _, g_emb, g_act, norms = _expert_input_grads(disc, expert_occ, expert_act)
-    return coef * float((norms**2).mean()), g_emb, g_act
-
-
 def penalty_parameter_grads(
     disc: Discriminator,
     expert_occ: np.ndarray,
@@ -178,8 +148,14 @@ def penalty_parameter_grads(
     penalty is defined at (and regularizes the network above) the embedded
     surface.
     """
-    emb, onehot, g_emb, g_act, norms = _expert_input_grads(disc, expert_occ, expert_act)
+    # v = dD/d(surface) per sample, at the embedded occupancy and action one-hot
+    onehot = one_hot_actions(expert_act)
+    emb, _ = disc.embed_occupancy(expert_occ)
+    _, caches = disc.core_forward(emb, onehot)
+    _, g_emb, g_act = disc.core_backward(caches, np.ones(len(expert_occ)))
     n = len(expert_occ)
+    flat = np.concatenate([g_emb.reshape(n, -1), g_act], axis=1)
+    norms = np.sqrt((flat**2).sum(axis=1))
     penalty = coef * float((norms**2).mean())
 
     safe = np.maximum(norms, 1e-12)

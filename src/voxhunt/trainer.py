@@ -203,17 +203,15 @@ class Trainer:
         n, lead = alpha.size, alpha.ndim
         return {k: x[k].reshape(n, *x[k].shape[lead:]) for k in self.policy.input_keys}
 
-    def collect_group(self, iteration: int) -> Rollout:
-        """Roll all of an iteration's episodes in lockstep with a frozen policy."""
-        cfg = self.cfg
-        m, T = cfg.episodes_per_iter, cfg.episode_length
-        rngs = [self._episode_rng(iteration, e) for e in range(m)]
-        if cfg.alpha_mode == "fixed":
-            alphas = np.full(m, cfg.alpha_value, dtype=np.float64)
-            for r in rngs:
-                r.random()  # keep stream alignment with uniform mode
-        else:
-            alphas = np.array([sample_alpha(r) for r in rngs])
+    def collect_group(
+        self, alphas: np.ndarray, rngs: list[np.random.Generator] | None = None
+    ) -> Rollout:
+        """Roll one episode per dial value in lockstep with a frozen policy.
+
+        Each episode samples its actions from its own generator; without
+        generators the policy acts greedily.
+        """
+        m, T = len(alphas), self.cfg.episode_length
         envs = [Env(self.map, T) for _ in range(m)]
         for env in envs:
             env.reset()
@@ -226,13 +224,11 @@ class Trainer:
             states.append({k: np.stack([r[k] for r in rows]) for k in rows[0]})
             if t == T:
                 break
-            acts, logp[:, t], _ = act(self.policy, self._net_inputs(states[-1], alphas), rngs)
+            inputs = self._net_inputs(states[-1], alphas)
+            acts, logp[:, t], _ = act(self.policy, inputs, rngs, greedy=rngs is None)
             for tr, env, a in zip(trajs, envs, acts):
                 tr.step(env, int(a))
 
-        for tr in trajs:
-            self.visited.update(tr.positions)
-        self.total_env_steps += m * T
         features = {k: np.stack([s[k] for s in states], axis=1) for k in states[0]}
         return Rollout(alphas, trajs, logp, features)
 
@@ -280,7 +276,14 @@ class Trainer:
 
     def train_iteration(self, iteration: int, log: TrajectoryLog | None) -> dict:
         cfg = self.cfg
-        ro = self.collect_group(iteration)
+        rngs = [self._episode_rng(iteration, e) for e in range(cfg.episodes_per_iter)]
+        alphas = np.array([sample_alpha(r) for r in rngs])
+        if cfg.alpha_mode == "fixed":  # drawn anyway: both modes consume the same streams
+            alphas = np.full_like(alphas, cfg.alpha_value)
+        ro = self.collect_group(alphas, rngs)
+        for tr in ro.trajectories:
+            self.visited.update(tr.positions)
+        self.total_env_steps += ro.logp.size
         r_i, rc_raw, rc_norm = self._reward_components(ro)
         batch, R = self._build_batch(ro, r_i, rc_norm)
 
@@ -334,28 +337,15 @@ class Trainer:
 
     # ----------------------------------------------------------------- eval
 
-    def evaluate(self, round_id: int, episodes: int | None = None) -> float:
-        """Greedy goal-reach rate over fresh episodes."""
+    def evaluate(self, round_id: int) -> float:
+        """Share of greedy lockstep episodes that ever enter a goal."""
         cfg = self.cfg
-        n = episodes or cfg.eval_episodes
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(3, round_id))
         )
-        reached = 0
-        for _ in range(n):
-            env = Env(self.map, cfg.episode_length)
-            env.reset()
-            alpha = sample_alpha(rng)
-            hit = env.physics.state_in_goal(env.state.pos)
-            for t in range(cfg.episode_length):
-                inputs = self._net_inputs(self._state_features(env), np.array(alpha))
-                acts, _, _ = act(self.policy, inputs, greedy=True)
-                res = env.step(acts[0])
-                hit = hit or bool(res.goal_ids)
-                if hit:
-                    break
-            reached += int(hit)
-        return reached / n
+        alphas = np.array([sample_alpha(rng) for _ in range(cfg.eval_episodes)])
+        ro = self.collect_group(alphas)
+        return float(np.mean([tr.reached_goal for tr in ro.trajectories]))
 
     # ------------------------------------------------------------------ run
 

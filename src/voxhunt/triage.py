@@ -28,7 +28,7 @@ from .encode import ObservationEncoder, agent_info_vector
 from .imitation import load_demos
 from .mapio import load_map
 from .trainer import TrajectoryLog, TriageError, coverage
-from .world import Trajectory, VoxelMap, play_script
+from .world import Env, Trajectory, VoxelMap
 
 REPORT_FORMAT_VERSION = 1
 EXPORT_FORMAT_VERSION = 1
@@ -118,8 +118,8 @@ def score_trajectory(
     return float(rc.sum() / max(T, 1)), T
 
 
-def replay_record(record: dict, vmap: VoxelMap) -> Trajectory:
-    traj = play_script(vmap, [int(a) for a in record["actions"]])
+def replay_record(record: dict, env: Env) -> Trajectory:
+    traj = Trajectory.replay(env, [int(a) for a in record["actions"]])
     stored = [tuple(p) for p in record["positions"]]
     if traj.positions != stored:
         raise TriageError(
@@ -134,9 +134,11 @@ def score_records(
     rnd: RNDPair,
     encoder: ObservationEncoder,
 ) -> list[TrajectoryScore]:
+    """Replay and score one record at a time on one shared environment."""
+    env = Env(vmap)
     scores = []
     for rec in records:
-        traj = replay_record(rec, vmap)
+        traj = replay_record(rec, env)
         rc_avg, T = score_trajectory(traj, rnd, encoder)
         scores.append(
             TrajectoryScore(
@@ -267,15 +269,31 @@ def run_triage(
     return evaluate_bugs(scores, theta, vmap, eps, mode, total_cov, demo_scores)
 
 
+def read_report(run_dir: str | Path) -> dict:
+    """A finished run's ``triage_report.json``; TriageError names the path if
+    the file is missing or torn."""
+    path = Path(run_dir) / "triage_report.json"
+    try:
+        doc = json.loads(path.read_text())
+    except FileNotFoundError as e:
+        raise TriageError(f"no triage report at {path}; run `voxhunt triage` first") from e
+    except json.JSONDecodeError as e:
+        raise TriageError(f"{path}: torn or malformed report ({e.msg})") from e
+    if not isinstance(doc, dict) or doc.get("format_version") != REPORT_FORMAT_VERSION:
+        raise TriageError(f"{path}: not a format {REPORT_FORMAT_VERSION} triage report")
+    return doc
+
+
 def export_trajectories(
     records: list[dict],
-    scores_by_id: dict[int, TrajectoryScore],
+    rc_by_id: dict[int, float | None],
     path: str | Path,
     only_ids: set[int] | None = None,
     demos: list[tuple[str, Trajectory, float | None]] | None = None,
 ) -> int:
     """Columnar text export: a metadata header line per trajectory followed by
-    one `id t x y z` row per position. Parse back with :func:`parse_export`."""
+    one `id t x y z` row per position. ``rc_by_id`` maps trajectory ids to
+    their triage score."""
     n = 0
     with open(path, "w") as fh:
         fh.write(f"# format_version {EXPORT_FORMAT_VERSION}\n")
@@ -284,12 +302,11 @@ def export_trajectories(
             tid = int(rec["id"])
             if only_ids is not None and tid not in only_ids:
                 continue
-            s = scores_by_id.get(tid)
-            score = s.rc_avg if s and s.rc_avg is not None else ""
+            score = rc_by_id.get(tid)
             bugs = ",".join(str(b) for b in rec.get("bug_regions", [])) or "-"
             fh.write(
-                f"# trajectory id={tid} alpha={rec['alpha']} score={score} "
-                f"reached_goal={int(bool(rec['reached_goal']))} bugs={bugs} demo=0\n"
+                f"# trajectory id={tid} alpha={rec['alpha']} "
+                f"score={'' if score is None else score} reached_goal={int(bool(rec['reached_goal']))} bugs={bugs} demo=0\n"
             )
             for t, p in enumerate(rec["positions"]):
                 fh.write(f"{tid} {t} {p[0]} {p[1]} {p[2]}\n")
@@ -303,14 +320,3 @@ def export_trajectories(
                 fh.write(f"{name} {t} {p[0]} {p[1]} {p[2]}\n")
             n += 1
     return n
-
-
-def parse_export(path: str | Path) -> dict[str, list[tuple[int, int, int]]]:
-    """Read back an export file as {trajectory id: ordered positions}."""
-    out: dict[str, list[tuple[int, int, int]]] = {}
-    for line in Path(path).read_text().splitlines():
-        if not line or line.startswith("#"):
-            continue
-        tid, _t, x, y, z = line.split()
-        out.setdefault(tid, []).append((int(x), int(y), int(z)))
-    return out

@@ -553,6 +553,15 @@ class Trajectory:
         """An empty trajectory at ``env``'s current state."""
         return cls([env.state], [], [], [env.physics.state_in_goal(env.state.pos)], [], [])
 
+    @classmethod
+    def replay(cls, env: Env, actions: Sequence[Action]) -> Trajectory:
+        """Reset ``env`` and record ``actions`` played from spawn."""
+        env.reset()
+        traj = cls.start(env)
+        for action in actions:
+            traj.step(env, action)
+        return traj
+
     def step(self, env: Env, action: Action) -> StepResult:
         """Step ``env`` by ``action`` and record the transition."""
         res = env.step(action)
@@ -606,8 +615,4 @@ def play_script(
             f"script has {len(actions)} actions, episode allows {episode_length}"
         )
     env = Env(vmap, episode_length=max(len(actions), 1), bugs_enabled=bugs_enabled)
-    env.reset()
-    traj = Trajectory.start(env)
-    for action in actions:
-        traj.step(env, action)
-    return traj
+    return Trajectory.replay(env, actions)

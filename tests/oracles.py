@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
-from voxhunt.world import AGENT_CODE, SOLID, Action
+from voxhunt.imitation import one_hot_actions
+from voxhunt.policy import act
+from voxhunt.world import AGENT_CODE, SOLID, Action, Env
 
 
 def fd_param_gradients(loss_fn, arrays, probes_per_array=5, h=1e-6, rng=None):
@@ -135,3 +138,56 @@ def local_occupancy(vmap, state, L, tick=0):
                 out[px - (x - r), py - (y - r), pz - (z - r)] = SOLID
     out[r, r, r] = AGENT_CODE
     return out
+
+
+def gradient_penalty(disc, expert_occ, expert_act, coef=5.0):
+    """coef * mean squared norm of D's input gradients on expert samples.
+
+    Gradients are taken with respect to the continuous surfaces (embedded
+    occupancy and action one-hot). Returns (penalty, g_emb, g_act).
+    """
+    onehot = one_hot_actions(expert_act)
+    emb, _ = disc.embed_occupancy(expert_occ)
+    _, caches = disc.core_forward(emb, onehot)
+    _, g_emb, g_act = disc.core_backward(caches, np.ones(len(expert_occ)))
+    flat = np.concatenate([g_emb.reshape(len(g_act), -1), g_act], axis=1)
+    return coef * float((flat**2).sum(axis=1).mean()), g_emb, g_act
+
+
+def parse_export(path):
+    """Read back an export file as {trajectory id: ordered positions}."""
+    out = {}
+    for line in Path(path).read_text().splitlines():
+        if not line or line.startswith("#"):
+            continue
+        tid, _t, x, y, z = line.split()
+        out.setdefault(tid, []).append((int(x), int(y), int(z)))
+    return out
+
+
+def greedy_eval_ref(trainer, round_id):
+    """Greedy evaluation one episode at a time: a fresh Env per episode,
+    batch-1 actions, and a stop at the first goal entry.
+
+    Returns (goal rate, [(alpha, actions taken, reached goal) per episode]).
+    """
+    cfg = trainer.cfg
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(3, round_id))
+    )
+    episodes = []
+    for _ in range(cfg.eval_episodes):
+        env = Env(trainer.map, cfg.episode_length)
+        env.reset()
+        alpha = float(rng.random())
+        hit = env.physics.state_in_goal(env.state.pos)
+        actions = []
+        for _t in range(cfg.episode_length):
+            inputs = trainer._net_inputs(trainer._state_features(env), np.array(alpha))
+            acts, _, _ = act(trainer.policy, inputs, greedy=True)
+            actions.append(int(acts[0]))
+            hit = hit or bool(env.step(acts[0]).goal_ids)
+            if hit:
+                break
+        episodes.append((alpha, actions, hit))
+    return sum(hit for _, _, hit in episodes) / len(episodes), episodes

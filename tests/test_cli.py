@@ -121,6 +121,34 @@ class TestTrainTriageExport:
         assert main(["export", str(out)]) == 1
         assert f"{data}: line 3:" in capsys.readouterr().err
 
+    def test_torn_report_exits_1_with_path(self, quick_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(quick_config), "--out", str(out)]) == 0
+        assert main(["triage", str(out)]) == 0
+        report = out / "triage_report.json"
+        commands = (["report"], ["export"], ["export", "--theta-only"])
+        for damaged in (report.read_bytes()[:100], b"{}"):
+            report.write_bytes(damaged)
+            capsys.readouterr()
+            for command in commands:
+                assert main([command[0], str(out), *command[1:]]) == 1
+                err = capsys.readouterr().err
+                assert f"error: {report}:" in err and "Traceback" not in err
+
+    def test_replay_divergence_exits_1(self, quick_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(quick_config), "--out", str(out)]) == 0
+        data = out / "dataset.jsonl"
+        records = [json.loads(line) for line in data.read_text().splitlines()]
+        x, y, z = records[1]["positions"][5]
+        records[1]["positions"][5] = [x, y + 1, z]
+        data.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+        capsys.readouterr()
+        assert main(["triage", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"trajectory {records[1]['id']}: replay diverged" in err
+        assert not (out / "triage_report.json").exists()
+
     def test_rerun_with_same_seed_is_bit_identical(self, quick_config, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):

@@ -8,7 +8,6 @@ from voxhunt.encode import (
     ObservationEncoder,
     PEConfig,
     agent_info_vector,
-    encode_position,
     normalized_position,
     positional_embedding,
     raycast_observation,
@@ -46,6 +45,11 @@ class TestPositionalEmbedding:
     def test_pure_function(self):
         cfg = PEConfig(d=16)
         assert np.array_equal(positional_embedding(37, cfg), positional_embedding(37, cfg))
+
+
+def encode_position(pos3, cfg):
+    """The encoder's concatenated X, Y, Z code on a map large enough for pos3."""
+    return ObservationEncoder(flat_map(dims=(8, 8, 8)), pe=cfg).position_code(pos3)
 
 
 class TestEncodePosition:

@@ -14,7 +14,6 @@ from voxhunt.imitation import (
     ReplayBuffer,
     adversarial_loss_and_grads,
     demo_pairs,
-    gradient_penalty,
     imitation_reward_from_d,
     load_demos,
     one_hot_actions,
@@ -24,7 +23,7 @@ from voxhunt.imitation import (
 from voxhunt.encode import ObservationEncoder
 from voxhunt.world import Action
 
-from .oracles import assert_grads_close, fd_param_gradients
+from .oracles import assert_grads_close, fd_param_gradients, gradient_penalty
 
 
 def tiny_disc_arch():

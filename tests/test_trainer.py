@@ -17,6 +17,8 @@ from voxhunt.trainer import (
     sample_alpha,
 )
 
+from .oracles import greedy_eval_ref
+
 
 def tiny_cfg(area1_demo_paths, **kw):
     base = dict(
@@ -132,6 +134,30 @@ class TestTrainingRuns:
         run_training(cfg, tmp_path / "run")
         records = TrajectoryLog.read(tmp_path / "run" / "dataset.jsonl")
         assert all(v == 0.0 for rec in records for v in rec["ri"] + rec["rc_raw"])
+
+    def test_lockstep_evaluation_matches_one_episode_at_a_time(self, tmp_path):
+        # Seven iterations bring this corridor run from no goal to every goal.
+        cfg = TrainConfig(
+            map_path=str(fixture_path("corridor.json")),
+            demo_paths=[],
+            reward_mode="extrinsic_only",
+            episodes_per_iter=10,
+            episode_length=48,
+            seed=0,
+            eval_episodes=8,
+        )
+        trainer = Trainer(cfg, tmp_path / "run")
+        rates = []
+        for it in range(8):
+            ref_rate, episodes = greedy_eval_ref(trainer, it)
+            ro = trainer.collect_group(np.array([alpha for alpha, _, _ in episodes]))
+            for tr, (_, actions, hit) in zip(ro.trajectories, episodes):
+                assert [int(a) for a in tr.actions[: len(actions)]] == actions
+                assert tr.reached_goal == hit
+            rates.append(trainer.evaluate(it))
+            assert rates[-1] == ref_rate
+            trainer.train_iteration(it, None)
+        assert rates[0] == 0.0 and rates[-1] == 1.0
 
     def test_existing_run_dir_refused(self, tmp_path, area1_demo_paths):
         cfg = tiny_cfg(area1_demo_paths, iterations=0)

@@ -17,11 +17,12 @@ from voxhunt.triage import (
     evaluate_bugs,
     export_trajectories,
     filter_theta,
-    parse_export,
     run_triage,
     score_trajectory,
 )
 from voxhunt.world import Action, play_script
+
+from .oracles import parse_export
 
 
 def synth_score(i, alpha, reached=True, rc=0.5, bugs=()):
