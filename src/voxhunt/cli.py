@@ -13,6 +13,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import nn
 from .config import ConfigError, TrainConfig, resolve_path
 from .imitation import DemoError, record_demo
 from .mapio import load_demo_script, load_map, save_demo_script
@@ -79,7 +80,7 @@ def cmd_triage(args) -> int:
         quantile=args.quantile,
     )
     out = Path(args.run_dir) / "triage_report.json"
-    out.write_text(report.to_json() + "\n")
+    nn.write_atomic(out, report.to_json() + "\n")
     print(
         json.dumps(
             {
@@ -218,7 +219,7 @@ def cmd_ablate_reward(args) -> int:
         run_dir = out_dir / name
         run_training(vcfg, run_dir)
         report = run_triage(run_dir, mode=args.mode, epsilon=args.epsilon)
-        (run_dir / "triage_report.json").write_text(report.to_json() + "\n")
+        nn.write_atomic(run_dir / "triage_report.json", report.to_json() + "\n")
         rows.append(
             {
                 "variant": labels[name],

@@ -76,10 +76,11 @@ class Discriminator(nn.Net):
         self.graph = [nn.Concat([("occ", stem), act]), *trunk, "head"]
         self.core_graph = [nn.Concat([("occ_emb", ["conv0", *stem[1:]]), act]), *trunk, "head"]
 
-    def embed_occupancy(self, occ_codes: np.ndarray):
-        """Map integer codes (N, L^3) onto the continuous embedded cube."""
+    def embed_occupancy(self, occ_codes):
+        """Map integer codes (N, L^3), or their ``nn.Rows``, onto the continuous
+        embedded cube, one per row."""
         L = self.arch.L
-        return self.layers["occ_embed"].forward(occ_codes.reshape(-1, L, L, L))
+        return self.layers["occ_embed"].forward(np.asarray(occ_codes).reshape(-1, L, L, L))
 
     def core_forward(self, occ_emb: np.ndarray, act_onehot: np.ndarray):
         """Forward from the embedded surfaces; the entry point the penalty differentiates."""
@@ -91,15 +92,16 @@ class Discriminator(nn.Net):
         grads, (d_emb, d_act) = self.run_backward(self.core_graph, caches, dout[:, None])
         return grads, d_emb, d_act
 
-    def forward(self, occ_codes: np.ndarray, act_onehot: np.ndarray):
-        """Forward from integer codes (N, L^3), with the embedding folded into conv0."""
+    def forward(self, occ_codes, act_onehot: np.ndarray):
+        """Forward from integer codes (N, L^3) or their ``nn.Rows``, with the
+        embedding folded into conv0."""
         d, caches = self.run(self.graph, {"occ": occ_codes, "act": act_onehot})
         return d[:, 0], caches
 
     def backward(self, caches, dout: np.ndarray) -> dict[str, np.ndarray]:
         return super().backward(caches, dout[:, None])
 
-    def score(self, occ_codes: np.ndarray, act_onehot: np.ndarray) -> np.ndarray:
+    def score(self, occ_codes, act_onehot: np.ndarray) -> np.ndarray:
         return self.forward(occ_codes, act_onehot)[0]
 
 
@@ -183,11 +185,16 @@ class ReplayBuffer:
         self._ptr = 0
 
     def add_batch(self, occ: np.ndarray, act: np.ndarray) -> None:
-        for i in range(len(act)):
-            self.occ[self._ptr] = occ[i]
-            self.act[self._ptr] = act[i]
-            self._ptr = (self._ptr + 1) % self.capacity
-            self.size = min(self.size + 1, self.capacity)
+        """Append rows in order, overwriting the oldest once full."""
+        n, cap = len(act), self.capacity
+        k = min(n, cap)  # a batch larger than the ring leaves only its last k rows
+        occ, act = occ[n - k :], act[n - k :]
+        start = (self._ptr + n - k) % cap
+        head = min(k, cap - start)  # rows written before the ring wraps
+        self.occ[start : start + head], self.act[start : start + head] = occ[:head], act[:head]
+        self.occ[: k - head], self.act[: k - head] = occ[head:], act[head:]
+        self._ptr = (self._ptr + n) % cap
+        self.size = min(self.size + n, cap)
 
     def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         if self.size == 0:
@@ -259,7 +266,11 @@ def demo_pairs(
 
 
 class AMPModule:
-    """Owns the discriminator, its buffer and expert set; produces r_i."""
+    """Owns the discriminator, its buffer and expert set; produces r_i.
+
+    The expert occupancy is kept as ``nn.Rows`` over its distinct cubes, so
+    the discriminator's occupancy branch runs once per distinct expert cube.
+    """
 
     def __init__(
         self,
@@ -273,10 +284,12 @@ class AMPModule:
         self.disc = Discriminator(arch, rng)
         self.adam = nn.Adam(self.disc.params(), lr=cfg.lr)
         self.buffer = ReplayBuffer(cfg.buffer_capacity, arch.L**3)
-        self.expert_occ = expert_occ
+        table, ids = np.unique(expert_occ, axis=0, return_inverse=True)
+        self.expert_occ = nn.Rows(table, ids.reshape(-1))
         self.expert_act = expert_act
 
-    def reward(self, occ_codes: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    def reward(self, occ_codes, actions: np.ndarray) -> np.ndarray:
+        """r_i per (occupancy, action) row; ``occ_codes`` may be ``nn.Rows``."""
         d = self.disc.score(occ_codes, one_hot_actions(actions))
         return imitation_reward_from_d(d)
 

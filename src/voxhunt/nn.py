@@ -21,12 +21,18 @@ outputs are joined. The policy, critic, discriminator and novelty nets are all
 branches -> concat -> trunk -> head; ``Net.run`` / ``Net.run_backward`` run any
 such graph, and ``run_backward`` also returns the input gradients a
 ``Concat`` receives (the discriminator's penalty entry reads them).
+
+A ``Concat`` branch may read ``Rows``: ids into a table of distinct rows, such
+as the occupancy cubes of a rollout. The branch then runs on the batch's
+distinct rows only, its output is gathered back to one row per id, and its
+output gradient is summed over repeated ids before its backward pass.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -237,11 +243,19 @@ class Conv3d:
             raise ShapeError(f"conv3d output collapses for input {x.shape}")
         return xp, od
 
+    def _one_window(self, xp_shape) -> bool:
+        """True when the padded input is exactly one kernel window: the conv is
+        then a ``Dense`` over the flattened window, and im2col a reshape."""
+        return xp_shape[1:4] == (self.kernel,) * 3
+
     def forward(self, x: np.ndarray):
         if x.ndim != 5 or x.shape[-1] != self.c_in:
             raise ShapeError(f"conv3d expects (N,X,Y,Z,{self.c_in}), got {x.shape}")
         xp, od = self._padded_out(x)
-        cols = im2col(xp, self.kernel, self.stride, od)
+        if self._one_window(xp.shape):
+            cols = xp.reshape(x.shape[0], 1, -1)
+        else:
+            cols = im2col(xp, self.kernel, self.stride, od)
         pre = (cols @ self.w + self.b).reshape(x.shape[0], *od, self.c_out)
         y = _apply_activation(pre, self.activation)
         return y, (x.shape, xp.shape, cols, pre, y, od)
@@ -258,18 +272,22 @@ class Conv3d:
         flat_d = dpre.reshape(-1, self.c_out)
         gw = flat_cols.T @ flat_d
         gb = flat_d.sum(axis=0)
-        dcols = (dpre @ self.w.T).reshape(n, ox, oy, oz, k, k, k, self.c_in)
-        dxp = np.zeros(xp_shape, dtype=np.float64)
-        for i in range(k):
-            for j in range(k):
-                for l in range(k):
-                    dxp[
-                        :,
-                        i : i + ox * s : s,
-                        j : j + oy * s : s,
-                        l : l + oz * s : s,
-                        :,
-                    ] += dcols[:, :, :, :, i, j, l, :]
+        dcols = dpre @ self.w.T
+        if self._one_window(xp_shape):
+            dxp = dcols.reshape(xp_shape)
+        else:
+            dcols = dcols.reshape(n, ox, oy, oz, k, k, k, self.c_in)
+            dxp = np.zeros(xp_shape, dtype=np.float64)
+            for i in range(k):
+                for j in range(k):
+                    for l in range(k):
+                        dxp[
+                            :,
+                            i : i + ox * s : s,
+                            j : j + oy * s : s,
+                            l : l + oz * s : s,
+                            :,
+                        ] += dcols[:, :, :, :, i, j, l, :]
         if p:
             dx = dxp[:, p:-p, p:-p, p:-p, :]
         else:
@@ -370,6 +388,27 @@ class Adam:
             p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """A batch given as ids into a table of rows: row ``i`` is ``table[ids[i]]``.
+
+    Indexing selects ids and keeps the table, so minibatches of a ``Rows``
+    stay ``Rows``; ``np.asarray`` builds the rows themselves.
+    """
+
+    table: np.ndarray
+    ids: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, sel) -> "Rows":
+        return Rows(self.table, self.ids[sel])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.table[self.ids], dtype=dtype)
+
+
 @dataclass(frozen=True)
 class Stem:
     """Graph stage: integer codes reshaped to ``(N, *cube)``, then the layers
@@ -384,7 +423,8 @@ class Stem:
 class Concat:
     """Graph stage: parallel ``(key, stages)`` branches. Each runs its stages on
     ``x[key]`` (a dict entry, or ``np.s_[:, i]`` for a column of an array); the
-    branch outputs are flattened and concatenated along the last axis."""
+    branch outputs are flattened and concatenated along the last axis. A branch
+    whose input is ``Rows`` runs once per distinct id of the batch."""
 
     branches: list[tuple[object, list]]
 
@@ -418,17 +458,26 @@ class Net:
                 embed, conv = self.layers[stage.embed], self.layers[stage.conv]
                 x, cache = embed_conv_forward(embed, conv, x.reshape(-1, *stage.cube))
             else:
-                outs = [self.run(sub, x[key]) for key, sub in stage.branches]
-                cache = [(c, y.shape) for y, c in outs]
-                x = np.concatenate([y.reshape(len(y), -1) for y, _ in outs], axis=-1)
+                outs, cache = [], []
+                for key, sub in stage.branches:
+                    xb, inverse = x[key], None
+                    if isinstance(xb, Rows):  # run once per distinct row, then gather
+                        uniq, inverse = np.unique(xb.ids, return_inverse=True)
+                        xb = xb.table[uniq]
+                    y, c = self.run(sub, xb)
+                    cache.append((c, y.shape, inverse))
+                    y = y.reshape(len(y), -1)
+                    outs.append(y if inverse is None else y[inverse])
+                x = np.concatenate(outs, axis=-1)
             caches.append(cache)
         return x, caches
 
     def run_backward(self, stages: list, caches, dy: np.ndarray, grads=None):
         """Back-propagate ``dy`` through ``stages``; returns (param grads, input grad).
 
-        A ``Concat`` input grad is the list of its branches' input grads; a
-        ``Stem`` (integer codes) has none.
+        A ``Concat`` input grad is the list of its branches' input grads (for a
+        ``Rows`` branch, the grads of its distinct rows); a ``Stem`` (integer
+        codes) has none.
         """
         grads = {} if grads is None else grads
         for stage, cache in zip(reversed(stages), reversed(caches)):
@@ -442,12 +491,15 @@ class Net:
                 accumulate(grads, g_conv, stage.conv)
                 dy = None
             else:
-                widths = [int(np.prod(shape[1:])) for _, shape in cache]
+                widths = [int(np.prod(shape[1:])) for _, shape, _ in cache]
                 parts = np.split(dy, np.cumsum(widths)[:-1], axis=-1)
-                dy = [
-                    self.run_backward(sub, c, d.reshape(shape), grads)[1]
-                    for (_, sub), (c, shape), d in zip(stage.branches, cache, parts)
-                ]
+                dy = []
+                for (_, sub), (c, shape, inverse), d in zip(stage.branches, cache, parts):
+                    if inverse is not None:  # sum the grads of repeated rows
+                        summed = np.zeros((shape[0], d.shape[1]))
+                        np.add.at(summed, inverse, d)
+                        d = summed
+                    dy.append(self.run_backward(sub, c, d.reshape(shape), grads)[1])
         return grads, dy
 
     def dense_chain(self, prefix: str, n_in: int, widths, rng) -> tuple[list[str], int]:
@@ -507,21 +559,38 @@ _FORMAT_VERSION = 1
 def save_params(path: str | Path, descriptor: dict, params: dict[str, np.ndarray]) -> None:
     """Versioned little-endian binary: descriptor echo + named float64 tensors."""
     desc = json.dumps(descriptor, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _FORMAT_VERSION))
-        f.write(struct.pack("<Q", len(desc)))
-        f.write(desc)
-        f.write(struct.pack("<I", len(params)))
-        for name in sorted(params):
-            arr = np.ascontiguousarray(params[name], dtype=np.float64)
-            nb = name.encode()
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                f.write(struct.pack("<Q", d))
-            f.write(arr.astype("<f8").tobytes())
+    f = io.BytesIO()
+    f.write(_MAGIC)
+    f.write(struct.pack("<I", _FORMAT_VERSION))
+    f.write(struct.pack("<Q", len(desc)))
+    f.write(desc)
+    f.write(struct.pack("<I", len(params)))
+    for name in sorted(params):
+        arr = np.ascontiguousarray(params[name], dtype=np.float64)
+        nb = name.encode()
+        f.write(struct.pack("<H", len(nb)))
+        f.write(nb)
+        f.write(struct.pack("<B", arr.ndim))
+        for d in arr.shape:
+            f.write(struct.pack("<Q", d))
+        f.write(arr.astype("<f8").tobytes())
+    write_atomic(path, f.getvalue())
+
+
+def write_atomic(path: str | Path, data: bytes | str) -> None:
+    """Replace ``path`` by ``data`` through a temp file in the same directory and
+    ``os.replace``: a reader sees the old file or the new one, never a torn one,
+    and a failed write leaves the old file and no temp file behind. There is no
+    fsync, so this guards against a killed process, not against power loss."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_params(

@@ -80,16 +80,18 @@ class Rollout:
     alphas: np.ndarray  # (m,)
     trajectories: list[Trajectory]
     logp: np.ndarray  # (m, T)
-    # (m, T+1, ...) per state: the network inputs by name, and pos_pe for RND
+    # (m, T+1, ...) per state: the network inputs by name, and pos_pe for RND;
+    # the occupancy is "occ_id", a row of ``cubes``
     features: dict[str, np.ndarray]
+    cubes: np.ndarray  # (K, L^3) the distinct occupancy cubes, in first-seen order
 
     @property
     def actions(self) -> np.ndarray:
         return np.array([tr.actions for tr in self.trajectories], dtype=np.int64)
 
-    def occ_steps(self) -> np.ndarray:
+    def occ_steps(self) -> nn.Rows:
         """Occupancy of the state each action was taken in, one row per step."""
-        return _rows(self.features["occ"][:, :-1])
+        return nn.Rows(self.cubes, _rows(self.features["occ_id"][:, :-1]))
 
     def novelty_inputs(self, states=np.s_[:]) -> dict[str, np.ndarray]:
         """RND inputs of the given states (all, or e.g. the next states), one row each."""
@@ -196,12 +198,18 @@ class Trainer:
         row["info"] = agent_info_vector(state)
         return row
 
-    def _net_inputs(self, features: dict, alpha: np.ndarray) -> dict[str, np.ndarray]:
+    def _net_inputs(self, features: dict, alpha: np.ndarray, cubes=None) -> dict:
         """Policy/critic inputs: the features the nets read and the dial, each
-        with ``alpha``'s batch shape flattened into rows."""
+        with ``alpha``'s batch shape flattened into rows. Given the rollout's
+        ``cubes``, the occupancy is read from ``features["occ_id"]`` as ``Rows``."""
         x = {**features, "alpha": alpha[..., None]}
         n, lead = alpha.size, alpha.ndim
-        return {k: x[k].reshape(n, *x[k].shape[lead:]) for k in self.policy.input_keys}
+        if cubes is not None:
+            x["occ"] = nn.Rows(cubes, x.pop("occ_id").reshape(n))
+        return {
+            k: x[k] if isinstance(x[k], nn.Rows) else x[k].reshape(n, *x[k].shape[lead:])
+            for k in self.policy.input_keys
+        }
 
     def collect_group(
         self, alphas: np.ndarray, rngs: list[np.random.Generator] | None = None
@@ -209,7 +217,8 @@ class Trainer:
         """Roll one episode per dial value in lockstep with a frozen policy.
 
         Each episode samples its actions from its own generator; without
-        generators the policy acts greedily.
+        generators the policy acts greedily. Every state's occupancy cube gets
+        an id, numbered in first-seen order over the distinct cubes.
         """
         m, T = len(alphas), self.cfg.episode_length
         envs = [Env(self.map, T) for _ in range(m)]
@@ -218,9 +227,13 @@ class Trainer:
         trajs = [Trajectory.start(env) for env in envs]
 
         states: list[dict[str, np.ndarray]] = []
+        cube_ids: dict[bytes, int] = {}
+        occ_id = np.zeros((m, T + 1), dtype=np.int64)
         logp = np.zeros((m, T))
         for t in range(T + 1):
             rows = [self._state_features(env) for env in envs]
+            for i, r in enumerate(rows):
+                occ_id[i, t] = cube_ids.setdefault(r["occ"].tobytes(), len(cube_ids))
             states.append({k: np.stack([r[k] for r in rows]) for k in rows[0]})
             if t == T:
                 break
@@ -229,8 +242,11 @@ class Trainer:
             for tr, env, a in zip(trajs, envs, acts):
                 tr.step(env, int(a))
 
-        features = {k: np.stack([s[k] for s in states], axis=1) for k in states[0]}
-        return Rollout(alphas, trajs, logp, features)
+        # The rollout keeps the occupancy once: as ids into the distinct cubes.
+        features = {k: np.stack([s[k] for s in states], axis=1) for k in states[0] if k != "occ"}
+        features["occ_id"] = occ_id
+        cubes = np.frombuffer(b"".join(cube_ids), dtype=np.uint8).reshape(len(cube_ids), -1)
+        return Rollout(alphas, trajs, logp, features, cubes)
 
     # --------------------------------------------------------------- update
 
@@ -254,7 +270,7 @@ class Trainer:
 
         # Critic values for every state (bootstraps the truncated tail).
         alpha = np.repeat(ro.alphas[:, None], T + 1, axis=1)
-        values, _ = self.critic.forward(self._net_inputs(ro.features, alpha))
+        values, _ = self.critic.forward(self._net_inputs(ro.features, alpha, ro.cubes))
         values = values[:, 0].reshape(m, T + 1)
 
         advs = np.zeros((m, T))
@@ -266,7 +282,7 @@ class Trainer:
 
         steps = {k: v[:, :-1] for k, v in ro.features.items()}
         batch = RolloutBatch(
-            inputs=self._net_inputs(steps, alpha[:, :-1]),
+            inputs=self._net_inputs(steps, alpha[:, :-1], ro.cubes),
             actions=ro.actions.reshape(-1),
             logp_old=ro.logp.reshape(-1),
             advantages=advs.reshape(-1),
@@ -292,7 +308,7 @@ class Trainer:
         )
         stats: dict[str, float] = {}
         if self.amp is not None:
-            self.amp.observe_policy_pairs(ro.occ_steps(), batch.actions)
+            self.amp.observe_policy_pairs(np.asarray(ro.occ_steps()), batch.actions)
             stats.update(self.amp.update(update_rng))
             stats["rnd_loss"] = self.rnd.update(ro.novelty_inputs(), update_rng)
         stats.update(self.ppo.update(batch, update_rng))
@@ -364,7 +380,7 @@ class Trainer:
         if run_dir.exists() and any(run_dir.iterdir()):
             raise FileExistsError(f"run directory {run_dir} already exists and is not empty")
         run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "config.json").write_text(cfg.to_json() + "\n")
+        nn.write_atomic(run_dir / "config.json", cfg.to_json() + "\n")
         manifest = {
             "format_version": FORMAT_VERSION,
             "config_hash": cfg.config_hash(),
@@ -372,8 +388,8 @@ class Trainer:
             "profile": cfg.profile,
             "map": self.map.name,
         }
-        (run_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+        nn.write_atomic(
+            run_dir / "manifest.json", json.dumps(manifest, indent=1, sort_keys=True) + "\n"
         )
         started = time.time()
 

@@ -191,3 +191,12 @@ def greedy_eval_ref(trainer, round_id):
                 break
         episodes.append((alpha, actions, hit))
     return sum(hit for _, _, hit in episodes) / len(episodes), episodes
+
+
+def replay_add_batch_ref(buf, occ, act):
+    """``ReplayBuffer.add_batch`` one row at a time, as a ring pointer walk."""
+    for i in range(len(act)):
+        buf.occ[buf._ptr] = occ[i]
+        buf.act[buf._ptr] = act[i]
+        buf._ptr = (buf._ptr + 1) % buf.capacity
+        buf.size = min(buf.size + 1, buf.capacity)

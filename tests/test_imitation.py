@@ -23,7 +23,12 @@ from voxhunt.imitation import (
 from voxhunt.encode import ObservationEncoder
 from voxhunt.world import Action
 
-from .oracles import assert_grads_close, fd_param_gradients, gradient_penalty
+from .oracles import (
+    assert_grads_close,
+    fd_param_gradients,
+    gradient_penalty,
+    replay_add_batch_ref,
+)
 
 
 def tiny_disc_arch():
@@ -207,6 +212,24 @@ class TestReplayBuffer:
         rng = np.random.default_rng(0)
         _, acts = buf.sample(rng, 50)
         assert set(acts) <= {2, 3, 4, 5}
+
+    @pytest.mark.parametrize(
+        "capacity,batches",
+        [(7, [5, 5]), (7, [3, 7]), (7, [2, 16]), (8, [8, 8]), (5, [1, 1, 1, 4, 9, 3])],
+    )
+    def test_add_batch_matches_row_by_row_ring(self, capacity, batches):
+        # wrap-around, a batch of exactly capacity rows, a batch larger than it
+        rng = np.random.default_rng(3)
+        buf = ReplayBuffer(capacity, occ_cells=4)
+        ref = ReplayBuffer(capacity, occ_cells=4)
+        for n in batches:
+            occ = rng.integers(0, 4, size=(n, 4)).astype(np.uint8)
+            act = rng.integers(0, 10, size=n)
+            buf.add_batch(occ, act)
+            replay_add_batch_ref(ref, occ, act)
+            assert np.array_equal(buf.occ, ref.occ)
+            assert np.array_equal(buf.act, ref.act)
+            assert (buf.size, buf._ptr) == (ref.size, ref._ptr)
 
     def test_empty_buffer_rejects_sampling(self):
         buf = ReplayBuffer(capacity=4, occ_cells=2)

@@ -1,10 +1,14 @@
 """Numerical core: forward oracles, analytic vs finite-difference gradients,
 optimizer behavior, parameter file round trips."""
 
+import os
+
 import numpy as np
 import pytest
 
 from voxhunt import nn
+from voxhunt.imitation import DiscArch, Discriminator, one_hot_actions
+from voxhunt.policy import N_ACTIONS, ObsNetArch, make_critic_net, make_policy_net
 
 from .oracles import assert_grads_close, fd_param_gradients, softmax_ref
 
@@ -182,6 +186,42 @@ class TestConv3d:
             assert abs(got - fd_v) / max(abs(fd_v), 1e-7) < 1e-4
 
 
+class TestConv3dOneWindow:
+    """A conv whose padded input is one kernel window runs as a Dense."""
+
+    @pytest.mark.parametrize("side,pad", [(3, 0), (1, 1)])
+    def test_matches_general_path(self, side, pad):
+        rng = np.random.default_rng(14)
+        conv = nn.Conv3d(8, 16, kernel=3, stride=2, pad=pad, activation="relu", rng=rng)
+        conv.b[:] = rng.normal(scale=0.1, size=16)
+        x = rng.normal(size=(32, side, side, side, 8))
+        y, cache = conv.forward(x)
+        dy = rng.normal(size=y.shape)
+        dx, grads = conv.backward(cache, dy)
+
+        conv._one_window = lambda xp_shape: False  # force im2col / col2im
+        y_ref, cache_ref = conv.forward(x)
+        dx_ref, grads_ref = conv.backward(cache_ref, dy)
+        assert y.shape == y_ref.shape == (32, 1, 1, 1, 16)
+        assert max_rel_err(y, y_ref) <= 1e-12
+        assert dx.shape == x.shape and max_rel_err(dx, dx_ref) <= 1e-12
+        for k in ("w", "b"):
+            assert max_rel_err(grads[k], grads_ref[k]) <= 1e-12
+
+    def test_only_a_single_window_skips_im2col(self, monkeypatch):
+        calls = []
+        im2col = nn.im2col
+        monkeypatch.setattr(nn, "im2col", lambda *a: calls.append(a) or im2col(*a))
+        rng = np.random.default_rng(15)
+        conv = nn.Conv3d(2, 3, kernel=3, stride=2, pad=0, rng=rng)
+        y, cache = conv.forward(rng.normal(size=(2, 3, 3, 3, 2)))
+        conv.backward(cache, np.ones_like(y))
+        assert calls == []
+        y, cache = conv.forward(rng.normal(size=(2, 5, 5, 5, 2)))
+        conv.backward(cache, np.ones_like(y))
+        assert len(calls) == 1
+
+
 def max_rel_err(got, want):
     return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
 
@@ -246,6 +286,71 @@ class TestEmbedConvStem:
         codes[0, 2, 2, 2] = 4
         with pytest.raises(IndexError):
             nn.embed_conv_forward(embed, conv, codes)
+
+
+def desk_net_and_inputs(kind, occ, rng):
+    """A desk-profile policy, critic or discriminator and inputs around ``occ``."""
+    n = len(occ)
+    if kind == "discriminator":
+        net = Discriminator(DiscArch(), rng)
+        return net, {"occ": occ, "act": one_hot_actions(rng.integers(0, N_ACTIONS, size=n))}
+    make = make_policy_net if kind == "policy" else make_critic_net
+    net = make(ObsNetArch(out_dim=N_ACTIONS), rng)
+    for layer in net.layers.values():  # nonzero biases, so no gradient is trivially zero
+        if hasattr(layer, "b"):
+            layer.b[:] = rng.normal(scale=0.1, size=layer.b.shape)
+    return net, {
+        "pos": rng.uniform(-1, 1, size=(n, 96)),
+        "info": rng.normal(size=(n, 9)),
+        "occ": occ,
+        "alpha": rng.random(size=(n, 1)),
+    }
+
+
+class TestRowsBranch:
+    """An occupancy branch fed ``Rows`` against the same branch fed every row."""
+
+    @pytest.mark.parametrize("kind", ["policy", "critic", "discriminator"])
+    @pytest.mark.parametrize("n_cubes,n_rows", [(5, 96), (40, 40)])
+    def test_matches_per_row_branch(self, kind, n_cubes, n_rows):
+        rng = np.random.default_rng(16)
+        table = rng.integers(0, 4, size=(n_cubes, 343)).astype(np.uint8)
+        ids = rng.permutation(n_cubes) if n_cubes == n_rows else rng.integers(0, n_cubes, n_rows)
+        rows = nn.Rows(table, ids)
+        net, inputs = desk_net_and_inputs(kind, rows, rng)
+
+        out, caches = net.run(net.graph, inputs)
+        out_ref, caches_ref = net.run(net.graph, {**inputs, "occ": table[ids]})
+        assert max_rel_err(out, out_ref) <= 1e-12
+        dout = rng.normal(size=out.shape)
+        grads, _ = net.run_backward(net.graph, caches, dout)
+        grads_ref, _ = net.run_backward(net.graph, caches_ref, dout)
+        assert set(grads) == set(grads_ref) == set(net.params())
+        for name in grads:
+            assert max_rel_err(grads[name], grads_ref[name]) <= 1e-12, name
+
+    def test_backward_matches_finite_differences(self):
+        rng = np.random.default_rng(17)
+        table = rng.integers(0, 4, size=(3, 343)).astype(np.uint8)
+        rows = nn.Rows(table, np.array([2, 0, 2, 1, 0, 2]))
+        net, inputs = desk_net_and_inputs("policy", rows, rng)
+        out, caches = net.forward(inputs)
+        w_out = rng.normal(size=out.shape)
+        grads = net.backward(caches, w_out)
+
+        def loss():
+            return float((net.forward(inputs)[0] * w_out).sum())
+
+        fd = fd_param_gradients(loss, net.params(), probes_per_array=6, rng=rng)
+        assert len(fd) >= 100
+        assert_grads_close(grads, fd)
+
+    def test_indexing_keeps_the_table(self):
+        table = np.arange(12, dtype=np.uint8).reshape(4, 3)
+        rows = nn.Rows(table, np.array([3, 1, 1, 0]))
+        sub = rows[np.array([2, 0])]
+        assert isinstance(sub, nn.Rows) and sub.table is table and len(sub) == 2
+        assert np.array_equal(np.asarray(sub), table[[1, 3]])
 
 
 class TestSoftmax:
@@ -313,6 +418,45 @@ class TestSerialization:
         path.write_bytes(data[: len(data) - 24])
         with pytest.raises(nn.ParamsFormatError, match="truncated"):
             nn.load_params(path)
+
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.vxnp"
+        nn.save_params(path, {"v": 1}, {"w": np.zeros(16)})
+        before = path.read_bytes()
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", broken_replace)
+        with pytest.raises(OSError, match="disk full"):
+            nn.save_params(path, {"v": 1}, {"w": np.ones(16)})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["p.vxnp"]
+
+    def test_write_failing_midway_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "config.json"
+        nn.write_atomic(path, '{"seed": 1}\n')
+        before = path.read_bytes()
+
+        class HalfWriter:
+            def __init__(self, name, mode):
+                self.f = open(name, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[: len(data) // 2])
+                raise OSError("device gone")
+
+        monkeypatch.setattr(nn, "open", HalfWriter, raising=False)
+        with pytest.raises(OSError, match="device gone"):
+            nn.write_atomic(path, '{"seed": 2, "iterations": 60}\n')
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_not_a_params_file(self, tmp_path):
         path = tmp_path / "p.vxnp"

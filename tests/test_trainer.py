@@ -159,6 +159,28 @@ class TestTrainingRuns:
             trainer.train_iteration(it, None)
         assert rates[0] == 0.0 and rates[-1] == 1.0
 
+    def test_rollout_cube_ids_index_the_occupancy_of_every_state(
+        self, tmp_path, area1_demo_paths
+    ):
+        cfg = tiny_cfg(area1_demo_paths, episodes_per_iter=4)
+        trainer = Trainer(cfg, tmp_path / "run")
+        rngs = [trainer._episode_rng(0, e) for e in range(4)]
+        ro = trainer.collect_group(np.array([0.1, 0.9, 0.5, 0.3]), rngs)
+        ids = ro.features["occ_id"]
+        assert "occ" not in ro.features
+        assert ids.shape == (4, cfg.episode_length + 1)
+        assert ro.cubes.dtype == np.uint8 and ro.cubes.shape[1] == 7**3
+        for i, tr in enumerate(ro.trajectories):
+            for t, state in enumerate(tr.states):
+                want = trainer.encoder.occupancy(state, t).reshape(-1)
+                assert np.array_equal(ro.cubes[ids[i, t]], want)
+        # ids count up from 0 in the order states are recorded (step by step)
+        order = ids.T.reshape(-1)
+        first_seen = order[np.sort(np.unique(order, return_index=True)[1])]
+        assert np.array_equal(first_seen, np.arange(len(ro.cubes)))
+        assert len(np.unique(ro.cubes, axis=0)) == len(ro.cubes) < ids.size
+        assert np.array_equal(np.asarray(ro.occ_steps()), ro.cubes[ids[:, :-1].reshape(-1)])
+
     def test_existing_run_dir_refused(self, tmp_path, area1_demo_paths):
         cfg = tiny_cfg(area1_demo_paths, iterations=0)
         run_training(cfg, tmp_path / "run")
