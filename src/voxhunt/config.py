@@ -145,6 +145,17 @@ class TrainConfig:
             problems.append(f"eval_every must be >= 0, got {self.eval_every}")
         if self.eval_episodes < 1:
             problems.append(f"eval_episodes must be >= 1, got {self.eval_episodes}")
+        for name, value, least in (
+            ("ppo.minibatch", self.ppo.minibatch, 1),
+            ("imitation.batch_size", self.imitation.batch_size, 1),
+            ("curiosity.batch_size", self.curiosity.batch_size, 1),
+            ("imitation.buffer_capacity", self.imitation.buffer_capacity, 1),
+            ("ppo.epochs", self.ppo.epochs, 0),
+            ("imitation.updates_per_iter", self.imitation.updates_per_iter, 0),
+            ("curiosity.updates_per_iter", self.curiosity.updates_per_iter, 0),
+        ):
+            if value < least:
+                problems.append(f"{name} must be >= {least}, got {value}")
         return problems
 
     def net_profile(self) -> Profile:

@@ -10,9 +10,14 @@ need the headroom.
 ``embed_conv_forward`` / ``embed_conv_backward`` compute an ``Embedding``
 followed by a ``Conv3d`` (the occupancy stem of the policy, critic and
 discriminator nets) as one exact step. Each kernel tap's weights are folded
-into the few embedded code rows, and the conv runs on an im2col of the one-hot
-codes, so the embedded cube and its input gradient are never built. The two
-layers keep their own parameters; only the arithmetic is shared.
+into the few embedded code rows, so the embedded cube and its input gradient
+are never built. The conv runs once per distinct kernel window: the
+parameter-free ``window_index`` packs each window's codes into one integer
+key and keeps the one-hot columns of the distinct keys only, and the output
+is gathered back by window id. Cubes repeat their windows heavily (a desk
+quickstart iteration's 373 distinct cubes hold 10071 windows, of which 443
+are distinct). The two layers keep their own parameters; only the
+arithmetic is shared.
 
 ``Net`` holds the one forward/backward wiring every network uses. A network
 builds named layers and a graph: a list of stages run in order, each a layer
@@ -22,10 +27,13 @@ branches -> concat -> trunk -> head; ``Net.run`` / ``Net.run_backward`` run any
 such graph, and ``run_backward`` also returns the input gradients a
 ``Concat`` receives (the discriminator's penalty entry reads them).
 
-A ``Concat`` branch may read ``Rows``: ids into a table of distinct rows, such
-as the occupancy cubes of a rollout. The branch then runs on the batch's
+A ``Concat`` branch that starts with a stem may read ``Rows``: ids into a
+table of distinct rows, such as the occupancy cubes of a rollout. The branch
+then runs on the batch's
 distinct rows only, its output is gathered back to one row per id, and its
-output gradient is summed over repeated ids before its backward pass.
+output gradient is summed over repeated ids (``segment_sum``) before its
+backward pass. A stem that reads ``Rows`` takes its window index from the
+table, which builds it once and shares it with every view sliced from it.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import io
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -167,11 +175,8 @@ class Embedding:
 
     def backward(self, cache, dy: np.ndarray):
         codes, rows = cache
-        # Scatter-sum dy by code, then apply the activation grad once per row.
-        bins = codes.reshape(-1, 1).astype(np.intp) * self.dim + np.arange(self.dim)
-        g = np.bincount(
-            bins.reshape(-1), weights=dy.reshape(-1), minlength=self.num_codes * self.dim
-        ).reshape(self.num_codes, self.dim)
+        # Sum dy by code, then apply the activation grad once per row.
+        g = segment_sum(codes, dy, self.num_codes)
         return None, {"table": _activation_grad(g, self.table, rows, self.activation)}
 
 
@@ -295,40 +300,68 @@ class Conv3d:
         return dx, {"w": gw, "b": gb}
 
 
-def embed_conv_forward(embed: Embedding, conv: Conv3d, codes: np.ndarray):
+def window_index(codes: np.ndarray, num_codes: int, conv: Conv3d):
+    """The distinct kernel windows of integer codes (N, X, Y, Z) under ``conv``.
+
+    Each window's kernel**3 codes, in ``im2col`` tap order, are packed into
+    one int64 key in base ``num_codes + 1``; padding voxels get the digit
+    ``num_codes``. Returns the window ids (N, ox, oy, oz) and the one-hot
+    columns of the W distinct windows (W, kernel**3 * num_codes), where a
+    padding voxel's one-hot row is zero.
+    """
+    k, base = conv.kernel, num_codes + 1
+    if base ** (k**3) > 2**63:
+        raise ShapeError(f"{k}^3 windows of {num_codes} codes do not pack into an int64 key")
+    if codes.ndim != 4:
+        raise ShapeError(f"stem expects codes (N,X,Y,Z), got {codes.shape}")
+    if codes.size and (codes.min() < 0 or codes.max() >= num_codes):
+        raise IndexError(f"codes outside [0, {num_codes})")
+    xp, od = conv._padded_out(codes[..., None], fill=num_codes)
+    code_cols = im2col(xp, k, conv.stride, od).reshape(-1, k**3)
+    keys = code_cols @ base ** np.arange(k**3, dtype=np.int64)
+    _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+    cols = np.take(np.eye(base, num_codes), code_cols[first], axis=0).reshape(len(first), -1)
+    return ids.reshape(len(codes), *od), cols
+
+
+def segment_sum(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Rows of ``values`` (M, c) summed by ``ids`` (M,) into (n, c); the same
+    sums, in the same order, as ``np.add.at``."""
+    c = values.shape[-1]
+    bins = ids.reshape(-1, 1).astype(np.intp) * c + np.arange(c)
+    return np.bincount(bins.reshape(-1), weights=values.reshape(-1), minlength=n * c).reshape(n, c)
+
+
+def embed_conv_forward(embed: Embedding, conv: Conv3d, codes, windows=None):
     """``conv.forward(embed.forward(codes))`` for integer codes (N, X, Y, Z),
     computed without building the embedded (N, X, Y, Z, dim) cube.
 
     With E = act(table) and W_t the (dim, c_out) block of kernel tap t, a voxel
-    holding code c adds E[c] @ W_t =: P[t, c] through tap t. The conv is then
-    an im2col of the one-hot codes, kernel**3 * num_codes wide, times P.
-    Padding voxels get a code that matches no table row, so their one-hot row
-    is zero, as an embedded zero vector would be.
+    holding code c adds E[c] @ W_t =: P[t, c] through tap t. conv0 is then the
+    one-hot columns of each distinct window times P, gathered back by window
+    id. ``windows`` is the ``window_index`` of ``codes`` when it is already
+    built (a ``Rows`` table's); ``codes`` is then not read.
     """
-    if codes.ndim != 4 or conv.c_in != embed.dim:
-        raise ShapeError(f"stem expects codes (N,X,Y,Z) into {embed.dim} channels, got {codes.shape}")
-    if codes.size and (codes.min() < 0 or codes.max() >= embed.num_codes):
-        raise IndexError(f"codes outside [0, {embed.num_codes})")
-    xp, od = conv._padded_out(codes[..., None], fill=embed.num_codes)
-    code_cols = im2col(xp, conv.kernel, conv.stride, od)
-    one_hot = np.eye(embed.num_codes + 1, embed.num_codes)  # last row: padding
-    cols = np.take(one_hot, code_cols, axis=0).reshape(*code_cols.shape[:2], -1)
+    if conv.c_in != embed.dim:
+        raise ShapeError(f"stem embeds {embed.dim} channels, conv reads {conv.c_in}")
+    ids, cols = window_index(codes, embed.num_codes, conv) if windows is None else windows
     rows = _apply_activation(embed.table, embed.activation)
     taps = rows @ conv.w.reshape(-1, embed.dim, conv.c_out)
-    pre = (cols @ taps.reshape(-1, conv.c_out) + conv.b).reshape(codes.shape[0], *od, conv.c_out)
+    pre = cols @ taps.reshape(-1, conv.c_out) + conv.b
     y = _apply_activation(pre, conv.activation)
-    return y, (cols, rows, pre, y)
+    return y[ids], (ids, cols, rows, pre, y)
 
 
 def embed_conv_backward(embed: Embedding, conv: Conv3d, cache, dy: np.ndarray):
     """Parameter grads ``(embed grads, conv grads)`` of ``embed_conv_forward``.
 
-    One GEMM gives gP = cols^T dpre, the grad of every P[t, c]; from it
-    gW_t = E^T gP_t and dE = sum_t gP_t W_t^T. The codes take no gradient.
+    ``dy`` is summed over the positions of each distinct window; one GEMM then
+    gives gP = cols^T dpre, the grad of every P[t, c]; from it gW_t = E^T gP_t
+    and dE = sum_t gP_t W_t^T. The codes take no gradient.
     """
-    cols, rows, pre, y = cache
-    dpre = _activation_grad(dy, pre, y, conv.activation).reshape(-1, conv.c_out)
-    g_taps = (cols.reshape(-1, cols.shape[-1]).T @ dpre).reshape(-1, embed.num_codes, conv.c_out)
+    ids, cols, rows, pre, y = cache
+    dpre = _activation_grad(segment_sum(ids, dy, len(cols)), pre, y, conv.activation)
+    g_taps = (cols.T @ dpre).reshape(-1, embed.num_codes, conv.c_out)
     w = conv.w.reshape(-1, embed.dim, conv.c_out)
     gw = rows.T @ g_taps
     d_rows = np.einsum("tko,tdo->kd", g_taps, w)
@@ -392,21 +425,43 @@ class Adam:
 class Rows:
     """A batch given as ids into a table of rows: row ``i`` is ``table[ids[i]]``.
 
-    Indexing selects ids and keeps the table, so minibatches of a ``Rows``
-    stay ``Rows``; ``np.asarray`` builds the rows themselves.
+    Indexing and ``reshape`` act on the ids and keep the table, so views of a
+    ``Rows`` stay ``Rows``; ``np.asarray`` builds the rows themselves. A stem
+    reading a ``Rows`` builds the table's window index once, and every view
+    of the table shares it.
     """
 
     table: np.ndarray
     ids: np.ndarray
+    stem_index: dict = field(default_factory=dict, repr=False)  # stem geometry -> window_index
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (*self.ids.shape, *self.table.shape[1:])
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __getitem__(self, sel) -> "Rows":
-        return Rows(self.table, self.ids[sel])
+        return Rows(self.table, self.ids[sel], self.stem_index)
+
+    def reshape(self, *shape) -> "Rows":
+        """Reshape the ids; the trailing axes of ``shape`` must be a row's."""
+        lead = len(shape) - (self.table.ndim - 1)
+        if shape[lead:] != self.table.shape[1:]:
+            raise ShapeError(f"cannot reshape rows of shape {self.table.shape[1:]} to {shape}")
+        return Rows(self.table, self.ids.reshape(shape[:lead]), self.stem_index)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.asarray(self.table[self.ids], dtype=dtype)
+
+    def windows(self, num_codes: int, conv: Conv3d, cube: tuple[int, int, int]):
+        """``window_index`` of these rows as cubes, from the whole table's index."""
+        key = (num_codes, conv.kernel, conv.stride, conv.pad, cube)
+        if key not in self.stem_index:
+            self.stem_index[key] = window_index(self.table.reshape(-1, *cube), num_codes, conv)
+        ids, cols = self.stem_index[key]
+        return ids[self.ids], cols
 
 
 @dataclass(frozen=True)
@@ -424,7 +479,8 @@ class Concat:
     """Graph stage: parallel ``(key, stages)`` branches. Each runs its stages on
     ``x[key]`` (a dict entry, or ``np.s_[:, i]`` for a column of an array); the
     branch outputs are flattened and concatenated along the last axis. A branch
-    whose input is ``Rows`` runs once per distinct id of the batch."""
+    whose input is ``Rows`` starts with a ``Stem`` and runs once per distinct
+    id of the batch."""
 
     branches: list[tuple[object, list]]
 
@@ -456,14 +512,18 @@ class Net:
                 x, cache = self.layers[stage].forward(x)
             elif isinstance(stage, Stem):
                 embed, conv = self.layers[stage.embed], self.layers[stage.conv]
-                x, cache = embed_conv_forward(embed, conv, x.reshape(-1, *stage.cube))
+                if isinstance(x, Rows):
+                    windows = x.windows(embed.num_codes, conv, stage.cube)
+                    x, cache = embed_conv_forward(embed, conv, None, windows)
+                else:
+                    x, cache = embed_conv_forward(embed, conv, x.reshape(-1, *stage.cube))
             else:
                 outs, cache = [], []
                 for key, sub in stage.branches:
                     xb, inverse = x[key], None
                     if isinstance(xb, Rows):  # run once per distinct row, then gather
                         uniq, inverse = np.unique(xb.ids, return_inverse=True)
-                        xb = xb.table[uniq]
+                        xb = Rows(xb.table, uniq, xb.stem_index)
                     y, c = self.run(sub, xb)
                     cache.append((c, y.shape, inverse))
                     y = y.reshape(len(y), -1)
@@ -475,9 +535,8 @@ class Net:
     def run_backward(self, stages: list, caches, dy: np.ndarray, grads=None):
         """Back-propagate ``dy`` through ``stages``; returns (param grads, input grad).
 
-        A ``Concat`` input grad is the list of its branches' input grads (for a
-        ``Rows`` branch, the grads of its distinct rows); a ``Stem`` (integer
-        codes) has none.
+        A ``Concat`` input grad is the list of its branches' input grads; a
+        ``Stem`` (integer codes or ``Rows``) has none.
         """
         grads = {} if grads is None else grads
         for stage, cache in zip(reversed(stages), reversed(caches)):
@@ -496,9 +555,7 @@ class Net:
                 dy = []
                 for (_, sub), (c, shape, inverse), d in zip(stage.branches, cache, parts):
                     if inverse is not None:  # sum the grads of repeated rows
-                        summed = np.zeros((shape[0], d.shape[1]))
-                        np.add.at(summed, inverse, d)
-                        d = summed
+                        d = segment_sum(inverse, d, shape[0])
                     dy.append(self.run_backward(sub, c, d.reshape(shape), grads)[1])
         return grads, dy
 

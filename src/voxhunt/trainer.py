@@ -81,9 +81,9 @@ class Rollout:
     trajectories: list[Trajectory]
     logp: np.ndarray  # (m, T)
     # (m, T+1, ...) per state: the network inputs by name, and pos_pe for RND;
-    # the occupancy is "occ_id", a row of ``cubes``
-    features: dict[str, np.ndarray]
-    cubes: np.ndarray  # (K, L^3) the distinct occupancy cubes, in first-seen order
+    # "occ" is one ``nn.Rows`` over the distinct cubes (K, L^3), numbered in
+    # first-seen order, and every occupancy view is sliced from it
+    features: dict
 
     @property
     def actions(self) -> np.ndarray:
@@ -91,7 +91,7 @@ class Rollout:
 
     def occ_steps(self) -> nn.Rows:
         """Occupancy of the state each action was taken in, one row per step."""
-        return nn.Rows(self.cubes, _rows(self.features["occ_id"][:, :-1]))
+        return _rows(self.features["occ"][:, :-1])
 
     def novelty_inputs(self, states=np.s_[:]) -> dict[str, np.ndarray]:
         """RND inputs of the given states (all, or e.g. the next states), one row each."""
@@ -198,18 +198,12 @@ class Trainer:
         row["info"] = agent_info_vector(state)
         return row
 
-    def _net_inputs(self, features: dict, alpha: np.ndarray, cubes=None) -> dict:
+    def _net_inputs(self, features: dict, alpha: np.ndarray) -> dict:
         """Policy/critic inputs: the features the nets read and the dial, each
-        with ``alpha``'s batch shape flattened into rows. Given the rollout's
-        ``cubes``, the occupancy is read from ``features["occ_id"]`` as ``Rows``."""
+        with ``alpha``'s batch shape flattened into rows."""
         x = {**features, "alpha": alpha[..., None]}
         n, lead = alpha.size, alpha.ndim
-        if cubes is not None:
-            x["occ"] = nn.Rows(cubes, x.pop("occ_id").reshape(n))
-        return {
-            k: x[k] if isinstance(x[k], nn.Rows) else x[k].reshape(n, *x[k].shape[lead:])
-            for k in self.policy.input_keys
-        }
+        return {k: x[k].reshape(n, *x[k].shape[lead:]) for k in self.policy.input_keys}
 
     def collect_group(
         self, alphas: np.ndarray, rngs: list[np.random.Generator] | None = None
@@ -244,9 +238,9 @@ class Trainer:
 
         # The rollout keeps the occupancy once: as ids into the distinct cubes.
         features = {k: np.stack([s[k] for s in states], axis=1) for k in states[0] if k != "occ"}
-        features["occ_id"] = occ_id
         cubes = np.frombuffer(b"".join(cube_ids), dtype=np.uint8).reshape(len(cube_ids), -1)
-        return Rollout(alphas, trajs, logp, features, cubes)
+        features["occ"] = nn.Rows(cubes, occ_id)
+        return Rollout(alphas, trajs, logp, features)
 
     # --------------------------------------------------------------- update
 
@@ -270,7 +264,7 @@ class Trainer:
 
         # Critic values for every state (bootstraps the truncated tail).
         alpha = np.repeat(ro.alphas[:, None], T + 1, axis=1)
-        values, _ = self.critic.forward(self._net_inputs(ro.features, alpha, ro.cubes))
+        values, _ = self.critic.forward(self._net_inputs(ro.features, alpha))
         values = values[:, 0].reshape(m, T + 1)
 
         advs = np.zeros((m, T))
@@ -282,7 +276,7 @@ class Trainer:
 
         steps = {k: v[:, :-1] for k, v in ro.features.items()}
         batch = RolloutBatch(
-            inputs=self._net_inputs(steps, alpha[:, :-1], ro.cubes),
+            inputs=self._net_inputs(steps, alpha[:, :-1]),
             actions=ro.actions.reshape(-1),
             logp_old=ro.logp.reshape(-1),
             advantages=advs.reshape(-1),

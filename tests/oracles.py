@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from voxhunt import nn
 from voxhunt.imitation import one_hot_actions
 from voxhunt.policy import act
 from voxhunt.world import AGENT_CODE, SOLID, Action, Env
@@ -200,3 +201,31 @@ def replay_add_batch_ref(buf, occ, act):
         buf.act[buf._ptr] = act[i]
         buf._ptr = (buf._ptr + 1) % buf.capacity
         buf.size = min(buf.size + 1, buf.capacity)
+
+
+def stem_forward_ref(embed, conv, codes):
+    """The occupancy stem on every window of every cube: an ``im2col`` of the
+    one-hot codes (N, X, Y, Z) times the per-tap folded weights, with no
+    window index, for the tanh embedding and ReLU conv of every stem. The
+    oracle for ``nn.embed_conv_forward``."""
+    p = conv.pad
+    xp = np.pad(codes, [(0, 0)] + [(p, p)] * 3, constant_values=embed.num_codes)[..., None]
+    od = tuple(conv.out_size(side) for side in codes.shape[1:])
+    code_cols = nn.im2col(xp, conv.kernel, conv.stride, od)
+    one_hot = np.eye(embed.num_codes + 1, embed.num_codes)  # last row: padding
+    cols = one_hot[code_cols].reshape(*code_cols.shape[:2], -1)
+    rows = np.tanh(embed.table)
+    taps = rows @ conv.w.reshape(-1, embed.dim, conv.c_out)
+    pre = (cols @ taps.reshape(-1, conv.c_out) + conv.b).reshape(len(codes), *od, conv.c_out)
+    return np.maximum(pre, 0.0), (cols, rows, pre)
+
+
+def stem_backward_ref(embed, conv, cache, dy):
+    """Parameter grads of ``stem_forward_ref``: (embed grads, conv grads)."""
+    cols, rows, pre = cache
+    dpre = (dy * (pre > 0.0)).reshape(-1, conv.c_out)
+    g_taps = (cols.reshape(-1, cols.shape[-1]).T @ dpre).reshape(-1, embed.num_codes, conv.c_out)
+    gw = rows.T @ g_taps
+    d_rows = np.einsum("tko,tdo->kd", g_taps, conv.w.reshape(-1, embed.dim, conv.c_out))
+    g_table = d_rows * (1.0 - rows * rows)
+    return {"table": g_table}, {"w": gw.reshape(-1, conv.c_out), "b": dpre.sum(axis=0)}

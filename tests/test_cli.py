@@ -63,6 +63,28 @@ class TestValidation:
         assert "eval_episodes" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "ppo.minibatch=0",
+            "imitation.batch_size=0",
+            "curiosity.batch_size=0",
+            "imitation.buffer_capacity=0",
+            "ppo.epochs=-1",
+            "imitation.updates_per_iter=-1",
+            "curiosity.updates_per_iter=-1",
+        ],
+    )
+    def test_nested_batch_sizes_exit_2_before_start(self, setting, quick_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main([
+            "train", "--config", str(quick_config), "--out", str(out),
+            "--set", "iterations=1", "--set", setting,
+        ])
+        assert rc == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_removed_workers_setting_rejected_before_side_effect(
         self, quick_config, tmp_path, capsys
     ):

@@ -7,10 +7,19 @@ import numpy as np
 import pytest
 
 from voxhunt import nn
+from voxhunt.config import TrainConfig
 from voxhunt.imitation import DiscArch, Discriminator, one_hot_actions
+from voxhunt.mapio import fixture_path
 from voxhunt.policy import N_ACTIONS, ObsNetArch, make_critic_net, make_policy_net
+from voxhunt.trainer import Trainer
 
-from .oracles import assert_grads_close, fd_param_gradients, softmax_ref
+from .oracles import (
+    assert_grads_close,
+    fd_param_gradients,
+    softmax_ref,
+    stem_backward_ref,
+    stem_forward_ref,
+)
 
 
 def loss_weights(rng, shape):
@@ -286,6 +295,109 @@ class TestEmbedConvStem:
         codes[0, 2, 2, 2] = 4
         with pytest.raises(IndexError):
             nn.embed_conv_forward(embed, conv, codes)
+
+
+def rollout_cubes(demo_paths, tmp_path):
+    """The distinct occupancy cubes (K, 7, 7, 7) of a short quickstart-like rollout."""
+    cfg = TrainConfig(
+        map_path=str(fixture_path("testmap_area1.json")),
+        demo_paths=list(demo_paths),
+        episodes_per_iter=4,
+        episode_length=32,
+        seed=41,
+    )
+    trainer = Trainer(cfg, tmp_path / "run")
+    rngs = [trainer._episode_rng(0, e) for e in range(4)]
+    ro = trainer.collect_group(np.array([0.1, 0.4, 0.7, 0.9]), rngs)
+    return ro.features["occ"].table.reshape(-1, 7, 7, 7)
+
+
+class TestStemWindowIndex:
+    """The stem over distinct windows against the im2col stem over every window."""
+
+    def check_against_oracle(self, rng, codes, stride=2, pad=0, windows=None):
+        embed = nn.Embedding(4, 8, "tanh", rng)
+        conv = nn.Conv3d(8, 8, kernel=3, stride=stride, pad=pad, activation="relu", rng=rng)
+        conv.b[:] = rng.normal(scale=0.1, size=8)
+        y_ref, cache_ref = stem_forward_ref(embed, conv, codes)
+        y, cache = nn.embed_conv_forward(embed, conv, codes, windows)
+        assert y.shape == y_ref.shape
+        assert max_rel_err(y, y_ref) <= 1e-12
+        dy = rng.normal(size=y.shape)
+        g_embed_ref, g_conv_ref = stem_backward_ref(embed, conv, cache_ref, dy)
+        g_embed, g_conv = nn.embed_conv_backward(embed, conv, cache, dy)
+        assert max_rel_err(g_embed["table"], g_embed_ref["table"]) <= 1e-12
+        for k in ("w", "b"):
+            assert max_rel_err(g_conv[k], g_conv_ref[k]) <= 1e-12
+        return cache[1]  # the distinct windows' one-hot columns
+
+    def test_rollout_cubes(self, area1_demo_paths, tmp_path):
+        rng = np.random.default_rng(20)
+        codes = rollout_cubes(area1_demo_paths, tmp_path)
+        cols = self.check_against_oracle(rng, codes)
+        assert len(cols) < codes.shape[0] * 27 // 4  # windows repeat across cubes
+
+    def test_every_window_distinct(self):
+        rng = np.random.default_rng(21)
+        codes = rng.integers(0, 4, size=(16, 7, 7, 7))
+        cols = self.check_against_oracle(rng, codes)
+        assert len(cols) == 16 * 27
+
+    def test_padding_digit_keeps_a_zero_one_hot_row(self):
+        rng = np.random.default_rng(22)
+        codes = rng.integers(0, 4, size=(6, 7, 7, 7)).astype(np.uint8)
+        cols = self.check_against_oracle(rng, codes, pad=1)
+        voxels = cols.reshape(len(cols), 27, 4).sum(axis=2)
+        assert voxels.min() == 0 and voxels.max() == 1  # pad voxels: all-zero rows
+
+    @pytest.mark.parametrize("stride,pad", [(2, 0), (1, 1)])
+    def test_single_row(self, stride, pad):
+        rng = np.random.default_rng(23)
+        self.check_against_oracle(rng, rng.integers(0, 4, size=(1, 7, 7, 7)), stride, pad)
+
+    def test_rows_index_matches_raw_codes(self):
+        rng = np.random.default_rng(24)
+        table = rng.integers(0, 4, size=(30, 343)).astype(np.uint8)
+        rows = nn.Rows(table, rng.integers(0, 30, size=50))
+        conv = nn.Conv3d(8, 8, kernel=3, stride=2, activation="relu")
+        windows = rows.windows(4, conv, (7, 7, 7))
+        assert len(windows[1]) <= 30 * 27
+        self.check_against_oracle(rng, np.asarray(rows).reshape(-1, 7, 7, 7), windows=windows)
+
+    def test_key_that_overflows_int64_rejected(self):
+        codes = np.zeros((1, 4, 4, 4), dtype=np.uint8)
+        with pytest.raises(nn.ShapeError):  # 7^27 > 2^63
+            nn.window_index(codes, 6, nn.Conv3d(1, 1, kernel=3))
+        with pytest.raises(nn.ShapeError):  # 2^64 > 2^63
+            nn.window_index(codes, 1, nn.Conv3d(1, 1, kernel=4))
+        ids, cols = nn.window_index(codes, 4, nn.Conv3d(1, 1, kernel=3, pad=1))  # 5^27 fits
+        assert ids.shape == (1, 2, 2, 2) and cols.shape[1] == 27 * 4
+
+    def test_slices_share_one_index_and_a_new_table_builds_its_own(self, monkeypatch):
+        built = []
+        window_index = nn.window_index
+        monkeypatch.setattr(nn, "window_index", lambda *a: built.append(1) or window_index(*a))
+        rng = np.random.default_rng(25)
+        table = rng.integers(0, 4, size=(12, 343)).astype(np.uint8)
+        rows = nn.Rows(table, rng.integers(0, 12, size=40))
+        net, inputs = desk_net_and_inputs("critic", rows, rng)
+        for sel in (np.s_[:], np.s_[:20], np.array([3, 1, 3])):
+            net.forward({k: v[sel] for k, v in inputs.items()})
+        assert len(built) == 1 and len(rows.stem_index) == 1
+        assert rows[:5].stem_index is rows.stem_index
+        assert rows.reshape(5, 8, 343).stem_index is rows.stem_index
+        other = nn.Rows(table.copy(), rows.ids)
+        assert other.stem_index == {}
+        net.forward({**inputs, "occ": other})
+        assert len(built) == 2 and len(other.stem_index) == 1
+
+    def test_segment_sum_equals_add_at_bit_for_bit(self):
+        rng = np.random.default_rng(26)
+        ids = rng.integers(0, 40, size=256)
+        values = rng.normal(size=(256, 16))
+        want = np.zeros((40, 16))
+        np.add.at(want, ids, values)
+        assert np.array_equal(nn.segment_sum(ids, values, 40), want)
 
 
 def desk_net_and_inputs(kind, occ, rng):

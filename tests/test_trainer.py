@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from voxhunt import nn
 from voxhunt.config import TrainConfig
 from voxhunt.mapio import fixture_path
 from voxhunt.trainer import (
@@ -166,20 +167,28 @@ class TestTrainingRuns:
         trainer = Trainer(cfg, tmp_path / "run")
         rngs = [trainer._episode_rng(0, e) for e in range(4)]
         ro = trainer.collect_group(np.array([0.1, 0.9, 0.5, 0.3]), rngs)
-        ids = ro.features["occ_id"]
-        assert "occ" not in ro.features
+        occ = ro.features["occ"]
+        assert isinstance(occ, nn.Rows)
+        ids, cubes = occ.ids, occ.table
         assert ids.shape == (4, cfg.episode_length + 1)
-        assert ro.cubes.dtype == np.uint8 and ro.cubes.shape[1] == 7**3
+        assert cubes.dtype == np.uint8 and cubes.shape[1] == 7**3
         for i, tr in enumerate(ro.trajectories):
             for t, state in enumerate(tr.states):
                 want = trainer.encoder.occupancy(state, t).reshape(-1)
-                assert np.array_equal(ro.cubes[ids[i, t]], want)
+                assert np.array_equal(cubes[ids[i, t]], want)
         # ids count up from 0 in the order states are recorded (step by step)
         order = ids.T.reshape(-1)
         first_seen = order[np.sort(np.unique(order, return_index=True)[1])]
-        assert np.array_equal(first_seen, np.arange(len(ro.cubes)))
-        assert len(np.unique(ro.cubes, axis=0)) == len(ro.cubes) < ids.size
-        assert np.array_equal(np.asarray(ro.occ_steps()), ro.cubes[ids[:, :-1].reshape(-1)])
+        assert np.array_equal(first_seen, np.arange(len(cubes)))
+        assert len(np.unique(cubes, axis=0)) == len(cubes) < ids.size
+        steps = ro.occ_steps()
+        assert steps.table is cubes and steps.stem_index is occ.stem_index
+        assert np.array_equal(np.asarray(steps), cubes[ids[:, :-1].reshape(-1)])
+        # the critic values and the PPO batch read views of the same table and
+        # share the one window index the critic's stem built
+        zeros = np.zeros(ro.logp.shape)
+        batch, _ = trainer._build_batch(ro, zeros, zeros)
+        assert batch.inputs["occ"].stem_index is occ.stem_index and len(occ.stem_index) == 1
 
     def test_existing_run_dir_refused(self, tmp_path, area1_demo_paths):
         cfg = tiny_cfg(area1_demo_paths, iterations=0)
