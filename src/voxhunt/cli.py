@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import nn
 from .config import ConfigError, TrainConfig, resolve_path
-from .imitation import DemoError, record_demo
+from .imitation import DemoError, load_demos, record_demo
 from .mapio import load_demo_script, load_map, save_demo_script
 from .trainer import TrainingDiverged, TrajectoryLog, run_training
 from .triage import TriageError, export_trajectories, read_report, run_triage
@@ -128,9 +128,11 @@ def cmd_export(args) -> int:
     if args.demos:
         cfg = TrainConfig.from_run_dir(run_dir)
         vmap = load_map(resolve_path(cfg.map_path))
-        for p in cfg.demo_paths:
-            _, _, actions = load_demo_script(resolve_path(p))
-            demos.append((Path(p).stem, play_script(vmap, actions), None))
+        if cfg.demo_paths:  # map name and goal checked as training and triage check them
+            demoset = load_demos([resolve_path(p) for p in cfg.demo_paths], vmap)
+            demos = [
+                (Path(p).stem, d.trajectory, None) for p, d in zip(cfg.demo_paths, demoset.demos)
+            ]
     out = Path(args.out) if args.out else run_dir / "trajectories.tsv"
     n = export_trajectories(records, rc_by_id, out, only_ids=only_ids, demos=demos)
     print(json.dumps({"file": str(out), "trajectories": n}, sort_keys=True))

@@ -36,7 +36,7 @@ from .policy import (
     make_critic_net,
     make_policy_net,
 )
-from .world import Env, Trajectory, VoxelMap
+from .world import Env, Physics, Trajectory, VoxelMap
 
 FORMAT_VERSION = 1
 
@@ -57,15 +57,6 @@ def sample_alpha(rng: np.random.Generator) -> float:
 def combine_reward(r_c, r_i, r_e, alpha):
     """Exact affine mix: alpha * r_c + (1 - alpha) * r_i + r_e."""
     return alpha * r_c + (1.0 - alpha) * r_i + r_e
-
-
-def coverage(position_lists) -> int:
-    """Distinct voxel positions across trajectories."""
-    seen: set[tuple[int, int, int]] = set()
-    for positions in position_lists:
-        for p in positions:
-            seen.add(tuple(p))
-    return len(seen)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -141,6 +132,7 @@ class Trainer:
         self.cfg = cfg
         self.run_dir = Path(run_dir)
         self.map: VoxelMap = load_map(resolve_path(cfg.map_path))
+        self.physics = Physics(self.map)  # one engine for every rollout Env
         profile = cfg.net_profile()
         self.encoder = ObservationEncoder(self.map, L=profile.L)
         self.profile = profile
@@ -215,7 +207,7 @@ class Trainer:
         an id, numbered in first-seen order over the distinct cubes.
         """
         m, T = len(alphas), self.cfg.episode_length
-        envs = [Env(self.map, T) for _ in range(m)]
+        envs = [Env(self.map, T, physics=self.physics) for _ in range(m)]
         for env in envs:
             env.reset()
         trajs = [Trajectory.start(env) for env in envs]

@@ -12,6 +12,14 @@ term than divisor; rankings are unaffected for a given T). Trajectories are
 re-encoded by replaying their stored actions through the deterministic
 simulator, so triage needs only the run directory, never the training
 process.
+
+A state's novelty depends on the state alone, and goal prefixes share most
+of their states. Triage therefore replays one record at a time, keeps only
+its summary and the ids of its prefix states in one run-wide table of
+distinct states, and scores that table once after the replay, demos
+included, in RND calls no larger than one episode. Each score sums its
+prefix's per-state values in prefix order, so it reproduces the
+per-trajectory ``score_trajectory``; the tests check this bit for bit.
 """
 
 from __future__ import annotations
@@ -27,8 +35,8 @@ from .curiosity import RNDPair
 from .encode import ObservationEncoder, agent_info_vector
 from .imitation import load_demos
 from .mapio import load_map
-from .trainer import TrajectoryLog, TriageError, coverage
-from .world import Env, Trajectory, VoxelMap
+from .trainer import TrajectoryLog, TriageError
+from .world import AgentState, Env, Trajectory, Vec3, VoxelMap
 
 REPORT_FORMAT_VERSION = 1
 EXPORT_FORMAT_VERSION = 1
@@ -128,29 +136,71 @@ def replay_record(record: dict, env: Env) -> Trajectory:
     return traj
 
 
+def goal_prefix_ids(trajectory: Trajectory, state_ids: dict[AgentState, int]) -> list[int] | None:
+    """Ids of states s_0..s_T up to the first goal entry in a table of
+    distinct states, adding the states it lacks; None without a goal."""
+    T = trajectory.first_goal_state_index
+    if T is None:
+        return None
+    return [state_ids.setdefault(s, len(state_ids)) for s in trajectory.states[: T + 1]]
+
+
 def score_records(
     records: list[dict],
     vmap: VoxelMap,
     rnd: RNDPair,
     encoder: ObservationEncoder,
-) -> list[TrajectoryScore]:
-    """Replay and score one record at a time on one shared environment."""
+    demos: list[Trajectory],
+    max_rows: int,
+) -> tuple[list[TrajectoryScore], list[float], int]:
+    """Replay every record on one shared environment, then score the records
+    and the demos from one table of their distinct goal-prefix states.
+
+    Each record keeps only its summary and its prefix's state ids. Each
+    distinct state is scored once, in RND calls of at most ``max_rows`` rows.
+    Returns (record scores, demo scores, distinct replayed positions).
+    """
     env = Env(vmap)
-    scores = []
+    state_ids: dict[AgentState, int] = {}
+    visited: set[Vec3] = set()
+    scores: list[TrajectoryScore] = []
+    prefixes: list[list[int] | None] = []
     for rec in records:
         traj = replay_record(rec, env)
-        rc_avg, T = score_trajectory(traj, rnd, encoder)
+        visited.update(traj.positions)
+        prefixes.append(goal_prefix_ids(traj, state_ids))
         scores.append(
             TrajectoryScore(
                 traj_id=int(rec["id"]),
                 alpha=float(rec["alpha"]),
                 reached_goal=traj.reached_goal,
-                first_goal=T,
-                rc_avg=rc_avg,
+                first_goal=traj.first_goal_state_index,
+                rc_avg=None,
                 bug_regions=tuple(sorted(traj.bug_regions_entered)),
             )
         )
-    return scores
+    demo_prefixes = [goal_prefix_ids(traj, state_ids) for traj in demos]
+
+    # Calls of near-equal size, so none has one row unless the table does:
+    # numpy hands a one-row product to gemv, which rounds differently from
+    # the gemm that a multi-row call runs.
+    states = list(state_ids)
+    rc = np.zeros(0)
+    if states:
+        calls = -(-len(states) // max_rows)
+        edges = [len(states) * i // calls for i in range(calls + 1)]
+        rc = np.concatenate(
+            [state_curiosity(states[a:b], rnd, encoder) for a, b in zip(edges, edges[1:])]
+        )
+
+    def average(ids: list[int]) -> float:
+        return float(rc[ids].sum() / max(len(ids) - 1, 1))
+
+    for score, ids in zip(scores, prefixes):
+        if ids is not None:
+            score.rc_avg = average(ids)
+    demo_scores = [average(ids) for ids in demo_prefixes if ids is not None]
+    return scores, demo_scores, len(visited)
 
 
 def compute_epsilon(
@@ -253,19 +303,16 @@ def run_triage(
     records = TrajectoryLog.read(data_path)
     if not records:
         raise TriageError(f"{data_path} holds no trajectories")
-    scores = score_records(records, vmap, rnd, encoder)
-
-    demo_scores: list[float] = []
+    demos = []
     if cfg.demo_paths:
-        demoset = load_demos([resolve_path(p) for p in cfg.demo_paths], vmap)
-        for demo in demoset.demos:
-            s, _ = score_trajectory(demo.trajectory, rnd, encoder)
-            if s is not None:
-                demo_scores.append(s)
+        demos = load_demos([resolve_path(p) for p in cfg.demo_paths], vmap).demos
+    scores, demo_scores, total_cov = score_records(
+        records, vmap, rnd, encoder,
+        [demo.trajectory for demo in demos], max_rows=cfg.episode_length + 1,
+    )
 
     eps = compute_epsilon(scores, demo_scores, mode, value=epsilon, quantile=quantile)
     theta = filter_theta(scores, eps)
-    total_cov = coverage(rec["positions"] for rec in records)
     return evaluate_bugs(scores, theta, vmap, eps, mode, total_cov, demo_scores)
 
 

@@ -96,6 +96,7 @@ HORIZONTAL_DELTA = {
 }
 
 _ADJACENT_8 = tuple((dx, dz) for dx in (-1, 0, 1) for dz in (-1, 0, 1) if (dx, dz) != (0, 0))
+_NO_BUGS: tuple[tuple[int, ...], tuple[str, ...]] = ((), ())
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,59 +278,76 @@ class Physics:
     ``bugs_enabled=False`` strips every bug region from physics while leaving
     semantics untouched, which is the reference world used to prove that a
     shortcut only exists because of a planted bug.
+
+    Everything a step reads is a table built here once per map, so a step
+    does lookups, not scans.
     """
 
     def __init__(self, vmap: VoxelMap, bugs_enabled: bool = True):
         vmap.validate()
         self.map = vmap
         self.bugs_enabled = bugs_enabled
-        nx, ny, nz = vmap.dims
         self.dims = vmap.dims
 
-        self._block = np.isin(vmap.voxels, (SOLID, CLIMBABLE))
-        self._climb = vmap.voxels == CLIMBABLE
-        self._glitch = np.zeros_like(self._block)
+        block = np.isin(vmap.voxels, (SOLID, CLIMBABLE))
+        climb = vmap.voxels == CLIMBABLE
+        glitch = np.zeros_like(block)
         if bugs_enabled:
             for b in vmap.bugs:
                 idx = tuple(np.array(sorted(b.voxels)).T) if b.voxels else None
                 if b.kind == MISSING_COLLISION:
-                    self._block[idx] = False
+                    block[idx] = False
                 elif b.kind == UNINTENDED_CLIMBABLE:
-                    self._climb[idx] = True
+                    climb[idx] = True
                 elif b.kind == INFINITE_JUMP_GLITCH:
-                    self._glitch[idx] = True
+                    glitch[idx] = True
+        # Flat byte views in C order: voxel (x, y, z) is byte (x*ny + y)*nz + z.
+        self._block = block.tobytes()
+        self._climb = climb.tobytes()
+        self._glitch = glitch.tobytes()
 
-        self._active_goals = [g for g in vmap.goals if g.active]
-        self._goal_union: frozenset[Vec3] = frozenset().union(
-            *[g.voxels for g in self._active_goals]
-        ) if self._active_goals else frozenset()
-        self._enter_bugs = [
-            (i, b.kind, b.voxels)
-            for i, b in enumerate(vmap.bugs)
-            if b.kind in (MISSING_COLLISION, INFINITE_JUMP_GLITCH)
-        ]
-        self._climb_bugs = [
-            (i, b.kind, b.voxels)
-            for i, b in enumerate(vmap.bugs)
-            if b.kind == UNINTENDED_CLIMBABLE
-        ]
+        # Voxel -> ids of the active goals holding it, in map order.
+        self._goals_at: dict[Vec3, tuple[int, ...]] = {}
+        for g in vmap.goals:
+            if g.active:
+                for v in g.voxels:
+                    self._goals_at[v] = self._goals_at.get(v, ()) + (g.id,)
+        # Voxel -> (regions, kinds) of the bugs an agent there enters, and of
+        # the climbable bugs it uses while attached (any of its 8 neighbours),
+        # each in map order.
+        self._bugs_in: dict[Vec3, tuple[tuple[int, ...], tuple[str, ...]]] = {}
+        self._bugs_beside: dict[Vec3, tuple[tuple[int, ...], tuple[str, ...]]] = {}
+        for i, b in enumerate(vmap.bugs):
+            if b.kind == UNINTENDED_CLIMBABLE:
+                table = self._bugs_beside
+                cells = {(x - dx, y, z - dz) for x, y, z in b.voxels for dx, dz in _ADJACENT_8}
+            else:
+                table, cells = self._bugs_in, b.voxels
+            for c in cells:
+                regions, kinds = table.get(c, _NO_BUGS)
+                table[c] = (regions + (i,), kinds + (b.kind,))
 
-        periods = [p.period for p in vmap.platforms]
         self.phase_period = 1
-        for p in periods:
-            self.phase_period = self.phase_period * p // gcd(self.phase_period, p)
-        self._plat_cells: dict[int, frozenset[Vec3]] = {}
+        for p in vmap.platforms:
+            self.phase_period = self.phase_period * p.period // gcd(self.phase_period, p.period)
+        # Each platform's cells and travel at every phase of its own period,
+        # and the union of all platform cells at every phase of the map.
+        self._platforms = [
+            (
+                p.period,
+                [p.cells_at(t) for t in range(p.period)],
+                [p.delta_at(t) for t in range(p.period)],
+            )
+            for p in vmap.platforms
+        ]
+        self._plat_union = [
+            frozenset().union(*[cells[t % period] for period, cells, _ in self._platforms])
+            for t in range(self.phase_period)
+        ]
         self._max_push = max((p.amplitude for p in vmap.platforms), default=0) + 2
 
     def platform_cells(self, tick: int) -> frozenset[Vec3]:
-        if not self.map.platforms:
-            return frozenset()
-        phase = tick % self.phase_period
-        cached = self._plat_cells.get(phase)
-        if cached is None:
-            cached = frozenset().union(*[p.cells_at(phase) for p in self.map.platforms])
-            self._plat_cells[phase] = cached
-        return cached
+        return self._plat_union[tick % self.phase_period]
 
     def colliding(self, pos: Vec3, tick: int) -> bool:
         """Physical collision, out-of-bounds counts as solid world boundary."""
@@ -337,17 +355,19 @@ class Physics:
         nx, ny, nz = self.dims
         if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
             return True
-        if self._block[x, y, z]:
+        if self._block[(x * ny + y) * nz + z]:
             return True
-        return bool(self.map.platforms) and pos in self.platform_cells(tick)
+        return pos in self._plat_union[tick % self.phase_period]
 
     def passable(self, pos: Vec3, tick: int) -> bool:
         return not self.colliding(pos, tick)
 
     def climbable(self, pos: Vec3) -> bool:
-        if not self.map.in_bounds(pos):
+        x, y, z = pos
+        nx, ny, nz = self.dims
+        if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
             return False
-        return bool(self._climb[pos])
+        return self._climb[(x * ny + y) * nz + z] == 1
 
     def _adjacent_climbable(self, pos: Vec3) -> bool:
         x, y, z = pos
@@ -381,19 +401,19 @@ class Physics:
         moved. This keeps riders attached to platforms travelling in any
         direction.
         """
-        x0, y0, z0 = state.pos
-        pos = state.pos
+        x0, y0, z0 = pos = state.pos
         jt = state.jump_ticks
         climbing = state.climbing
         dj = state.double_jump_available
         t1 = tick + 1
+        platforms = self._platforms
 
         carry: Vec3 | None = None
-        if state.grounded and self.map.platforms:
+        if state.grounded and platforms:
             below0 = (x0, y0 - 1, z0)
-            for p in self.map.platforms:
-                if below0 in p.cells_at(tick):
-                    d = p.delta_at(tick)
+            for period, cells, deltas in platforms:
+                if below0 in cells[tick % period]:
+                    d = deltas[tick % period]
                     if d != (0, 0, 0):
                         carry = d
                     break
@@ -437,11 +457,11 @@ class Physics:
                 pos = target
 
         # 5b: a platform may have moved into the agent; push along its travel
-        if self.map.platforms and pos in self.platform_cells(t1):
+        if platforms and pos in self._plat_union[t1 % self.phase_period]:
             pushed = False
-            for p in self.map.platforms:
-                if pos in p.cells_at(t1):
-                    d = p.delta_at(tick)
+            for period, cells, deltas in platforms:
+                if pos in cells[t1 % period]:
+                    d = deltas[tick % period]
                     if d == (0, 0, 0):
                         break
                     for _ in range(self._max_push):
@@ -459,11 +479,12 @@ class Physics:
             climbing = False
 
         # 6: recompute grounded and double-jump availability
-        below = (pos[0], pos[1] - 1, pos[2])
-        grounded = self.colliding(below, t1)
+        x, y, z = pos
+        grounded = self.colliding((x, y - 1, z), t1)
         if grounded:
             dj = True
-        if self._glitch[pos]:
+        _, ny, nz = self.dims
+        if self._glitch[(x * ny + y) * nz + z]:
             dj = True
 
         new_state = AgentState(
@@ -472,38 +493,37 @@ class Physics:
             grounded=grounded,
             climbing=climbing,
             double_jump_available=dj,
-            last_disp=(pos[0] - x0, pos[1] - y0, pos[2] - z0),
+            last_disp=(x - x0, y - y0, z - z0),
         )
 
-        goal_ids = tuple(g.id for g in self._active_goals if pos in g.voxels)
-        r_e = GOAL_REWARD if pos in self._goal_union else 0.0
-        regions: list[int] = []
-        kinds: list[str] = []
-        for i, kind, voxels in self._enter_bugs:
-            if pos in voxels:
-                regions.append(i)
-                kinds.append(kind)
+        goal_ids = self._goals_at.get(pos, ())
+        regions, kinds = self._bugs_in.get(pos, _NO_BUGS)
         if climbing:
             # A climbable bug is "used", never occupied: count adjacency while attached.
-            for i, kind, voxels in self._climb_bugs:
-                if any(
-                    (pos[0] + dx, pos[1], pos[2] + dz) in voxels for dx, dz in _ADJACENT_8
-                ):
-                    regions.append(i)
-                    kinds.append(kind)
-        return new_state, goal_ids, tuple(regions), tuple(kinds), r_e
+            used = self._bugs_beside.get(pos)
+            if used is not None:
+                regions, kinds = regions + used[0], kinds + used[1]
+        return new_state, goal_ids, regions, kinds, GOAL_REWARD if goal_ids else 0.0
 
     def state_in_goal(self, pos: Vec3) -> bool:
-        return pos in self._goal_union
+        return pos in self._goals_at
 
 
 class Env:
     """Episode wrapper around :class:`Physics` with a fixed step budget."""
 
-    def __init__(self, vmap: VoxelMap, episode_length: int = 128, bugs_enabled: bool = True):
+    def __init__(
+        self,
+        vmap: VoxelMap,
+        episode_length: int = 128,
+        bugs_enabled: bool = True,
+        physics: Physics | None = None,
+    ):
+        """``physics``, when given, is an engine for ``vmap`` to share instead
+        of building one; ``bugs_enabled`` then goes unread."""
         if episode_length < 1:
             raise ValueError("episode_length must be >= 1")
-        self.physics = Physics(vmap, bugs_enabled=bugs_enabled)
+        self.physics = physics or Physics(vmap, bugs_enabled=bugs_enabled)
         self.map = vmap
         self.episode_length = episode_length
         self._tick = 0

@@ -15,7 +15,19 @@ import numpy as np
 from voxhunt import nn
 from voxhunt.imitation import one_hot_actions
 from voxhunt.policy import act
-from voxhunt.world import AGENT_CODE, SOLID, Action, Env
+from voxhunt.world import (
+    AGENT_CODE,
+    CLIMBABLE,
+    GOAL_REWARD,
+    HORIZONTAL_DELTA,
+    MISSING_COLLISION,
+    SOLID,
+    UNINTENDED_CLIMBABLE,
+    Action,
+    AgentState,
+    Env,
+    PhysicsError,
+)
 
 
 def fd_param_gradients(loss_fn, arrays, probes_per_array=5, h=1e-6, rng=None):
@@ -79,11 +91,14 @@ def softmax_ref(logits):
     return np.array([e / s for e in exps])
 
 
-def explore_states(physics, max_keys=2_000_000):
+def explore_transitions(physics, max_keys=2_000_000):
     """Exhaustive BFS over the discrete dynamics from the spawn state.
 
     State key: (position, jump ticks, double-jump flag, climbing flag,
-    platform phase). Returns (positions, climbing positions, key count).
+    platform phase). Yields (state, phase, action, outcome) for every action
+    from the first state reached under each key, where outcome is the tuple
+    ``physics.step`` returns or the ``PhysicsError`` it raised; a squeeze is
+    not expanded further.
     """
     period = physics.phase_period
     start = physics.initial_state()
@@ -93,23 +108,160 @@ def explore_states(physics, max_keys=2_000_000):
 
     seen = {key(start, 0)}
     queue = deque([(start, 0)])
-    positions = {start.pos}
-    climbing_at = set()
     while queue:
         s, ph = queue.popleft()
         for a in Action:
-            ns, _, _, _, _ = physics.step(s, a, ph)
+            try:
+                out = physics.step(s, a, ph)
+            except PhysicsError as e:
+                yield s, ph, a, e
+                continue
+            yield s, ph, a, out
             nph = (ph + 1) % period
-            k = key(ns, nph)
+            k = key(out[0], nph)
             if k not in seen:
                 if len(seen) >= max_keys:
                     raise RuntimeError("state space larger than expected")
                 seen.add(k)
-                positions.add(ns.pos)
-                if ns.climbing:
-                    climbing_at.add(ns.pos)
-                queue.append((ns, nph))
-    return positions, climbing_at, len(seen)
+                queue.append((out[0], nph))
+
+
+def explore_states(physics, max_keys=2_000_000):
+    """Every state ``explore_transitions`` reaches, as (positions, climbing
+    positions, key count); a squeeze raises its ``PhysicsError``."""
+    positions, climbing_at, keys = set(), set(), 0
+    for s, _ph, a, out in explore_transitions(physics, max_keys):
+        if isinstance(out, PhysicsError):
+            raise out
+        if a == 0:  # each reached state is expanded once, action 0 first
+            keys += 1
+            positions.add(s.pos)
+            if s.climbing:
+                climbing_at.add(s.pos)
+    return positions, climbing_at, keys
+
+
+ADJACENT_8 = [(dx, dz) for dx in (-1, 0, 1) for dz in (-1, 0, 1) if dx or dz]
+
+
+class ScanPhysics:
+    """The simulator step written as scans: platform cells and travel from
+    ``MovingPlatform.cells_at``/``delta_at`` inside the step, numpy-indexed
+    voxel masks, and per-step loops over goals and bug regions. The oracle
+    for ``Physics.step``, which reads tables built once per map.
+
+    ``carried`` and ``pushed`` count the steps that took the platform carry
+    and the platform push branches.
+    """
+
+    def __init__(self, vmap, bugs_enabled=True):
+        self.map = vmap
+        self.dims = vmap.dims
+        self.block = np.isin(vmap.voxels, (SOLID, CLIMBABLE))
+        self.climb = vmap.voxels == CLIMBABLE
+        self.glitch = np.zeros_like(self.block)
+        for b in vmap.bugs if bugs_enabled else ():
+            for v in b.voxels:
+                if b.kind == MISSING_COLLISION:
+                    self.block[v] = False
+                elif b.kind == UNINTENDED_CLIMBABLE:
+                    self.climb[v] = True
+                else:
+                    self.glitch[v] = True
+        self.phase_period = math.lcm(*[p.period for p in vmap.platforms])
+        self.max_push = max((p.amplitude for p in vmap.platforms), default=0) + 2
+        self.union_at = {}  # phase -> all platform cells, filled on first use
+        self.carried = self.pushed = 0
+
+    def platform_cells(self, tick):
+        phase = tick % self.phase_period
+        if phase not in self.union_at:
+            cells = [p.cells_at(phase) for p in self.map.platforms]
+            self.union_at[phase] = frozenset().union(*cells)
+        return self.union_at[phase]
+
+    def colliding(self, pos, tick):
+        if not self.map.in_bounds(pos):
+            return True
+        return bool(self.block[pos]) or pos in self.platform_cells(tick)
+
+    def climbable(self, pos):
+        return self.map.in_bounds(pos) and bool(self.climb[pos])
+
+    def step(self, state, action, tick):
+        x0, y0, z0 = pos = state.pos
+        jt, climbing, dj = state.jump_ticks, state.climbing, state.double_jump_available
+        t1 = tick + 1
+
+        carry = None
+        if state.grounded:
+            for p in self.map.platforms:
+                if (x0, y0 - 1, z0) in p.cells_at(tick):
+                    if p.delta_at(tick) != (0, 0, 0):
+                        carry = p.delta_at(tick)
+                    break
+
+        blocked = None
+        delta = HORIZONTAL_DELTA.get(action)
+        if delta is not None:
+            target = (pos[0] + delta[0], pos[1], pos[2] + delta[1])
+            if self.colliding(target, t1):
+                blocked = target
+            else:
+                pos = target
+        if blocked is not None and self.climbable(blocked):
+            climbing = True
+
+        if action == Action.JUMP:
+            if state.grounded or climbing:
+                jt = 2
+            elif dj:
+                jt, dj = 2, False
+        above = (pos[0], pos[1] + 1, pos[2])
+        below = (pos[0], pos[1] - 1, pos[2])
+        if jt > 0 and not self.colliding(above, t1):
+            pos, jt = above, jt - 1
+        elif not climbing and not self.colliding(below, tick) and not self.colliding(below, t1):
+            pos = below
+
+        if carry is not None:
+            self.carried += 1
+            target = tuple(a + b for a, b in zip(pos, carry))
+            if not self.colliding(target, t1):
+                pos = target
+
+        if pos in self.platform_cells(t1):
+            self.pushed += 1
+            pushed = False
+            for p in self.map.platforms:
+                if pos in p.cells_at(t1):
+                    d = p.delta_at(tick)
+                    for _ in range(self.max_push if d != (0, 0, 0) else 0):
+                        pos = tuple(a + b for a, b in zip(pos, d))
+                        if not self.colliding(pos, t1):
+                            pushed = True
+                            break
+                    break
+            if not pushed:
+                raise PhysicsError(f"agent at {state.pos} squeezed by platform at tick {tick}")
+
+        x, y, z = pos
+        if climbing and not any(self.climbable((x + dx, y, z + dz)) for dx, dz in ADJACENT_8):
+            climbing = False
+        grounded = self.colliding((x, y - 1, z), t1)
+        dj = dj or grounded or bool(self.glitch[pos])
+        new_state = AgentState(pos, jt, grounded, climbing, dj, (x - x0, y - y0, z - z0))
+
+        goal_ids = tuple(g.id for g in self.map.goals if g.active and pos in g.voxels)
+        # bugs entered first, then climbable bugs used while attached
+        hits = [i for i, b in enumerate(self.map.bugs)
+                if b.kind != UNINTENDED_CLIMBABLE and pos in b.voxels]
+        hits += [i for i, b in enumerate(self.map.bugs)
+                 if b.kind == UNINTENDED_CLIMBABLE and climbing
+                 and any((x + dx, y, z + dz) in b.voxels for dx, dz in ADJACENT_8)]
+        regions, kinds = tuple(hits), tuple(self.map.bugs[i].kind for i in hits)
+        r_e = GOAL_REWARD if goal_ids else 0.0
+        return new_state, goal_ids, regions, kinds, r_e
 
 
 def local_occupancy(vmap, state, L, tick=0):

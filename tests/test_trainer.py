@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxhunt import nn
+from voxhunt import nn, world
 from voxhunt.config import TrainConfig
 from voxhunt.mapio import fixture_path
 from voxhunt.trainer import (
     Trainer,
     TrajectoryLog,
     combine_reward,
-    coverage,
     run_training,
     sample_alpha,
 )
@@ -61,22 +60,6 @@ class TestAlphaAndReward:
     @settings(max_examples=100)
     def test_combine_is_exact_affine(self, rc, ri, re, alpha):
         assert combine_reward(rc, ri, re, alpha) == alpha * rc + (1 - alpha) * ri + re
-
-
-class TestCoverage:
-    def test_single_stationary_episode(self):
-        assert coverage([[(1, 1, 1)] * 9]) == 1
-
-    def test_disjoint_paths_union(self):
-        p1 = [(i, 0, 0) for i in range(5)]
-        p2 = [(i, 1, 0) for i in range(7)]
-        assert coverage([p1, p2]) == 12
-
-    @given(st.lists(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=20), min_size=1, max_size=6))
-    @settings(max_examples=50)
-    def test_matches_set_union_oracle(self, paths):
-        expected = len({tuple(p) for path in paths for p in path})
-        assert coverage(paths) == expected
 
 
 class TestTrainingRuns:
@@ -159,6 +142,20 @@ class TestTrainingRuns:
             assert rates[-1] == ref_rate
             trainer.train_iteration(it, None)
         assert rates[0] == 0.0 and rates[-1] == 1.0
+
+    def test_rollouts_share_the_trainers_physics(self, tmp_path, area1_demo_paths, monkeypatch):
+        trainer = Trainer(tiny_cfg(area1_demo_paths), tmp_path / "run")
+        built = []
+        init = world.Physics.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(world.Physics, "__init__", counting_init)
+        trainer.train_iteration(0, None)
+        trainer.evaluate(0)
+        assert built == []
 
     def test_rollout_cube_ids_index_the_occupancy_of_every_state(
         self, tmp_path, area1_demo_paths

@@ -1,26 +1,30 @@
 """Trajectory filtering: scores, threshold modes, bug tallies, export."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxhunt.config import TrainConfig
+from voxhunt.cli import main
+from voxhunt.config import TrainConfig, resolve_path
 from voxhunt.curiosity import CuriosityConfig, RNDArch, RNDPair
 from voxhunt.encode import ObservationEncoder
-from voxhunt.mapio import fixture_path
-from voxhunt.trainer import run_training
+from voxhunt.imitation import load_demos
+from voxhunt.mapio import fixture_path, load_map, save_demo_script
+from voxhunt.trainer import TrajectoryLog, run_training
 from voxhunt.triage import (
     TrajectoryScore,
     compute_epsilon,
     evaluate_bugs,
     export_trajectories,
     filter_theta,
+    replay_record,
     run_triage,
     score_trajectory,
 )
-from voxhunt.world import Action, play_script
+from voxhunt.world import Action, Env, play_script
 
 from .oracles import parse_export
 
@@ -211,8 +215,78 @@ class TestRunTriage:
         assert len(report.demo_scores) == 6
         assert all(s >= 0 for s in report.demo_scores)
 
+    def test_scores_match_per_trajectory_reference_bit_for_bit(
+        self, tiny_run, tmp_path, monkeypatch
+    ):
+        # tiny_run's own episodes never reach a goal: add goal-reaching
+        # records that replay the demos, some with a detour first
+        run = tmp_path / "run"
+        shutil.copytree(tiny_run, run)
+        cfg = TrainConfig.from_run_dir(run)
+        vmap = load_map(resolve_path(cfg.map_path))
+        demos = load_demos([resolve_path(p) for p in cfg.demo_paths], vmap).demos
+        records = TrajectoryLog.read(run / "dataset.jsonl")
+        for i, demo in enumerate(demos * 2):
+            actions = [int(a) for a in demo.actions]
+            if i >= len(demos):
+                actions = ([int(Action.MOVE_E)] * i + actions)[: cfg.episode_length]
+            traj = play_script(vmap, actions)
+            records.append({"id": len(records), "alpha": 0.25 * (i % 4), "actions": actions,
+                            "positions": [list(p) for p in traj.positions]})
+        (run / "dataset.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+
+        enc = ObservationEncoder(vmap, L=cfg.net_profile().L)
+        rng = np.random.default_rng(0)
+        rnd = RNDPair(cfg.rnd_arch(), cfg.curiosity, rng, rng)
+        rnd.target.load(run / "checkpoints" / "rnd_target.vxnp")
+        rnd.predictor.load(run / "checkpoints" / "rnd_predictor.vxnp")
+        env = Env(vmap)
+        want = [score_trajectory(replay_record(r, env), rnd, enc) for r in records]
+        want_demo = [score_trajectory(d.trajectory, rnd, enc)[0] for d in demos]
+
+        rows = []
+        raw_reward = RNDPair.raw_reward
+
+        def spy(self, inputs):
+            rows.append(len(inputs["pos"]))
+            return raw_reward(self, inputs)
+
+        monkeypatch.setattr(RNDPair, "raw_reward", spy)
+        report = run_triage(run)
+        assert [(s.rc_avg, s.first_goal) for s in report.scores] == want
+        assert sum(s.rc_avg is not None for s in report.scores) >= len(demos)
+        assert report.demo_scores == want_demo
+        # each distinct state once, in calls no larger than one episode
+        assert len(rows) > 1 and max(rows) <= cfg.episode_length + 1
+        prefix_rows = sum(T + 1 for _, T in want if T is not None)
+        assert sum(rows) < prefix_rows
+
+    def test_coverage_counts_distinct_stored_positions(self, tiny_run):
+        records = TrajectoryLog.read(tiny_run / "dataset.jsonl")
+        visited = {tuple(p) for r in records for p in r["positions"]}
+        assert run_triage(tiny_run).coverage == len(visited)
+
 
 class TestExport:
+    @pytest.mark.parametrize("problem", ["wrong_map", "goal_missed"])
+    def test_cli_demos_checked_as_triage_checks_them(self, tiny_run, tmp_path, problem, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(tiny_run, run)
+        if problem == "wrong_map":
+            demo = str(fixture_path("demo_area2_1.txt"))
+        else:
+            demo = str(tmp_path / "idle.txt")
+            save_demo_script(demo, "testmap_area1", 0, [Action.WAIT] * 3)
+        cfg = json.loads((run / "config.json").read_text())
+        (run / "config.json").write_text(json.dumps({**cfg, "demo_paths": [demo]}))
+        capsys.readouterr()
+        assert main(["export", str(run), "--demos"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {demo}:" in err and "Traceback" not in err
+        assert not (run / "trajectories.tsv").exists()
+        assert main(["triage", str(run)]) == 1
+        assert f"error: {demo}:" in capsys.readouterr().err
+
     def test_row_count_and_round_trip(self, tmp_path):
         records = [
             {

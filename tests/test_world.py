@@ -19,13 +19,14 @@ from voxhunt.world import (
     MISSING_COLLISION,
     INFINITE_JUMP_GLITCH,
     UNINTENDED_CLIMBABLE,
+    PhysicsError,
     VoxelMap,
     platform_offset,
     play_script,
 )
 
 from .conftest import flat_map
-from .oracles import explore_states
+from .oracles import ScanPhysics, explore_states, explore_transitions
 
 
 A = Action
@@ -368,3 +369,48 @@ class TestBugAsymmetry:
         assert hole <= pos_on
         assert not (hole & pos_off)
         assert (5, 1, 1) in pos_on and (5, 1, 1) not in pos_off
+
+
+def assert_steps_match_scan(vmap, bugs_enabled):
+    """Every action from every reachable state gives the scan oracle's whole
+    return tuple, or the same squeeze; returns the oracle and the squeeze count."""
+    ref = ScanPhysics(vmap, bugs_enabled)
+    squeezes = 0
+    for s, phase, a, out in explore_transitions(Physics(vmap, bugs_enabled)):
+        if isinstance(out, PhysicsError):
+            squeezes += 1
+            with pytest.raises(PhysicsError) as exc:
+                ref.step(s, a, phase)
+            assert str(exc.value) == str(out)
+        else:
+            assert ref.step(s, a, phase) == out, (s, phase, a)
+    return ref, squeezes
+
+
+class TestStepTables:
+    """``Physics.step`` reads tables built once per map; the scan-based step
+    in ``tests/oracles.py`` is the reference."""
+
+    @pytest.mark.parametrize("bugs_enabled", [True, False])
+    @pytest.mark.parametrize("name", ["area1", "area2", "corridor"])
+    def test_every_reachable_step_matches_scan(self, name, bugs_enabled, request):
+        ref, squeezes = assert_steps_match_scan(request.getfixturevalue(name), bugs_enabled)
+        assert squeezes == 0
+
+    def test_two_platforms_carry_push_and_squeeze(self):
+        # a period-4 shuttle along x and a period-6 lift along y (phase period
+        # 12); a ceiling over the lift squeezes a rider at the top
+        vox = np.zeros((7, 7, 7), dtype=np.uint8)
+        vox[:, 0, :] = SOLID
+        vox[5, 5:, 5] = SOLID
+        m = VoxelMap(
+            name="two_platforms", dims=(7, 7, 7), voxels=vox, spawn=(1, 1, 1),
+            goals=[GoalRegion(id=0, voxels=frozenset({(6, 1, 1)}))],
+            platforms=[
+                MovingPlatform(footprint=((2, 1, 3),), axis="x", amplitude=2, period=4),
+                MovingPlatform(footprint=((5, 1, 5),), axis="y", amplitude=3, period=6),
+            ],
+        )
+        assert Physics(m).phase_period == 12
+        ref, squeezes = assert_steps_match_scan(m, True)
+        assert ref.carried > 0 and ref.pushed > 0 and squeezes > 0
