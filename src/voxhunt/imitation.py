@@ -23,7 +23,7 @@ from . import nn
 from .encode import ObservationEncoder
 from .mapio import load_demo_script
 from .policy import N_ACTIONS, occupancy_branch
-from .world import Action, Trajectory, VoxelMap, WorldError, play_script
+from .world import Action, Physics, PhysicsError, Trajectory, VoxelMap, WorldError, play_script
 
 
 class DemoError(WorldError):
@@ -221,11 +221,10 @@ class DemoSet:
         return len(self.demos)
 
 
-def record_demo(
-    vmap: VoxelMap, actions: list[Action], goal_id: int, source: str = ""
+def _checked_demo(
+    vmap: VoxelMap, actions: list[Action], goal_id: int, traj: Trajectory, source: str
 ) -> Demo:
-    """Replay-validate a script as an expert demo; it must reach its goal."""
-    traj = play_script(vmap, actions)
+    """A replayed script as an expert demo; it must reach its goal."""
     goal_ids = {g.id for g in vmap.goals}
     if goal_id not in goal_ids:
         raise DemoReferenceError(
@@ -238,18 +237,36 @@ def record_demo(
     return Demo(vmap.name, goal_id, list(actions), traj, source)
 
 
+def record_demo(
+    vmap: VoxelMap, actions: list[Action], goal_id: int, source: str = ""
+) -> Demo:
+    """Replay-validate a script as an expert demo; it must reach its goal."""
+    return _checked_demo(vmap, actions, goal_id, play_script(vmap, actions), source)
+
+
 def load_demos(paths: list[str | Path], vmap: VoxelMap) -> DemoSet:
-    demos = DemoSet(map_name=vmap.name)
+    """Load demo scripts for ``vmap`` and replay them all in one lockstep batch."""
     if not paths:
         raise DemoError("no demo files given")
+    scripts = []
     for p in paths:
         map_name, goal_id, actions = load_demo_script(p)
         if map_name != vmap.name:
             raise DemoReferenceError(
                 f"{p}: demo is for map {map_name!r}, training on {vmap.name!r}"
             )
-        demos.demos.append(record_demo(vmap, actions, goal_id, source=str(p)))
-    return demos
+        scripts.append((str(p), goal_id, actions))
+    try:
+        replay = Physics(vmap).replay([actions for _, _, actions in scripts])
+    except PhysicsError as e:
+        raise DemoReplayError(f"{scripts[e.agent][0]}: {e}") from e
+    return DemoSet(
+        vmap.name,
+        [
+            _checked_demo(vmap, actions, goal_id, replay.trajectory(i), source)
+            for i, (source, goal_id, actions) in enumerate(scripts)
+        ],
+    )
 
 
 def demo_pairs(

@@ -36,7 +36,7 @@ from .policy import (
     make_critic_net,
     make_policy_net,
 )
-from .world import Env, Physics, Trajectory, VoxelMap
+from .world import AgentState, Physics, Trajectory, VoxelMap
 
 FORMAT_VERSION = 1
 
@@ -132,7 +132,7 @@ class Trainer:
         self.cfg = cfg
         self.run_dir = Path(run_dir)
         self.map: VoxelMap = load_map(resolve_path(cfg.map_path))
-        self.physics = Physics(self.map)  # one engine for every rollout Env
+        self.physics = Physics(self.map)  # one engine for every rollout
         profile = cfg.net_profile()
         self.encoder = ObservationEncoder(self.map, L=profile.L)
         self.profile = profile
@@ -171,9 +171,8 @@ class Trainer:
             np.random.SeedSequence(entropy=self.cfg.seed, spawn_key=(1, iteration, episode))
         )
 
-    def _state_features(self, env: Env) -> dict[str, np.ndarray]:
+    def _state_features(self, state: AgentState, tick: int) -> dict[str, np.ndarray]:
         """One state's network inputs by name, plus pos_pe for the novelty nets."""
-        state, tick = env.state, env.tick
         cfg = self.cfg
         # Occupancy is always recorded: the discriminator consumes it even when
         # the policy's perception branch is ablated away.
@@ -200,24 +199,25 @@ class Trainer:
     def collect_group(
         self, alphas: np.ndarray, rngs: list[np.random.Generator] | None = None
     ) -> Rollout:
-        """Roll one episode per dial value in lockstep with a frozen policy.
+        """Roll one episode per dial value in lockstep with a frozen policy,
+        stepping all of them in one simulator call per tick.
 
         Each episode samples its actions from its own generator; without
         generators the policy acts greedily. Every state's occupancy cube gets
         an id, numbered in first-seen order over the distinct cubes.
         """
         m, T = len(alphas), self.cfg.episode_length
-        envs = [Env(self.map, T, physics=self.physics) for _ in range(m)]
-        for env in envs:
-            env.reset()
-        trajs = [Trajectory.start(env) for env in envs]
+        physics = self.physics
+        agents = physics.spawn(m)
+        trajs = [Trajectory.start(physics) for _ in range(m)]
 
         states: list[dict[str, np.ndarray]] = []
         cube_ids: dict[bytes, int] = {}
         occ_id = np.zeros((m, T + 1), dtype=np.int64)
         logp = np.zeros((m, T))
         for t in range(T + 1):
-            rows = [self._state_features(env) for env in envs]
+            now = [tr.states[-1] for tr in trajs]
+            rows = [self._state_features(state, t) for state in now]
             for i, r in enumerate(rows):
                 occ_id[i, t] = cube_ids.setdefault(r["occ"].tobytes(), len(cube_ids))
             states.append({k: np.stack([r[k] for r in rows]) for k in rows[0]})
@@ -225,8 +225,10 @@ class Trainer:
                 break
             inputs = self._net_inputs(states[-1], alphas)
             acts, logp[:, t], _ = act(self.policy, inputs, rngs, greedy=rngs is None)
-            for tr, env, a in zip(trajs, envs, acts):
-                tr.step(env, int(a))
+            step = physics.step(agents, acts, t)
+            agents = step.agents
+            for tr, a, outcome in zip(trajs, acts.tolist(), physics.outcomes(now, step)):
+                tr.record(a, outcome)
 
         # The rollout keeps the occupancy once: as ids into the distinct cubes.
         features = {k: np.stack([s[k] for s in states], axis=1) for k in states[0] if k != "occ"}

@@ -13,11 +13,16 @@ re-encoded by replaying their stored actions through the deterministic
 simulator, so triage needs only the run directory, never the training
 process.
 
+Every stored action must be an action id (an int in 0..9) and every record
+must hold one more position than actions; anything else is a TriageError
+naming the record. Triage then replays all records and the demos in one
+lockstep simulator call and checks each record against its stored positions.
+
 A state's novelty depends on the state alone, and goal prefixes share most
-of their states. Triage therefore replays one record at a time, keeps only
-its summary and the ids of its prefix states in one run-wide table of
-distinct states, and scores that table once after the replay, demos
-included, in RND calls no larger than one episode. Each score sums its
+of their states. The replay's goal-prefix states are numbered in one
+run-wide table of distinct states, in first-seen order (records first, then
+demos), and only those distinct states become ``AgentState``s. The table is
+scored once, in RND calls no larger than one episode. Each score sums its
 prefix's per-state values in prefix order, so it reproduces the
 per-trajectory ``score_trajectory``; the tests check this bit for bit.
 """
@@ -36,7 +41,7 @@ from .encode import ObservationEncoder, agent_info_vector
 from .imitation import load_demos
 from .mapio import load_map
 from .trainer import TrajectoryLog, TriageError
-from .world import AgentState, Env, Trajectory, Vec3, VoxelMap
+from .world import Action, Physics, PhysicsError, Trajectory, VoxelMap
 
 REPORT_FORMAT_VERSION = 1
 EXPORT_FORMAT_VERSION = 1
@@ -126,23 +131,26 @@ def score_trajectory(
     return float(rc.sum() / max(T, 1)), T
 
 
-def replay_record(record: dict, env: Env) -> Trajectory:
-    traj = Trajectory.replay(env, [int(a) for a in record["actions"]])
-    stored = [tuple(p) for p in record["positions"]]
-    if traj.positions != stored:
+def record_actions(record: dict) -> list[int]:
+    """A stored record's action ids. TriageError names the record if an
+    action is not an int in 0..9 (a bool is not), or if the record does not
+    hold exactly one more position than actions."""
+    rid = record.get("id")
+    actions, positions = record.get("actions"), record.get("positions")
+    if not isinstance(actions, list) or not isinstance(positions, list):
+        raise TriageError(f"trajectory {rid}: actions and positions must be lists")
+    if not set(map(type, actions)) <= {int} or (
+        actions and not 0 <= min(actions) <= max(actions) < len(Action)
+    ):
+        bad = next(a for a in actions if type(a) is not int or not 0 <= a < len(Action))
         raise TriageError(
-            f"trajectory {record.get('id')}: replay diverged from stored positions"
+            f"trajectory {rid}: stored action {bad!r} is not an action id 0..{len(Action) - 1}"
         )
-    return traj
-
-
-def goal_prefix_ids(trajectory: Trajectory, state_ids: dict[AgentState, int]) -> list[int] | None:
-    """Ids of states s_0..s_T up to the first goal entry in a table of
-    distinct states, adding the states it lacks; None without a goal."""
-    T = trajectory.first_goal_state_index
-    if T is None:
-        return None
-    return [state_ids.setdefault(s, len(state_ids)) for s in trajectory.states[: T + 1]]
+    if len(positions) != len(actions) + 1:
+        raise TriageError(
+            f"trajectory {rid}: {len(positions)} positions for {len(actions)} actions"
+        )
+    return actions
 
 
 def score_records(
@@ -150,41 +158,35 @@ def score_records(
     vmap: VoxelMap,
     rnd: RNDPair,
     encoder: ObservationEncoder,
-    demos: list[Trajectory],
+    demo_scripts: list[list[int]],
     max_rows: int,
 ) -> tuple[list[TrajectoryScore], list[float], int]:
-    """Replay every record on one shared environment, then score the records
-    and the demos from one table of their distinct goal-prefix states.
+    """Replay every record and demo script in one lockstep batch, check each
+    record against its stored positions, then score the records and the
+    demos from one table of their distinct goal-prefix states.
 
-    Each record keeps only its summary and its prefix's state ids. Each
-    distinct state is scored once, in RND calls of at most ``max_rows`` rows.
-    Returns (record scores, demo scores, distinct replayed positions).
+    Each distinct state is scored once, in RND calls of at most ``max_rows``
+    rows. Returns (record scores, demo scores, distinct replayed positions).
     """
-    env = Env(vmap)
-    state_ids: dict[AgentState, int] = {}
-    visited: set[Vec3] = set()
-    scores: list[TrajectoryScore] = []
-    prefixes: list[list[int] | None] = []
-    for rec in records:
-        traj = replay_record(rec, env)
-        visited.update(traj.positions)
-        prefixes.append(goal_prefix_ids(traj, state_ids))
-        scores.append(
-            TrajectoryScore(
-                traj_id=int(rec["id"]),
-                alpha=float(rec["alpha"]),
-                reached_goal=traj.reached_goal,
-                first_goal=traj.first_goal_state_index,
-                rc_avg=None,
-                bug_regions=tuple(sorted(traj.bug_regions_entered)),
-            )
-        )
-    demo_prefixes = [goal_prefix_ids(traj, state_ids) for traj in demos]
+    physics = Physics(vmap)
+    scripts = [record_actions(rec) for rec in records]
+    try:
+        replay = physics.replay(scripts + demo_scripts)
+    except PhysicsError as e:
+        if e.agent is not None and e.agent < len(records):
+            raise TriageError(f"trajectory {records[e.agent].get('id')}: {e}") from e
+        raise
+    n = len(records)
+    for i, rec in enumerate(records):
+        replayed = physics.positions(replay.cell[: len(scripts[i]) + 1, i])
+        if replayed.tolist() != rec["positions"]:
+            raise TriageError(f"trajectory {rec.get('id')}: replay diverged from stored positions")
 
     # Calls of near-equal size, so none has one row unless the table does:
     # numpy hands a one-row product to gemv, which rounds differently from
     # the gemm that a multi-row call runs.
-    states = list(state_ids)
+    ends = replay.first_goal()
+    states, ids = replay.state_table(ends)
     rc = np.zeros(0)
     if states:
         calls = -(-len(states) // max_rows)
@@ -192,15 +194,26 @@ def score_records(
         rc = np.concatenate(
             [state_curiosity(states[a:b], rnd, encoder) for a, b in zip(edges, edges[1:])]
         )
+    starts = np.concatenate([[0], np.cumsum(ends + 1)]).tolist()
+    averages = [
+        float(rc[ids[a:b]].sum() / max(end, 1)) if end >= 0 else None
+        for a, b, end in zip(starts, starts[1:], ends.tolist())
+    ]
 
-    def average(ids: list[int]) -> float:
-        return float(rc[ids].sum() / max(len(ids) - 1, 1))
-
-    for score, ids in zip(scores, prefixes):
-        if ids is not None:
-            score.rc_avg = average(ids)
-    demo_scores = [average(ids) for ids in demo_prefixes if ids is not None]
-    return scores, demo_scores, len(visited)
+    entered = np.bitwise_or.reduce(replay.bugs_in[:, :n] | replay.bugs_used[:, :n], axis=0)
+    scores = [
+        TrajectoryScore(
+            traj_id=int(rec["id"]),
+            alpha=float(rec["alpha"]),
+            reached_goal=end >= 0,
+            first_goal=end if end >= 0 else None,
+            rc_avg=rc_avg,
+            bug_regions=physics.bug_hits(mask, 0)[0],
+        )
+        for rec, end, rc_avg, mask in zip(records, ends.tolist(), averages, entered.tolist())
+    ]
+    demo_scores = [v for v in averages[n:] if v is not None]
+    return scores, demo_scores, len(np.unique(replay.cell[:, :n]))
 
 
 def compute_epsilon(
@@ -308,7 +321,7 @@ def run_triage(
         demos = load_demos([resolve_path(p) for p in cfg.demo_paths], vmap).demos
     scores, demo_scores, total_cov = score_records(
         records, vmap, rnd, encoder,
-        [demo.trajectory for demo in demos], max_rows=cfg.episode_length + 1,
+        [demo.actions for demo in demos], max_rows=cfg.episode_length + 1,
     )
 
     eps = compute_epsilon(scores, demo_scores, mode, value=epsilon, quantile=quantile)

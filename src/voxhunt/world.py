@@ -14,13 +14,21 @@ Planted bug regions make physics diverge from what observations report:
 
 Observations never see physics, only semantics, so the same map stepped with
 ``bugs_enabled=False`` yields identical observations for identical states.
+
+``Physics.step`` is the only implementation of the step rules. It advances a
+lockstep batch of agents in one numpy call: each agent is a flat index into
+the map padded with collision, plus its jump ticks and flags, and every rule
+is a lookup in per-phase tables built once per map. Training steps its m
+episodes with one call per tick; ``Physics.replay`` plays any number of
+scripts of any lengths at once (triage replays a whole dataset in one call);
+``Env`` and ``play_script`` are one-agent calls of the same step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +61,12 @@ class MapInvariantError(WorldError):
 
 
 class PhysicsError(WorldError):
-    """Raised when the physics update cannot produce a legal agent position."""
+    """Raised when the physics update cannot produce a legal agent position;
+    ``agent`` is the index of the squeezed agent in its batch."""
+
+    def __init__(self, message: str, agent: int | None = None):
+        super().__init__(message)
+        self.agent = agent
 
 
 class Action(IntEnum):
@@ -95,8 +108,8 @@ HORIZONTAL_DELTA = {
     Action.MOVE_SW: (-1, -1),
 }
 
+_JUMP = int(Action.JUMP)
 _ADJACENT_8 = tuple((dx, dz) for dx in (-1, 0, 1) for dz in (-1, 0, 1) if (dx, dz) != (0, 0))
-_NO_BUGS: tuple[tuple[int, ...], tuple[str, ...]] = ((), ())
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,66 +285,73 @@ class StepResult:
     bug_kinds: tuple[str, ...]
 
 
+# One agent's share of a batch step: (state', goal_ids, bug_regions, bug_kinds, r_e).
+Outcome = tuple[AgentState, tuple[int, ...], tuple[int, ...], tuple[str, ...], float]
+
+
+@dataclass(slots=True)
+class Agents:
+    """A lockstep batch of agents, one array entry per agent.
+
+    ``cell`` is the agent's voxel as a flat index into its ``Physics``'s
+    padded volume; the other fields are those of :class:`AgentState`.
+    """
+
+    cell: np.ndarray  # intp
+    jump_ticks: np.ndarray  # int8
+    grounded: np.ndarray  # bool
+    climbing: np.ndarray  # bool
+    double_jump: np.ndarray  # bool
+
+    def __len__(self) -> int:
+        return len(self.cell)
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return self.cell, self.jump_ticks, self.grounded, self.climbing, self.double_jump
+
+    def __getitem__(self, idx) -> Agents:
+        return Agents(*(a[idx] for a in self.arrays()))
+
+
+@dataclass(slots=True)
+class BatchStep:
+    """What one tick did to each agent of a batch."""
+
+    agents: Agents
+    goals: np.ndarray  # bit j: the agent is in the j-th active goal
+    bugs_in: np.ndarray  # bit i: the agent is inside bug region i
+    bugs_used: np.ndarray  # bit i: the agent climbs on climbable bug i
+
+
+def _bits(value: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``value``, lowest first."""
+    return tuple(i for i in range(value.bit_length()) if value >> i & 1)
+
+
 class Physics:
-    """Stateless tick-update engine for one map.
+    """Tick-update engine for one map, stepping a lockstep batch of agents.
 
     ``bugs_enabled=False`` strips every bug region from physics while leaving
     semantics untouched, which is the reference world used to prove that a
     shortcut only exists because of a planted bug.
 
-    Everything a step reads is a table built here once per map, so a step
-    does lookups, not scans.
+    Everything a step reads is a table built here once per map, over the map
+    padded by ``pad`` voxels of collision on every side: collision, platform
+    cells and the carry of the platform under a voxel at each platform phase,
+    climbable, adjacent-climbable and glitch voxels, and bitmasks of the
+    goals and bug regions. ``pad`` covers the longest one-tick offset (a
+    move, a rise or fall, a platform carry), so no index of a step leaves the
+    volume and a step is whole-array lookups.
     """
 
     def __init__(self, vmap: VoxelMap, bugs_enabled: bool = True):
         vmap.validate()
         self.map = vmap
         self.bugs_enabled = bugs_enabled
-        self.dims = vmap.dims
+        self.dims = nx, ny, nz = vmap.dims
 
-        block = np.isin(vmap.voxels, (SOLID, CLIMBABLE))
-        climb = vmap.voxels == CLIMBABLE
-        glitch = np.zeros_like(block)
-        if bugs_enabled:
-            for b in vmap.bugs:
-                idx = tuple(np.array(sorted(b.voxels)).T) if b.voxels else None
-                if b.kind == MISSING_COLLISION:
-                    block[idx] = False
-                elif b.kind == UNINTENDED_CLIMBABLE:
-                    climb[idx] = True
-                elif b.kind == INFINITE_JUMP_GLITCH:
-                    glitch[idx] = True
-        # Flat byte views in C order: voxel (x, y, z) is byte (x*ny + y)*nz + z.
-        self._block = block.tobytes()
-        self._climb = climb.tobytes()
-        self._glitch = glitch.tobytes()
-
-        # Voxel -> ids of the active goals holding it, in map order.
-        self._goals_at: dict[Vec3, tuple[int, ...]] = {}
-        for g in vmap.goals:
-            if g.active:
-                for v in g.voxels:
-                    self._goals_at[v] = self._goals_at.get(v, ()) + (g.id,)
-        # Voxel -> (regions, kinds) of the bugs an agent there enters, and of
-        # the climbable bugs it uses while attached (any of its 8 neighbours),
-        # each in map order.
-        self._bugs_in: dict[Vec3, tuple[tuple[int, ...], tuple[str, ...]]] = {}
-        self._bugs_beside: dict[Vec3, tuple[tuple[int, ...], tuple[str, ...]]] = {}
-        for i, b in enumerate(vmap.bugs):
-            if b.kind == UNINTENDED_CLIMBABLE:
-                table = self._bugs_beside
-                cells = {(x - dx, y, z - dz) for x, y, z in b.voxels for dx, dz in _ADJACENT_8}
-            else:
-                table, cells = self._bugs_in, b.voxels
-            for c in cells:
-                regions, kinds = table.get(c, _NO_BUGS)
-                table[c] = (regions + (i,), kinds + (b.kind,))
-
-        self.phase_period = 1
-        for p in vmap.platforms:
-            self.phase_period = self.phase_period * p.period // gcd(self.phase_period, p.period)
-        # Each platform's cells and travel at every phase of its own period,
-        # and the union of all platform cells at every phase of the map.
+        self.phase_period = lcm(*(p.period for p in vmap.platforms))
+        # Each platform's cells and travel at every phase of its own period.
         self._platforms = [
             (
                 p.period,
@@ -340,56 +360,136 @@ class Physics:
             )
             for p in vmap.platforms
         ]
-        self._plat_union = [
-            frozenset().union(*[cells[t % period] for period, cells, _ in self._platforms])
-            for t in range(self.phase_period)
-        ]
         self._max_push = max((p.amplitude for p in vmap.platforms), default=0) + 2
 
-    def platform_cells(self, tick: int) -> frozenset[Vec3]:
-        return self._plat_union[tick % self.phase_period]
+        pad = max([1] + [abs(c) for _, _, deltas in self._platforms for d in deltas for c in d])
+        self._pad = pad
+        self._shape = shape = (nx + 2 * pad, ny + 2 * pad, nz + 2 * pad)
+        self.size = shape[0] * shape[1] * shape[2]
+        self._sy = sy = shape[2]
+        sx = shape[1] * sy
+        self._move = np.array(
+            [HORIZONTAL_DELTA[a][0] * sx + HORIZONTAL_DELTA[a][1] if a in HORIZONTAL_DELTA else 0
+             for a in Action],
+            dtype=np.intp,
+        )
+
+        block = np.isin(vmap.voxels, (SOLID, CLIMBABLE))
+        climb = vmap.voxels == CLIMBABLE
+        glitch = np.zeros_like(block)
+        if bugs_enabled:
+            for b in vmap.bugs:
+                idx = tuple(np.array(sorted(b.voxels)).T)
+                if b.kind == MISSING_COLLISION:
+                    block[idx] = False
+                elif b.kind == UNINTENDED_CLIMBABLE:
+                    climb[idx] = True
+                elif b.kind == INFINITE_JUMP_GLITCH:
+                    glitch[idx] = True
+        static = np.pad(block, pad, constant_values=True).reshape(-1)
+        climb = np.pad(climb, pad)
+        adjacent = np.zeros_like(climb)
+        for dx, dz in _ADJACENT_8:
+            adjacent |= np.roll(climb, (-dx, -dz), axis=(0, 2))
+        self._climb = climb.reshape(-1)
+        self._adjacent_climb = adjacent.reshape(-1)
+        self._glitch = np.pad(glitch, pad).reshape(-1)
+
+        # Bit j of a goal mask is the j-th active goal; bit i of a bug mask is
+        # bug region i. A climbable bug is "used", never occupied: its mask
+        # marks the voxels beside it (any of their 8 neighbours).
+        active = [g for g in vmap.goals if g.active]
+        self._goal_ids = [g.id for g in active]
+        self._goals = self._masks([g.voxels for g in active], "active goals")
+        self._bugs_in = self._masks(
+            [() if b.kind == UNINTENDED_CLIMBABLE else b.voxels for b in vmap.bugs], "bug regions"
+        )
+        self._bugs_beside = self._masks(
+            [
+                {(x - dx, y, z - dz) for x, y, z in b.voxels for dx, dz in _ADJACENT_8}
+                if b.kind == UNINTENDED_CLIMBABLE else ()
+                for b in vmap.bugs
+            ],
+            "bug regions",
+        )
+
+        # Per phase p, with p1 the next phase: the platform cells, collision,
+        # and the flat travel of the first platform (in map order) under each
+        # voxel at p; and, for an agent ending a tick from p in a voxel, the
+        # voxel above free at p1, the voxel below free at p and at p1, and the
+        # voxel below colliding at p1 (support).
+        period, n = self.phase_period, self.size
+        self._plat = np.zeros((period, n), dtype=bool)
+        self._carry = np.zeros((period, n), dtype=np.int32)
+        for phase in range(period):
+            for p_period, cells, deltas in reversed(self._platforms):
+                idx = self._cells(cells[phase % p_period])
+                dx, dy, dz = deltas[phase % p_period]
+                self._plat[phase, idx] = True
+                self._carry[phase, idx + sy] = (dx * shape[1] + dy) * sy + dz
+        self._collide = self._plat | static
+        after = np.roll(self._collide, -1, axis=0)
+        self._free_above = ~np.roll(after, -sy, axis=1)
+        self._support = np.roll(after, sy, axis=1)
+        self._free_below = ~np.roll(self._collide, sy, axis=1) & ~self._support
+
+    def _cells(self, voxels) -> np.ndarray:
+        """Flat padded indices of in-bounds voxels."""
+        xyz = np.array([v for v in voxels if self.map.in_bounds(v)], dtype=np.intp).reshape(-1, 3)
+        return np.ravel_multi_index(tuple((xyz + self._pad).T), self._shape)
+
+    def _masks(self, voxel_sets, what: str) -> np.ndarray:
+        if len(voxel_sets) > 64:
+            raise MapInvariantError(f"physics holds at most 64 {what}, map has {len(voxel_sets)}")
+        out = np.zeros(self.size, dtype=np.min_scalar_type((1 << len(voxel_sets)) - 1))
+        for bit, voxels in enumerate(voxel_sets):
+            out[self._cells(voxels)] |= out.dtype.type(1 << bit)
+        return out
+
+    def cell(self, pos: Vec3) -> int:
+        """Flat padded index of an in-bounds voxel."""
+        p, (_, ny, nz) = self._pad, self._shape
+        return ((pos[0] + p) * ny + pos[1] + p) * nz + pos[2] + p
+
+    def position(self, cell: int) -> Vec3:
+        x, rest = divmod(cell, self._shape[1] * self._sy)
+        y, z = divmod(rest, self._sy)
+        p = self._pad
+        return (x - p, y - p, z - p)
+
+    def positions(self, cells: np.ndarray) -> np.ndarray:
+        """Voxel coordinates of flat padded indices, in a trailing axis of 3."""
+        return np.stack(np.unravel_index(cells, self._shape), axis=-1) - self._pad
 
     def colliding(self, pos: Vec3, tick: int) -> bool:
         """Physical collision, out-of-bounds counts as solid world boundary."""
-        x, y, z = pos
-        nx, ny, nz = self.dims
-        if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
+        if not self.map.in_bounds(pos):
             return True
-        if self._block[(x * ny + y) * nz + z]:
-            return True
-        return pos in self._plat_union[tick % self.phase_period]
+        return bool(self._collide[tick % self.phase_period, self.cell(pos)])
 
-    def passable(self, pos: Vec3, tick: int) -> bool:
-        return not self.colliding(pos, tick)
-
-    def climbable(self, pos: Vec3) -> bool:
-        x, y, z = pos
-        nx, ny, nz = self.dims
-        if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
-            return False
-        return self._climb[(x * ny + y) * nz + z] == 1
-
-    def _adjacent_climbable(self, pos: Vec3) -> bool:
-        x, y, z = pos
-        for dx, dz in _ADJACENT_8:
-            if self.climbable((x + dx, y, z + dz)):
-                return True
-        return False
+    def state_in_goal(self, pos: Vec3) -> bool:
+        return self.map.in_bounds(pos) and bool(self._goals[self.cell(pos)])
 
     def initial_state(self) -> AgentState:
         spawn = self.map.spawn
         below = (spawn[0], spawn[1] - 1, spawn[2])
-        return AgentState(
-            pos=spawn,
-            jump_ticks=0,
-            grounded=self.colliding(below, 0),
-            climbing=False,
-            double_jump_available=True,
-            last_disp=(0, 0, 0),
+        return AgentState(pos=spawn, grounded=self.colliding(below, 0))
+
+    def pack(self, states: Sequence[AgentState]) -> Agents:
+        """A batch holding ``states`` in order."""
+        return Agents(
+            np.array([self.cell(s.pos) for s in states], dtype=np.intp),
+            np.array([s.jump_ticks for s in states], dtype=np.int8),
+            np.array([s.grounded for s in states], dtype=bool),
+            np.array([s.climbing for s in states], dtype=bool),
+            np.array([s.double_jump_available for s in states], dtype=bool),
         )
 
-    def step(self, state: AgentState, action: Action, tick: int) -> tuple[AgentState, tuple[int, ...], tuple[int, ...], tuple[str, ...], float]:
-        """Advance one tick. Returns (state', goal_ids, bug_regions, bug_kinds, r_e).
+    def spawn(self, n: int) -> Agents:
+        return self.pack([self.initial_state()] * n)
+
+    def step(self, agents: Agents, actions: np.ndarray, tick: int) -> BatchStep:
+        """Advance every agent of the batch by its action id (0..9) at ``tick``.
 
         Phase order: platform resolve, horizontal intent, climb attach,
         vertical (jump / climb hold / gravity), platform carry, state
@@ -399,135 +499,255 @@ class Physics:
         carried) is evaluated against platform cells at the *start* of the
         tick; move targets are checked against the world after platforms have
         moved. This keeps riders attached to platforms travelling in any
-        direction.
+        direction. An agent a platform moves into is pushed along the
+        platform's travel; if no free voxel is found it is squeezed, and
+        ``PhysicsError`` names the first such agent.
         """
-        x0, y0, z0 = pos = state.pos
-        jt = state.jump_ticks
-        climbing = state.climbing
-        dj = state.double_jump_available
-        t1 = tick + 1
-        platforms = self._platforms
+        phase = tick % self.phase_period
+        after = self._collide[(tick + 1) % self.phase_period]
+        start, grounded = agents.cell, agents.grounded
 
-        carry: Vec3 | None = None
-        if state.grounded and platforms:
-            below0 = (x0, y0 - 1, z0)
-            for period, cells, deltas in platforms:
-                if below0 in cells[tick % period]:
-                    d = deltas[tick % period]
-                    if d != (0, 0, 0):
-                        carry = d
-                    break
-
-        # 2: horizontal intent
-        blocked: Vec3 | None = None
-        delta = HORIZONTAL_DELTA.get(action)
-        if delta is not None:
-            target = (pos[0] + delta[0], pos[1], pos[2] + delta[1])
-            if self.colliding(target, t1):
-                blocked = target
-            else:
-                pos = target
-
-        # 3: climb attach
-        if blocked is not None and self.climbable(blocked):
-            climbing = True
+        # 2: horizontal intent; 3: climb attach to a blocking climbable voxel
+        moving = actions < _JUMP
+        target = start + self._move[actions]
+        blocked = moving & after[target]
+        climbing = agents.climbing | (blocked & self._climb[target])
+        cell = np.where(moving ^ blocked, target, start)  # blocked only if moving
 
         # 4: vertical
-        if action == Action.JUMP:
-            if state.grounded or climbing:
-                jt = 2
-            elif dj:
-                jt = 2
-                dj = False
-        above = (pos[0], pos[1] + 1, pos[2])
-        if jt > 0 and not self.colliding(above, t1):
-            pos = above
-            jt -= 1
-        elif climbing:
-            pass  # hold altitude while attached
-        else:
-            below = (pos[0], pos[1] - 1, pos[2])
-            if not self.colliding(below, tick) and not self.colliding(below, t1):
-                pos = below
+        jump = actions == _JUMP
+        fresh = jump & (grounded | climbing)
+        spent = (jump ^ fresh) & agents.double_jump  # fresh only if jumping
+        jump_ticks = np.where(fresh | spent, np.int8(2), agents.jump_ticks)
+        double_jump = agents.double_jump ^ spent
+        rise = (jump_ticks > 0) & self._free_above[phase][cell]
+        fall = self._free_below[phase][cell] & ~(rise | climbing)
+        cell = np.where(rise, cell + self._sy, np.where(fall, cell - self._sy, cell))
+        jump_ticks = jump_ticks - rise
 
-        # 5: platform carry
-        if carry is not None:
-            target = (pos[0] + carry[0], pos[1] + carry[1], pos[2] + carry[2])
-            if not self.colliding(target, t1):
-                pos = target
+        if self._platforms:
+            # 5: platform carry
+            target = cell + np.where(grounded, self._carry[phase][start], 0)
+            cell = np.where(after[target], cell, target)
+            # 5b: a platform may have moved into the agent; push along its travel
+            for i in np.flatnonzero(self._plat[(tick + 1) % self.phase_period][cell]):
+                pushed = self._push(self.position(int(cell[i])), tick)
+                if pushed is None:
+                    raise self._squeezed(agents, int(i), tick)
+                cell[i] = pushed
 
-        # 5b: a platform may have moved into the agent; push along its travel
-        if platforms and pos in self._plat_union[t1 % self.phase_period]:
-            pushed = False
-            for period, cells, deltas in platforms:
-                if pos in cells[t1 % period]:
-                    d = deltas[tick % period]
-                    if d == (0, 0, 0):
-                        break
+        # 6: recompute climbing, grounded and double-jump availability
+        climbing &= self._adjacent_climb[cell]
+        grounded = self._support[phase][cell]
+        double_jump |= grounded | self._glitch[cell]
+        return BatchStep(
+            Agents(cell, jump_ticks, grounded, climbing, double_jump),
+            self._goals[cell],
+            self._bugs_in[cell],
+            self._bugs_beside[cell] * climbing,
+        )
+
+    def _push(self, pos: Vec3, tick: int) -> int | None:
+        """The cell a platform entering ``pos`` at ``tick + 1`` pushes the
+        agent to, or None if the agent is squeezed."""
+        t1 = tick + 1
+        for period, cells, deltas in self._platforms:
+            if pos in cells[t1 % period]:
+                d = deltas[tick % period]
+                if d != (0, 0, 0):
                     for _ in range(self._max_push):
                         pos = (pos[0] + d[0], pos[1] + d[1], pos[2] + d[2])
                         if not self.colliding(pos, t1):
-                            pushed = True
-                            break
-                    break
-            if not pushed:
-                raise PhysicsError(
-                    f"agent at {state.pos} squeezed by platform at tick {tick}"
-                )
+                            return self.cell(pos)
+                return None
+        return None
 
-        if climbing and not self._adjacent_climbable(pos):
-            climbing = False
+    def _squeezed(self, agents: Agents, i: int, tick: int) -> PhysicsError:
+        who = "agent" if len(agents) == 1 else f"agent {i}"
+        pos = self.position(int(agents.cell[i]))
+        return PhysicsError(f"{who} at {pos} squeezed by platform at tick {tick}", agent=i)
 
-        # 6: recompute grounded and double-jump availability
-        x, y, z = pos
-        grounded = self.colliding((x, y - 1, z), t1)
-        if grounded:
-            dj = True
-        _, ny, nz = self.dims
-        if self._glitch[(x * ny + y) * nz + z]:
-            dj = True
+    def goal_ids(self, mask: int) -> tuple[int, ...]:
+        return tuple(self._goal_ids[j] for j in _bits(mask)) if mask else ()
 
-        new_state = AgentState(
-            pos=pos,
-            jump_ticks=jt,
-            grounded=grounded,
-            climbing=climbing,
-            double_jump_available=dj,
-            last_disp=(x - x0, y - y0, z - z0),
+    def bug_hits(self, inside: int, used: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+        """(regions, kinds) of a step's bug masks: regions entered, then
+        climbable bugs used, each in map order."""
+        if not inside | used:
+            return (), ()
+        regions = _bits(inside) + _bits(used)
+        return regions, tuple(self.map.bugs[i].kind for i in regions)
+
+    def outcomes(self, before: Sequence[AgentState], step: BatchStep) -> list[Outcome]:
+        """Each agent's (state', goal_ids, bug_regions, bug_kinds, r_e) after
+        ``step``, given its state before."""
+        a = step.agents
+        out = []
+        for s, cell, jt, grounded, climbing, dj, goals, inside, used in zip(
+            before, a.cell.tolist(), a.jump_ticks.tolist(), a.grounded.tolist(),
+            a.climbing.tolist(), a.double_jump.tolist(), step.goals.tolist(),
+            step.bugs_in.tolist(), step.bugs_used.tolist(),
+        ):
+            x, y, z = pos = self.position(cell)
+            x0, y0, z0 = s.pos
+            state = AgentState(pos, jt, grounded, climbing, dj, (x - x0, y - y0, z - z0))
+            regions, kinds = self.bug_hits(inside, used)
+            out.append((state, self.goal_ids(goals), regions, kinds, GOAL_REWARD if goals else 0.0))
+        return out
+
+    def replay(self, scripts: Sequence[Sequence[int]]) -> Replay:
+        """Play every script from spawn in one lockstep batch.
+
+        Scripts may differ in length. An agent past the end of its script is
+        frozen: it is not stepped again, so it can never be squeezed.
+        """
+        n = len(scripts)
+        lengths = np.array([len(s) for s in scripts], dtype=np.intp)
+        width = int(lengths.max(initial=0))
+        scripts_by_row = np.full((n, width), Action.WAIT, dtype=np.int8)
+        for i, script in enumerate(scripts):
+            scripts_by_row[i, : len(script)] = script
+        if scripts_by_row.size and not 0 <= scripts_by_row.min() <= scripts_by_row.max() < len(Action):
+            raise ValueError(f"action ids must lie in 0..{len(Action) - 1}")
+        actions = scripts_by_row.T
+        cell_type = np.int16 if self.size <= np.iinfo(np.int16).max else np.int32
+        states = (width + 1, n)
+        out = Replay(
+            self,
+            actions,
+            lengths,
+            np.empty(states, dtype=cell_type),
+            np.empty(states, dtype=np.int8),
+            np.empty(states, dtype=bool),
+            np.empty(states, dtype=bool),
+            np.empty(states, dtype=bool),
+            np.empty(states, dtype=bool),
+            np.zeros((width, n), dtype=self._bugs_in.dtype),
+            np.zeros((width, n), dtype=self._bugs_in.dtype),
         )
+        agents = self.spawn(n)
+        out.record(0, agents)
+        shortest = int(lengths.min()) if n else 0
+        for t in range(width):
+            if t < shortest:
+                step = self.step(agents, actions[t], t)
+                agents, live = step.agents, slice(None)
+            else:
+                live = np.flatnonzero(lengths > t)
+                try:
+                    step = self.step(agents[live], actions[t, live], t)
+                except PhysicsError as e:
+                    raise self._squeezed(agents, int(live[e.agent]), t) from None
+                for whole, part in zip(agents.arrays(), step.agents.arrays()):
+                    whole[live] = part
+            out.bugs_in[t, live] = step.bugs_in
+            out.bugs_used[t, live] = step.bugs_used
+            out.record(t + 1, agents)
+        return out
 
-        goal_ids = self._goals_at.get(pos, ())
-        regions, kinds = self._bugs_in.get(pos, _NO_BUGS)
-        if climbing:
-            # A climbable bug is "used", never occupied: count adjacency while attached.
-            used = self._bugs_beside.get(pos)
-            if used is not None:
-                regions, kinds = regions + used[0], kinds + used[1]
-        return new_state, goal_ids, regions, kinds, GOAL_REWARD if goal_ids else 0.0
 
-    def state_in_goal(self, pos: Vec3) -> bool:
-        return pos in self._goals_at
+@dataclass(slots=True)
+class Replay:
+    """States s_0..s_T of a batch of scripts played in lockstep, time-major:
+    row t holds every script's s_t (or action a_t). Rows past a script's end
+    repeat its last state, with Wait actions and zero bug masks."""
+
+    physics: Physics
+    actions: np.ndarray  # (T, N) int8
+    lengths: np.ndarray  # (N,) actions in each script
+    cell: np.ndarray  # (T+1, N) flat padded index
+    jump_ticks: np.ndarray  # (T+1, N) int8
+    grounded: np.ndarray  # (T+1, N) bool
+    climbing: np.ndarray  # (T+1, N) bool
+    double_jump: np.ndarray  # (T+1, N) bool
+    goal: np.ndarray  # (T+1, N) bool: the state is in an active goal
+    bugs_in: np.ndarray  # (T, N) bit masks, as in BatchStep
+    bugs_used: np.ndarray  # (T, N)
+
+    def record(self, t: int, agents: Agents) -> None:
+        """Store ``agents`` as every script's state s_t."""
+        self.cell[t] = agents.cell
+        self.jump_ticks[t] = agents.jump_ticks
+        self.grounded[t] = agents.grounded
+        self.climbing[t] = agents.climbing
+        self.double_jump[t] = agents.double_jump
+        self.goal[t] = self.physics._goals[agents.cell] != 0
+
+    def first_goal(self) -> np.ndarray:
+        """Each script's first state index in a goal, -1 where it has none."""
+        return np.where(self.goal.any(axis=0), self.goal.argmax(axis=0), -1)
+
+    def state_table(self, ends: np.ndarray) -> tuple[list[AgentState], np.ndarray]:
+        """Number the distinct states s_0..s_{ends[i]} of every script (none
+        where ``ends[i]`` is -1) in first-seen order, script by script.
+
+        Returns the distinct states and the id of every included state, flat
+        in the same order. States are compared as whole ``AgentState``s: the
+        key holds the voxel, the voxel one step earlier (so the last
+        displacement), the jump ticks and the three flags.
+        """
+        take = (np.arange(len(self.cell))[:, None] <= ends).T
+        prev = np.concatenate([self.cell[:1], self.cell[:-1]])
+        flags = (
+            self.jump_ticks.T[take] * 8
+            + self.grounded.T[take] + 2 * self.climbing.T[take] + 4 * self.double_jump.T[take]
+        )
+        size = self.physics.size
+        keys = (self.cell.T[take].astype(np.int64) * size + prev.T[take]) * 24 + flags
+        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        states = []
+        for key in distinct[order].tolist():
+            pair, flag = divmod(key, 24)
+            here, before = divmod(pair, size)
+            x, y, z = pos = self.physics.position(here)
+            x0, y0, z0 = self.physics.position(before)
+            states.append(AgentState(
+                pos, flag >> 3, bool(flag & 1), bool(flag & 2), bool(flag & 4),
+                (x - x0, y - y0, z - z0),
+            ))
+        return states, rank[inverse]
+
+    def trajectory(self, i: int) -> Trajectory:
+        """Script ``i`` as a :class:`Trajectory`."""
+        phys = self.physics
+        n = int(self.lengths[i])
+        positions = [phys.position(c) for c in self.cell[: n + 1, i].tolist()]
+        states = [
+            AgentState(pos, jt, g, c, dj, (pos[0] - p0[0], pos[1] - p0[1], pos[2] - p0[2]))
+            for pos, p0, jt, g, c, dj in zip(
+                positions, positions[:1] + positions[:-1],
+                self.jump_ticks[: n + 1, i].tolist(), self.grounded[: n + 1, i].tolist(),
+                self.climbing[: n + 1, i].tolist(), self.double_jump[: n + 1, i].tolist(),
+            )
+        ]
+        goal_flags = self.goal[: n + 1, i].tolist()
+        hits = [
+            phys.bug_hits(inside, used)
+            for inside, used in zip(self.bugs_in[:n, i].tolist(), self.bugs_used[:n, i].tolist())
+        ]
+        return Trajectory(
+            states,
+            self.actions[:n, i].tolist(),
+            [GOAL_REWARD if g else 0.0 for g in goal_flags[1:]],
+            goal_flags,
+            [regions for regions, _ in hits],
+            [kinds for _, kinds in hits],
+        )
 
 
 class Env:
-    """Episode wrapper around :class:`Physics` with a fixed step budget."""
+    """One agent stepped through :class:`Physics` with a fixed step budget."""
 
-    def __init__(
-        self,
-        vmap: VoxelMap,
-        episode_length: int = 128,
-        bugs_enabled: bool = True,
-        physics: Physics | None = None,
-    ):
-        """``physics``, when given, is an engine for ``vmap`` to share instead
-        of building one; ``bugs_enabled`` then goes unread."""
+    def __init__(self, vmap: VoxelMap, episode_length: int = 128, bugs_enabled: bool = True):
         if episode_length < 1:
             raise ValueError("episode_length must be >= 1")
-        self.physics = physics or Physics(vmap, bugs_enabled=bugs_enabled)
+        self.physics = Physics(vmap, bugs_enabled=bugs_enabled)
         self.map = vmap
         self.episode_length = episode_length
-        self._tick = 0
-        self.state = self.physics.initial_state()
+        self.reset()
 
     @property
     def tick(self) -> int:
@@ -538,17 +758,18 @@ class Env:
         # symmetry with stochastic environments and ignored.
         del seed
         self._tick = 0
+        self._agents = self.physics.spawn(1)
         self.state = self.physics.initial_state()
         return self.state
 
     def step(self, action: Action) -> StepResult:
-        new_state, goal_ids, regions, kinds, r_e = self.physics.step(
-            self.state, action, self._tick
-        )
+        step = self.physics.step(self._agents, np.array([Action(action)]), self._tick)
+        [(state, goal_ids, regions, kinds, r_e)] = self.physics.outcomes([self.state], step)
         self._tick += 1
-        self.state = new_state
+        self._agents = step.agents
+        self.state = state
         return StepResult(
-            state=new_state,
+            state=state,
             r_e=r_e,
             done=self._tick >= self.episode_length,
             goal_ids=goal_ids,
@@ -562,36 +783,27 @@ class Trajectory:
     """One episode: states s_0..s_T, actions a_0..a_{T-1} and outcome flags."""
 
     states: list[AgentState]
-    actions: list[Action]
+    actions: list[int]
     r_e: list[float]
     goal_flags: list[bool]  # per state, length len(states)
     bug_region_steps: list[tuple[int, ...]]  # per action step
     bug_kind_steps: list[tuple[str, ...]]
 
     @classmethod
-    def start(cls, env: Env) -> Trajectory:
-        """An empty trajectory at ``env``'s current state."""
-        return cls([env.state], [], [], [env.physics.state_in_goal(env.state.pos)], [], [])
+    def start(cls, physics: Physics) -> Trajectory:
+        """An empty trajectory at spawn."""
+        state = physics.initial_state()
+        return cls([state], [], [], [physics.state_in_goal(state.pos)], [], [])
 
-    @classmethod
-    def replay(cls, env: Env, actions: Sequence[Action]) -> Trajectory:
-        """Reset ``env`` and record ``actions`` played from spawn."""
-        env.reset()
-        traj = cls.start(env)
-        for action in actions:
-            traj.step(env, action)
-        return traj
-
-    def step(self, env: Env, action: Action) -> StepResult:
-        """Step ``env`` by ``action`` and record the transition."""
-        res = env.step(action)
-        self.states.append(res.state)
+    def record(self, action: int, outcome: Outcome) -> None:
+        """Append one step's action and outcome."""
+        state, goal_ids, regions, kinds, r_e = outcome
+        self.states.append(state)
         self.actions.append(action)
-        self.r_e.append(res.r_e)
-        self.goal_flags.append(env.physics.state_in_goal(res.state.pos))
-        self.bug_region_steps.append(res.bug_regions)
-        self.bug_kind_steps.append(res.bug_kinds)
-        return res
+        self.r_e.append(r_e)
+        self.goal_flags.append(bool(goal_ids))
+        self.bug_region_steps.append(regions)
+        self.bug_kind_steps.append(kinds)
 
     @property
     def positions(self) -> list[Vec3]:
@@ -634,5 +846,4 @@ def play_script(
         raise ValueError(
             f"script has {len(actions)} actions, episode allows {episode_length}"
         )
-    env = Env(vmap, episode_length=max(len(actions), 1), bugs_enabled=bugs_enabled)
-    return Trajectory.replay(env, actions)
+    return Physics(vmap, bugs_enabled=bugs_enabled).replay([actions]).trajectory(0)

@@ -92,7 +92,8 @@ def softmax_ref(logits):
 
 
 def explore_transitions(physics, max_keys=2_000_000):
-    """Exhaustive BFS over the discrete dynamics from the spawn state.
+    """Exhaustive BFS over the discrete dynamics of a ``ScanPhysics`` from
+    the spawn state.
 
     State key: (position, jump ticks, double-jump flag, climbing flag,
     platform phase). Yields (state, phase, action, outcome) for every action
@@ -145,10 +146,11 @@ ADJACENT_8 = [(dx, dz) for dx in (-1, 0, 1) for dz in (-1, 0, 1) if dx or dz]
 
 
 class ScanPhysics:
-    """The simulator step written as scans: platform cells and travel from
-    ``MovingPlatform.cells_at``/``delta_at`` inside the step, numpy-indexed
-    voxel masks, and per-step loops over goals and bug regions. The oracle
-    for ``Physics.step``, which reads tables built once per map.
+    """The simulator step for one agent written as scans: platform cells and
+    travel from ``MovingPlatform.cells_at``/``delta_at`` inside the step,
+    numpy-indexed voxel masks, and per-step loops over goals and bug regions.
+    The oracle for ``Physics.step``, which steps a batch of agents from
+    tables built once per map.
 
     ``carried`` and ``pushed`` count the steps that took the platform carry
     and the platform push branches.
@@ -187,6 +189,10 @@ class ScanPhysics:
 
     def climbable(self, pos):
         return self.map.in_bounds(pos) and bool(self.climb[pos])
+
+    def initial_state(self):
+        x, y, z = self.map.spawn
+        return AgentState(self.map.spawn, grounded=self.colliding((x, y - 1, z), 0))
 
     def step(self, state, action, tick):
         x0, y0, z0 = pos = state.pos
@@ -336,7 +342,9 @@ def greedy_eval_ref(trainer, round_id):
         hit = env.physics.state_in_goal(env.state.pos)
         actions = []
         for _t in range(cfg.episode_length):
-            inputs = trainer._net_inputs(trainer._state_features(env), np.array(alpha))
+            inputs = trainer._net_inputs(
+                trainer._state_features(env.state, env.tick), np.array(alpha)
+            )
             acts, _, _ = act(trainer.policy, inputs, greedy=True)
             actions.append(int(acts[0]))
             hit = hit or bool(env.step(acts[0]).goal_ids)

@@ -48,11 +48,11 @@ from voxhunt.world import (
     Env,
     INFINITE_JUMP_GLITCH,
     MISSING_COLLISION,
-    Physics,
     play_script,
 )
 
 from .oracles import (
+    ScanPhysics,
     assert_grads_close,
     explore_states,
     fd_param_gradients,
@@ -362,8 +362,8 @@ def test_criterion_03_simulator_bfs_oracle():
     with criterion(3, "bug shortcuts reachable only with bugs enabled"):
         # area 1: missing-collision hole and the glitch column's upper cells
         m1 = load_fixture_map("testmap_area1")
-        pos_on, _, _ = explore_states(Physics(m1, bugs_enabled=True))
-        pos_off, _, _ = explore_states(Physics(m1, bugs_enabled=False))
+        pos_on, _, _ = explore_states(ScanPhysics(m1, bugs_enabled=True))
+        pos_off, _, _ = explore_states(ScanPhysics(m1, bugs_enabled=False))
         hole = next(b.voxels for b in m1.bugs if b.kind == MISSING_COLLISION)
         glitch = next(b.voxels for b in m1.bugs if b.kind == INFINITE_JUMP_GLITCH)
         glitch_top = {v for v in glitch if v[1] >= 8}
@@ -373,8 +373,8 @@ def test_criterion_03_simulator_bfs_oracle():
 
         # area 2: missing-collision hole; climbing only happens at the bug strip
         m2 = load_fixture_map("testmap_area2")
-        pos_on2, climb_on, _ = explore_states(Physics(m2, bugs_enabled=True))
-        pos_off2, climb_off, _ = explore_states(Physics(m2, bugs_enabled=False))
+        pos_on2, climb_on, _ = explore_states(ScanPhysics(m2, bugs_enabled=True))
+        pos_off2, climb_off, _ = explore_states(ScanPhysics(m2, bugs_enabled=False))
         hole2 = next(b.voxels for b in m2.bugs if b.kind == MISSING_COLLISION)
         assert hole2 <= pos_on2 and not (hole2 & pos_off2)
         strip_adjacent = {(4, y, 1) for y in range(1, 7)}

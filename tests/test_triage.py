@@ -20,11 +20,10 @@ from voxhunt.triage import (
     evaluate_bugs,
     export_trajectories,
     filter_theta,
-    replay_record,
     run_triage,
     score_trajectory,
 )
-from voxhunt.world import Action, Env, play_script
+from voxhunt.world import Action, play_script
 
 from .oracles import parse_export
 
@@ -240,8 +239,7 @@ class TestRunTriage:
         rnd = RNDPair(cfg.rnd_arch(), cfg.curiosity, rng, rng)
         rnd.target.load(run / "checkpoints" / "rnd_target.vxnp")
         rnd.predictor.load(run / "checkpoints" / "rnd_predictor.vxnp")
-        env = Env(vmap)
-        want = [score_trajectory(replay_record(r, env), rnd, enc) for r in records]
+        want = [score_trajectory(play_script(vmap, r["actions"]), rnd, enc) for r in records]
         want_demo = [score_trajectory(d.trajectory, rnd, enc)[0] for d in demos]
 
         rows = []
@@ -265,6 +263,35 @@ class TestRunTriage:
         records = TrajectoryLog.read(tiny_run / "dataset.jsonl")
         visited = {tuple(p) for r in records for p in r["positions"]}
         assert run_triage(tiny_run).coverage == len(visited)
+
+
+class TestStoredRecordsChecked:
+    @pytest.mark.parametrize(
+        "problem", ["action_12", "action_minus_3", "action_float", "action_bool", "positions"]
+    )
+    def test_cli_names_the_record(self, tiny_run, tmp_path, problem, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(tiny_run, run)
+        records = TrajectoryLog.read(run / "dataset.jsonl")
+        bad = records[1]
+        if problem == "positions":
+            bad["actions"].pop()
+            want = f"{len(bad['positions'])} positions for {len(bad['actions'])} actions"
+        else:
+            # each stand-in once replayed as the action it replaces (a Wait, or
+            # MoveS for true), so only the check can tell them apart
+            value, replaced = {
+                "action_12": (12, Action.WAIT), "action_minus_3": (-3, Action.WAIT),
+                "action_float": (9.7, Action.WAIT), "action_bool": (True, Action.MOVE_S),
+            }[problem]
+            bad["actions"][bad["actions"].index(replaced)] = value
+            want = f"stored action {value!r} is not an action id 0..9"
+        (run / "dataset.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        assert main(["triage", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: trajectory {bad['id']}: {want}" in err and "Traceback" not in err
+        assert not (run / "triage_report.json").exists()
 
 
 class TestExport:

@@ -1,5 +1,7 @@
 """Physics and map invariants for the voxel world."""
 
+from collections import defaultdict, deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,7 @@ from voxhunt.world import (
 )
 
 from .conftest import flat_map
-from .oracles import ScanPhysics, explore_states, explore_transitions
+from .oracles import ADJACENT_8, ScanPhysics, explore_states, explore_transitions
 
 
 A = Action
@@ -323,16 +325,17 @@ class TestProperties:
             env = Env(m)
             env.reset()
             phys = env.physics
+            ref = ScanPhysics(m)
             for t, a in enumerate(actions):
                 res = env.step(a)
                 s = res.state
+                x, y, z = s.pos
                 assert m.in_bounds(s.pos), f"{name}: out of bounds at step {t}"
-                assert phys.passable(s.pos, t + 1), f"{name}: inside solid at step {t}"
-                below = (s.pos[0], s.pos[1] - 1, s.pos[2])
+                assert not phys.colliding(s.pos, t + 1), f"{name}: inside solid at step {t}"
                 if s.grounded:
-                    assert phys.colliding(below, t + 1)
+                    assert phys.colliding((x, y - 1, z), t + 1)
                 if s.climbing:
-                    assert phys._adjacent_climbable(s.pos)
+                    assert any(ref.climbable((x + dx, y, z + dz)) for dx, dz in ADJACENT_8)
 
     @given(actions=action_sequences())
     @settings(max_examples=30, deadline=None)
@@ -364,53 +367,126 @@ class TestBugAsymmetry:
             name="mini", dims=(7, 5, 3), voxels=vox, spawn=(1, 1, 1),
             bugs=[BugRegion(kind=MISSING_COLLISION, voxels=hole)],
         )
-        pos_on, _, _ = explore_states(Physics(m, bugs_enabled=True))
-        pos_off, _, _ = explore_states(Physics(m, bugs_enabled=False))
+        pos_on, _, _ = explore_states(ScanPhysics(m, bugs_enabled=True))
+        pos_off, _, _ = explore_states(ScanPhysics(m, bugs_enabled=False))
         assert hole <= pos_on
         assert not (hole & pos_off)
         assert (5, 1, 1) in pos_on and (5, 1, 1) not in pos_off
 
 
 def assert_steps_match_scan(vmap, bugs_enabled):
-    """Every action from every reachable state gives the scan oracle's whole
-    return tuple, or the same squeeze; returns the oracle and the squeeze count."""
+    """Step every state the scan oracle reaches with all 10 actions, in one
+    batch per platform phase, and compare each agent with the oracle's whole
+    return tuple. A step the oracle squeezes is taken as a one-agent batch
+    and must raise the oracle's message. Returns the oracle and the squeezed
+    (state, phase, action, error) steps."""
     ref = ScanPhysics(vmap, bugs_enabled)
-    squeezes = 0
-    for s, phase, a, out in explore_transitions(Physics(vmap, bugs_enabled)):
+    physics = Physics(vmap, bugs_enabled)
+    batches, squeezed = defaultdict(list), []
+    for s, phase, a, out in explore_transitions(ref):
         if isinstance(out, PhysicsError):
-            squeezes += 1
-            with pytest.raises(PhysicsError) as exc:
-                ref.step(s, a, phase)
-            assert str(exc.value) == str(out)
+            squeezed.append((s, phase, a, out))
         else:
-            assert ref.step(s, a, phase) == out, (s, phase, a)
-    return ref, squeezes
+            batches[phase].append((s, a, out))
+    for phase, rows in batches.items():
+        before = [s for s, _, _ in rows]
+        step = physics.step(physics.pack(before), np.array([a for _, a, _ in rows]), phase)
+        assert physics.outcomes(before, step) == [out for _, _, out in rows], phase
+    for s, phase, a, out in squeezed:
+        with pytest.raises(PhysicsError) as exc:
+            physics.step(physics.pack([s]), np.array([a]), phase)
+        assert str(exc.value) == str(out)
+    return ref, batches, squeezed
+
+
+def two_platform_map():
+    """A period-4 shuttle along x and a period-6 lift along y (phase period
+    12); a ceiling over the lift squeezes a rider at the top."""
+    vox = np.zeros((7, 7, 7), dtype=np.uint8)
+    vox[:, 0, :] = SOLID
+    vox[5, 5:, 5] = SOLID
+    return VoxelMap(
+        name="two_platforms", dims=(7, 7, 7), voxels=vox, spawn=(1, 1, 1),
+        goals=[GoalRegion(id=0, voxels=frozenset({(6, 1, 1)}))],
+        platforms=[
+            MovingPlatform(footprint=((2, 1, 3),), axis="x", amplitude=2, period=4),
+            MovingPlatform(footprint=((5, 1, 5),), axis="y", amplitude=3, period=6),
+        ],
+    )
 
 
 class TestStepTables:
-    """``Physics.step`` reads tables built once per map; the scan-based step
-    in ``tests/oracles.py`` is the reference."""
+    """``Physics.step`` steps a batch from tables built once per map; the
+    scan-based one-agent step in ``tests/oracles.py`` is the reference."""
 
     @pytest.mark.parametrize("bugs_enabled", [True, False])
     @pytest.mark.parametrize("name", ["area1", "area2", "corridor"])
     def test_every_reachable_step_matches_scan(self, name, bugs_enabled, request):
-        ref, squeezes = assert_steps_match_scan(request.getfixturevalue(name), bugs_enabled)
-        assert squeezes == 0
+        _, _, squeezed = assert_steps_match_scan(request.getfixturevalue(name), bugs_enabled)
+        assert squeezed == []
 
     def test_two_platforms_carry_push_and_squeeze(self):
-        # a period-4 shuttle along x and a period-6 lift along y (phase period
-        # 12); a ceiling over the lift squeezes a rider at the top
-        vox = np.zeros((7, 7, 7), dtype=np.uint8)
-        vox[:, 0, :] = SOLID
-        vox[5, 5:, 5] = SOLID
-        m = VoxelMap(
-            name="two_platforms", dims=(7, 7, 7), voxels=vox, spawn=(1, 1, 1),
-            goals=[GoalRegion(id=0, voxels=frozenset({(6, 1, 1)}))],
-            platforms=[
-                MovingPlatform(footprint=((2, 1, 3),), axis="x", amplitude=2, period=4),
-                MovingPlatform(footprint=((5, 1, 5),), axis="y", amplitude=3, period=6),
-            ],
-        )
-        assert Physics(m).phase_period == 12
-        ref, squeezes = assert_steps_match_scan(m, True)
-        assert ref.carried > 0 and ref.pushed > 0 and squeezes > 0
+        m = two_platform_map()
+        physics = Physics(m)
+        assert physics.phase_period == 12
+        ref, batches, squeezed = assert_steps_match_scan(m, True)
+        assert ref.carried > 0 and ref.pushed > 0 and squeezed
+        # in a larger batch the error names the squeezed agent
+        s, phase, a, _ = squeezed[0]
+        rows = batches[phase][:3]
+        before = [row[0] for row in rows] + [s]
+        with pytest.raises(PhysicsError) as exc:
+            physics.step(physics.pack(before), np.array([row[1] for row in rows] + [a]), phase)
+        assert exc.value.agent == 3
+        assert str(exc.value) == f"agent 3 at {s.pos} squeezed by platform at tick {phase}"
+
+
+def squeeze_script(vmap):
+    """A shortest script after which one more Wait squeezes the agent,
+    found by a breadth-first search over the scan oracle."""
+    ref = ScanPhysics(vmap)
+    start = ref.initial_state()
+    seen, queue = {(start, 0)}, deque([(start, 0, [])])
+    while queue:
+        s, phase, script = queue.popleft()
+        try:
+            ref.step(s, Action.WAIT, phase)
+        except PhysicsError:
+            return script
+        for a in Action:
+            try:
+                nxt = (ref.step(s, a, phase)[0], (phase + 1) % ref.phase_period)
+            except PhysicsError:
+                continue
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((*nxt, script + [int(a)]))
+    raise AssertionError("no squeeze reachable")
+
+
+class TestReplay:
+    def test_ragged_scripts_match_one_script_calls(self, area1):
+        rng = np.random.default_rng(3)
+        scripts = [[int(a) for a in rng.integers(0, 10, size=n)] for n in (5, 0, 60, 17, 128, 60)]
+        replay = Physics(area1).replay(scripts)
+        ref = ScanPhysics(area1)
+        for i, script in enumerate(scripts):
+            traj = replay.trajectory(i)
+            assert traj == play_script(area1, script)
+            states = [ref.initial_state()]
+            for t, a in enumerate(script):
+                states.append(ref.step(states[-1], a, t)[0])
+            assert traj.states == states
+
+    def test_script_ending_under_the_squeezing_lift_is_frozen(self):
+        m = two_platform_map()
+        script = squeeze_script(m)
+        longer = [int(Action.WAIT)] * (len(script) + 10)
+        with pytest.raises(PhysicsError, match=r"^agent at .* squeezed"):
+            play_script(m, script + [int(Action.WAIT)])
+        with pytest.raises(PhysicsError) as exc:
+            Physics(m).replay([longer, script + [int(Action.WAIT)]])
+        assert exc.value.agent == 1 and str(exc.value).startswith("agent 1 at ")
+        replay = Physics(m).replay([script, longer])
+        assert replay.trajectory(0) == play_script(m, script)
+        assert replay.trajectory(1) == play_script(m, longer)
