@@ -3,12 +3,20 @@
 Everything here reports the *semantic* world only. Planted bugs are physics
 divergences, so encoders must be (and are) blind to them: observations built
 with bugs enabled or disabled are identical for identical states.
+
+``ObservationEncoder`` builds the network inputs of a whole batch of states
+(positions, earlier positions, flags and tick, as a ``Replay`` holds them)
+as gathers from tables built once per map: one padded occupancy volume per
+platform phase with the platform cells baked in, the flat offsets of the L^3
+window, and one sinusoidal code table per axis. The one-state calls
+(``position_code`` of a voxel, ``agent_info_vector`` of an ``AgentState``)
+are one-row calls of the same code. Ray casts stay a per-state march.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, sin, sqrt
+from math import cos, lcm, sin, sqrt
 
 import numpy as np
 
@@ -50,32 +58,25 @@ def positional_embedding(pos: int, cfg: PEConfig = PEConfig()) -> np.ndarray:
     return out
 
 
-def normalized_position(pos3: Vec3, dims: Vec3) -> np.ndarray:
-    return np.array([pos3[i] / dims[i] for i in range(3)], dtype=np.float64)
+def normalized_position(pos, dims: Vec3) -> np.ndarray:
+    """Each coordinate over the map's extent; ``pos`` is a voxel or an
+    (..., 3) array of them."""
+    return np.asarray(pos) / np.asarray(dims)
+
+
+def agent_info(disp, grounded, climbing, double_jump) -> np.ndarray:
+    """Flags plus last displacement and its unit direction, 9 values per
+    state; ``disp`` has a trailing axis of 3 over the flags' batch shape."""
+    disp = np.asarray(disp)
+    norm = np.sqrt((disp * disp).sum(axis=-1, keepdims=True))
+    unit = np.divide(disp, norm, out=np.zeros(disp.shape), where=norm > 0)
+    flags = np.stack([grounded, climbing, double_jump], axis=-1)
+    return np.concatenate([flags, disp, unit], axis=-1, dtype=np.float64)
 
 
 def agent_info_vector(state: AgentState) -> np.ndarray:
-    """Flags plus last displacement and its unit direction (9 values)."""
-    dx, dy, dz = state.last_disp
-    norm = sqrt(dx * dx + dy * dy + dz * dz)
-    if norm > 0:
-        ux, uy, uz = dx / norm, dy / norm, dz / norm
-    else:
-        ux = uy = uz = 0.0
-    return np.array(
-        [
-            1.0 if state.grounded else 0.0,
-            1.0 if state.climbing else 0.0,
-            1.0 if state.double_jump_available else 0.0,
-            float(dx),
-            float(dy),
-            float(dz),
-            ux,
-            uy,
-            uz,
-        ],
-        dtype=np.float64,
-    )
+    """One state's ``agent_info`` row."""
+    return agent_info(state.last_disp, state.grounded, state.climbing, state.double_jump_available)
 
 
 _RAY_ELEVATIONS = (-30.0, 0.0, 30.0)
@@ -136,7 +137,7 @@ def raycast_observation(
 
 
 class ObservationEncoder:
-    """Caches per-map lookup tables so per-step observation building is cheap."""
+    """Per-map lookup tables; every feature row of a batch is a gather."""
 
     def __init__(self, vmap: VoxelMap, L: int = 7, pe: PEConfig = PEConfig()):
         if L < 1 or L % 2 == 0:
@@ -149,26 +150,51 @@ class ObservationEncoder:
             np.stack([positional_embedding(i, pe) for i in range(n)])
             for n in (nx, ny, nz)
         ]
+        # Voxel p's cube is the L^3 window whose corner is p in the map padded
+        # by L // 2 voxels of solid, one volume per platform phase.
         r = L // 2
-        self._padded = np.full(
-            (nx + 2 * r, ny + 2 * r, nz + 2 * r), SOLID, dtype=np.uint8
-        )
-        self._padded[r : r + nx, r : r + ny, r : r + nz] = vmap.voxels
-        self._r = r
+        shape = (nx + 2 * r, ny + 2 * r, nz + 2 * r)
+        self._period = lcm(*(p.period for p in vmap.platforms))
+        volumes = np.full((self._period, *shape), SOLID, dtype=np.uint8)
+        volumes[:, r : r + nx, r : r + ny, r : r + nz] = vmap.voxels
+        for phase, volume in enumerate(volumes):
+            for p in vmap.platforms:
+                volume[tuple((np.array(sorted(p.cells_at(phase))) + r).T)] = SOLID
+        self._volumes = volumes.reshape(self._period, -1)
+        self._strides = s = np.array([shape[1] * shape[2], shape[2], 1])
+        w = np.arange(L)
+        self._window = (w[:, None, None] * s[0] + w[:, None] * s[1] + w).reshape(-1)
 
-    def occupancy(self, state: AgentState, tick: int = 0) -> np.ndarray:
-        L, r = self.L, self._r
-        x, y, z = state.pos
-        out = self._padded[x : x + L, y : y + L, z : z + L].copy()
-        for p in self.map.platforms:
-            for (px, py, pz) in p.cells_at(tick):
-                ix, iy, iz = px - x + r, py - y + r, pz - z + r
-                if 0 <= ix < L and 0 <= iy < L and 0 <= iz < L:
-                    out[ix, iy, iz] = SOLID
-        out[r, r, r] = AGENT_CODE
+    def cubes(self, pos: np.ndarray, tick) -> np.ndarray:
+        """The flat L^3 occupancy cube around each voxel of ``pos`` (m, 3) at
+        ``tick`` (one for all, or one per voxel): out of bounds and platforms
+        solid, the agent's code at the centre."""
+        phase = np.asarray(tick) % self._period
+        out = self._volumes[phase[..., None], (pos @ self._strides)[:, None] + self._window]
+        out[:, len(self._window) // 2] = AGENT_CODE
         return out
 
-    def position_code(self, pos: Vec3) -> np.ndarray:
+    def position_code(self, pos) -> np.ndarray:
+        """The X, Y and Z codes of a voxel, concatenated; an (..., 3) array
+        of voxels gives one row each."""
+        pos = np.asarray(pos)
         return np.concatenate(
-            [self._pe_tables[i][pos[i]] for i in range(3)]
+            [table[pos[..., i]] for i, table in enumerate(self._pe_tables)], axis=-1
         )
+
+    def features(
+        self, pos, prev, grounded, climbing, double_jump, tick, position_mode: str = "sinusoidal"
+    ) -> dict[str, np.ndarray]:
+        """Network inputs of a batch of states, one row each: the cube
+        ``occ`` at ``tick``, the sinusoidal ``pos_pe``, the position input
+        of ``position_mode`` (``pos``, or ``pos_idx`` when learned) and
+        ``info``. ``pos`` and ``prev`` are (m, 3) voxels at s_t and s_{t-1}."""
+        out = {"occ": self.cubes(pos, tick), "pos_pe": self.position_code(pos)}
+        if position_mode == "sinusoidal":
+            out["pos"] = out["pos_pe"]
+        elif position_mode == "normalized":
+            out["pos"] = normalized_position(pos, self.map.dims)
+        else:
+            out["pos_idx"] = pos.astype(np.int64)
+        out["info"] = agent_info(pos - prev, grounded, climbing, double_jump)
+        return out

@@ -14,7 +14,7 @@ discriminator from sharpening without bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from . import nn
 from .encode import ObservationEncoder
 from .mapio import load_demo_script
 from .policy import N_ACTIONS, occupancy_branch
-from .world import Action, Physics, PhysicsError, Trajectory, VoxelMap, WorldError, play_script
+from .world import Action, Physics, PhysicsError, Replay, Trajectory, VoxelMap, WorldError, play_script
 
 
 class DemoError(WorldError):
@@ -215,7 +215,8 @@ class Demo:
 @dataclass
 class DemoSet:
     map_name: str
-    demos: list[Demo] = field(default_factory=list)
+    demos: list[Demo]
+    replay: Replay  # every demo's script, one column each
 
     def __len__(self) -> int:
         return len(self.demos)
@@ -266,20 +267,19 @@ def load_demos(paths: list[str | Path], vmap: VoxelMap) -> DemoSet:
             _checked_demo(vmap, actions, goal_id, replay.trajectory(i), source)
             for i, (source, goal_id, actions) in enumerate(scripts)
         ],
+        replay,
     )
 
 
 def demo_pairs(
     demoset: DemoSet, encoder: ObservationEncoder
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reconstruct (occupancy, action) training pairs by replaying each demo."""
-    occ_rows = []
-    act_rows = []
-    for demo in demoset.demos:
-        for t, action in enumerate(demo.trajectory.actions):
-            occ_rows.append(encoder.occupancy(demo.trajectory.states[t], tick=t).reshape(-1))
-            act_rows.append(int(action))
-    return np.stack(occ_rows), np.array(act_rows, dtype=np.int64)
+    """(occupancy, action) training pairs of every demo step, demo by demo,
+    encoded from the demos' replay."""
+    replay = demoset.replay
+    demo, t = np.nonzero(np.arange(len(replay.actions)) < replay.lengths[:, None])
+    pos = replay.physics.positions(replay.cell[t, demo])
+    return encoder.cubes(pos, t), replay.actions[t, demo].astype(np.int64)
 
 
 class AMPModule:

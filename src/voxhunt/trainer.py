@@ -25,7 +25,7 @@ import numpy as np
 from . import nn
 from .config import TrainConfig, resolve_path
 from .curiosity import RNDPair
-from .encode import ObservationEncoder, agent_info_vector, normalized_position, raycast_observation
+from .encode import ObservationEncoder, raycast_observation
 from .imitation import AMPModule, demo_pairs, load_demos
 from .mapio import load_map
 from .policy import (
@@ -36,7 +36,7 @@ from .policy import (
     make_critic_net,
     make_policy_net,
 )
-from .world import AgentState, Physics, Trajectory, VoxelMap
+from .world import GOAL_REWARD, AgentState, Physics, Replay, VoxelMap, first_seen
 
 FORMAT_VERSION = 1
 
@@ -69,16 +69,26 @@ class Rollout:
     """One iteration's m episodes of T steps, rolled in lockstep."""
 
     alphas: np.ndarray  # (m,)
-    trajectories: list[Trajectory]
+    replay: Replay  # the episodes' states, actions and bug masks, time-major
     logp: np.ndarray  # (m, T)
-    # (m, T+1, ...) per state: the network inputs by name, and pos_pe for RND;
-    # "occ" is one ``nn.Rows`` over the distinct cubes (K, L^3), numbered in
-    # first-seen order, and every occupancy view is sliced from it
+    # (m, T+1, ...) per state, encoded from the replay's arrays: the network
+    # inputs by name, and pos_pe for RND; "occ" is one ``nn.Rows`` over the
+    # distinct cubes (K, L^3), numbered in first-seen order over the states
+    # tick by tick, and every occupancy view is sliced from it
     features: dict
 
     @property
     def actions(self) -> np.ndarray:
-        return np.array([tr.actions for tr in self.trajectories], dtype=np.int64)
+        return self.replay.actions.T.astype(np.int64)
+
+    @property
+    def r_e(self) -> np.ndarray:
+        """Goal reward of every step, (m, T)."""
+        return np.where(self.replay.goal[1:].T, GOAL_REWARD, 0.0)
+
+    @property
+    def reached_goal(self) -> np.ndarray:
+        return self.replay.goal.any(axis=0)
 
     def occ_steps(self) -> nn.Rows:
         """Occupancy of the state each action was taken in, one row per step."""
@@ -148,19 +158,17 @@ class Trainer:
         self.amp: AMPModule | None = None
         self.rnd: RNDPair | None = None
         if cfg.reward_mode == "full":
-            demoset = load_demos([resolve_path(p) for p in cfg.demo_paths], self.map)
-            expert_occ, expert_act = demo_pairs(demoset, self.encoder)
-            self.demoset = demoset
+            expert_occ, expert_act = demo_pairs(
+                load_demos([resolve_path(p) for p in cfg.demo_paths], self.map), self.encoder
+            )
             self.amp = AMPModule(
                 cfg.disc_arch(), cfg.imitation, expert_occ, expert_act, self._net_rng(2)
             )
             self.rnd = RNDPair(
                 cfg.rnd_arch(), cfg.curiosity, self._net_rng(3), self._net_rng(4)
             )
-        else:
-            self.demoset = None
 
-        self.visited: set[tuple[int, int, int]] = set()
+        self.visited: set[int] = set()  # cells of the trainer's physics
         self.total_env_steps = 0
         self.traj_count = 0
 
@@ -171,22 +179,16 @@ class Trainer:
             np.random.SeedSequence(entropy=self.cfg.seed, spawn_key=(1, iteration, episode))
         )
 
-    def _state_features(self, state: AgentState, tick: int) -> dict[str, np.ndarray]:
-        """One state's network inputs by name, plus pos_pe for the novelty nets."""
-        cfg = self.cfg
-        # Occupancy is always recorded: the discriminator consumes it even when
-        # the policy's perception branch is ablated away.
-        row = {"occ": self.encoder.occupancy(state, tick).reshape(-1)}
-        if cfg.perception == "raycast":
-            row["rays"] = raycast_observation(self.map, state, tick=tick)
-        row["pos_pe"] = self.encoder.position_code(state.pos)
-        if cfg.position_mode == "sinusoidal":
-            row["pos"] = row["pos_pe"]
-        elif cfg.position_mode == "normalized":
-            row["pos"] = normalized_position(state.pos, self.map.dims)
-        else:
-            row["pos_idx"] = np.array(state.pos, dtype=np.int64)
-        row["info"] = agent_info_vector(state)
+    def _features(self, rec: Replay, t: int) -> dict[str, np.ndarray]:
+        """The network inputs of every episode's state s_t, plus pos_pe for
+        the novelty nets. Occupancy is always built: the discriminator
+        consumes it even when the policy's perception branch is ablated away."""
+        pos, prev, *flags = rec.rows(t)
+        row = self.encoder.features(pos, prev, *flags, t, self.cfg.position_mode)
+        if self.cfg.perception == "raycast":
+            row["rays"] = np.stack(
+                [raycast_observation(self.map, AgentState(tuple(p)), tick=t) for p in pos.tolist()]
+            )
         return row
 
     def _net_inputs(self, features: dict, alpha: np.ndarray) -> dict:
@@ -208,33 +210,29 @@ class Trainer:
         """
         m, T = len(alphas), self.cfg.episode_length
         physics = self.physics
+        rec = Replay.empty(physics, np.full(m, T))
         agents = physics.spawn(m)
-        trajs = [Trajectory.start(physics) for _ in range(m)]
+        rec.record(0, agents)
 
         states: list[dict[str, np.ndarray]] = []
-        cube_ids: dict[bytes, int] = {}
-        occ_id = np.zeros((m, T + 1), dtype=np.int64)
         logp = np.zeros((m, T))
         for t in range(T + 1):
-            now = [tr.states[-1] for tr in trajs]
-            rows = [self._state_features(state, t) for state in now]
-            for i, r in enumerate(rows):
-                occ_id[i, t] = cube_ids.setdefault(r["occ"].tobytes(), len(cube_ids))
-            states.append({k: np.stack([r[k] for r in rows]) for k in rows[0]})
+            states.append(self._features(rec, t))
             if t == T:
                 break
             inputs = self._net_inputs(states[-1], alphas)
             acts, logp[:, t], _ = act(self.policy, inputs, rngs, greedy=rngs is None)
             step = physics.step(agents, acts, t)
             agents = step.agents
-            for tr, a, outcome in zip(trajs, acts.tolist(), physics.outcomes(now, step)):
-                tr.record(a, outcome)
+            rec.actions[t], rec.bugs_in[t], rec.bugs_used[t] = acts, step.bugs_in, step.bugs_used
+            rec.record(t + 1, agents)
 
         # The rollout keeps the occupancy once: as ids into the distinct cubes.
-        features = {k: np.stack([s[k] for s in states], axis=1) for k in states[0] if k != "occ"}
-        cubes = np.frombuffer(b"".join(cube_ids), dtype=np.uint8).reshape(len(cube_ids), -1)
-        features["occ"] = nn.Rows(cubes, occ_id)
-        return Rollout(alphas, trajs, logp, features)
+        occ = np.stack([s.pop("occ") for s in states]).reshape((T + 1) * m, -1)
+        first, ids = first_seen(occ.view(np.dtype((np.void, occ.shape[1]))).reshape(-1))
+        features = {k: np.stack([s[k] for s in states], axis=1) for k in states[0]}
+        features["occ"] = nn.Rows(occ[first], ids.reshape(T + 1, m).T)
+        return Rollout(alphas, rec, logp, features)
 
     # --------------------------------------------------------------- update
 
@@ -253,8 +251,7 @@ class Trainer:
     def _build_batch(self, ro: Rollout, r_i, rc_norm):
         cfg = self.cfg
         m, T = ro.logp.shape
-        r_e = np.array([tr.r_e for tr in ro.trajectories])
-        R = combine_reward(rc_norm, r_i, r_e, ro.alphas[:, None])
+        R = combine_reward(rc_norm, r_i, ro.r_e, ro.alphas[:, None])
 
         # Critic values for every state (bootstraps the truncated tail).
         alpha = np.repeat(ro.alphas[:, None], T + 1, axis=1)
@@ -285,8 +282,7 @@ class Trainer:
         if cfg.alpha_mode == "fixed":  # drawn anyway: both modes consume the same streams
             alphas = np.full_like(alphas, cfg.alpha_value)
         ro = self.collect_group(alphas, rngs)
-        for tr in ro.trajectories:
-            self.visited.update(tr.positions)
+        self.visited.update(ro.replay.cell.ravel().tolist())
         self.total_env_steps += ro.logp.size
         r_i, rc_raw, rc_norm = self._reward_components(ro)
         batch, R = self._build_batch(ro, r_i, rc_norm)
@@ -302,30 +298,36 @@ class Trainer:
         stats.update(self.ppo.update(batch, update_rng))
 
         if log is not None:
-            for i, (alpha, tr) in enumerate(zip(ro.alphas, ro.trajectories)):
+            rec, physics = ro.replay, self.physics
+            positions = physics.positions(rec.cell.T).tolist()
+            first_goal, r_e = rec.first_goal().tolist(), ro.r_e.tolist()
+            for i, (alpha, actions, entered) in enumerate(
+                zip(ro.alphas, rec.actions.T.tolist(), rec.entered().tolist())
+            ):
+                regions, kinds = physics.bug_hits(entered, 0)
                 log.append(
                     {
                         "id": self.traj_count,
                         "iter": iteration,
                         "ep": i,
                         "alpha": float(alpha),
-                        "reached_goal": tr.reached_goal,
-                        "first_goal": tr.first_goal_state_index,
-                        "positions": [list(p) for p in tr.positions],
-                        "actions": tr.actions,
-                        "re": [float(v) for v in tr.r_e],
+                        "reached_goal": first_goal[i] >= 0,
+                        "first_goal": first_goal[i] if first_goal[i] >= 0 else None,
+                        "positions": positions[i],
+                        "actions": actions,
+                        "re": r_e[i],
                         "ri": [float(v) for v in r_i[i]],
                         "rc_raw": [float(v) for v in rc_raw[i]],
                         "rc_norm": [float(v) for v in rc_norm[i]],
                         "R": [float(v) for v in R[i]],
-                        "bug_regions": sorted(tr.bug_regions_entered),
-                        "bug_kinds": sorted(tr.bug_kinds_entered),
+                        "bug_regions": list(regions),
+                        "bug_kinds": sorted(set(kinds)),
                     }
                 )
                 self.traj_count += 1
             log.flush()
 
-        goal_rate = float(np.mean([tr.reached_goal for tr in ro.trajectories]))
+        goal_rate = float(np.mean(ro.reached_goal))
         metrics = {
             "iteration": iteration,
             "env_steps": self.total_env_steps,
@@ -348,8 +350,7 @@ class Trainer:
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(3, round_id))
         )
         alphas = np.array([sample_alpha(rng) for _ in range(cfg.eval_episodes)])
-        ro = self.collect_group(alphas)
-        return float(np.mean([tr.reached_goal for tr in ro.trajectories]))
+        return float(np.mean(self.collect_group(alphas).reached_goal))
 
     # ------------------------------------------------------------------ run
 
@@ -392,7 +393,7 @@ class Trainer:
                 except nn.NonFiniteError as e:
                     self.save_checkpoints(run_dir / "checkpoints")
                     diag = {"iteration": it, "error": str(e)}
-                    (run_dir / "diagnostics.json").write_text(json.dumps(diag) + "\n")
+                    nn.write_atomic(run_dir / "diagnostics.json", json.dumps(diag) + "\n")
                     raise TrainingDiverged(f"iteration {it}: {e}") from e
                 if cfg.eval_every and (it + 1) % cfg.eval_every == 0:
                     eval_rate = self.evaluate(it)
@@ -411,8 +412,8 @@ class Trainer:
             metrics_fh.close()
         self.save_checkpoints(run_dir / "checkpoints")
         # Wall-clock info lives outside the manifest so reruns stay bit-identical.
-        (run_dir / "timing.json").write_text(
-            json.dumps({"seconds": time.time() - started}) + "\n"
+        nn.write_atomic(
+            run_dir / "timing.json", json.dumps({"seconds": time.time() - started}) + "\n"
         )
         return {
             "run_dir": str(run_dir),

@@ -21,10 +21,11 @@ lockstep simulator call and checks each record against its stored positions.
 A state's novelty depends on the state alone, and goal prefixes share most
 of their states. The replay's goal-prefix states are numbered in one
 run-wide table of distinct states, in first-seen order (records first, then
-demos), and only those distinct states become ``AgentState``s. The table is
-scored once, in RND calls no larger than one episode. Each score sums its
-prefix's per-state values in prefix order, so it reproduces the
-per-trajectory ``score_trajectory``; the tests check this bit for bit.
+demos), and the encoder reads each distinct state once, straight from the
+replay's arrays. The table is scored once, in RND calls no larger than one
+episode. Each score sums its prefix's per-state values in prefix order, so
+it equals scoring each trajectory on its own, state by state; the tests
+check this bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .config import TrainConfig, resolve_path
 from .curiosity import RNDPair
-from .encode import ObservationEncoder, agent_info_vector
+from .encode import ObservationEncoder, agent_info
 from .imitation import load_demos
 from .mapio import load_map
 from .trainer import TrajectoryLog, TriageError
@@ -105,32 +106,6 @@ class TriageReport:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True)
 
 
-def state_curiosity(
-    states, rnd: RNDPair, encoder: ObservationEncoder
-) -> np.ndarray:
-    """Raw curiosity of each state (position code + agent info features)."""
-    inputs = {
-        "pos": np.stack([encoder.position_code(s.pos) for s in states]),
-        "info": np.stack([agent_info_vector(s) for s in states]),
-    }
-    return rnd.raw_reward(inputs)
-
-
-def score_trajectory(
-    trajectory: Trajectory, rnd: RNDPair, encoder: ObservationEncoder
-) -> tuple[float | None, int | None]:
-    """Average raw curiosity from the start to the first goal entry.
-
-    Returns (score, T). A trajectory that never reaches a goal is not
-    scoreable and returns (None, None).
-    """
-    T = trajectory.first_goal_state_index
-    if T is None:
-        return None, None
-    rc = state_curiosity(trajectory.states[: T + 1], rnd, encoder)
-    return float(rc.sum() / max(T, 1)), T
-
-
 def record_actions(record: dict) -> list[int]:
     """A stored record's action ids. TriageError names the record if an
     action is not an int in 0..9 (a bool is not), or if the record does not
@@ -182,25 +157,30 @@ def score_records(
         if replayed.tolist() != rec["positions"]:
             raise TriageError(f"trajectory {rec.get('id')}: replay diverged from stored positions")
 
+    ends = replay.first_goal()
+    t, script, ids = replay.state_table(ends)
+
+    def curiosity(a: int, b: int) -> np.ndarray:
+        """Raw curiosity of distinct states a..b-1 (position code + agent info)."""
+        pos, prev, *flags = replay.rows(t[a:b], script[a:b])
+        inputs = {"pos": encoder.position_code(pos), "info": agent_info(pos - prev, *flags)}
+        return rnd.raw_reward(inputs)
+
     # Calls of near-equal size, so none has one row unless the table does:
     # numpy hands a one-row product to gemv, which rounds differently from
     # the gemm that a multi-row call runs.
-    ends = replay.first_goal()
-    states, ids = replay.state_table(ends)
     rc = np.zeros(0)
-    if states:
-        calls = -(-len(states) // max_rows)
-        edges = [len(states) * i // calls for i in range(calls + 1)]
-        rc = np.concatenate(
-            [state_curiosity(states[a:b], rnd, encoder) for a, b in zip(edges, edges[1:])]
-        )
+    if len(t):
+        calls = -(-len(t) // max_rows)
+        edges = [len(t) * i // calls for i in range(calls + 1)]
+        rc = np.concatenate([curiosity(a, b) for a, b in zip(edges, edges[1:])])
     starts = np.concatenate([[0], np.cumsum(ends + 1)]).tolist()
     averages = [
         float(rc[ids[a:b]].sum() / max(end, 1)) if end >= 0 else None
         for a, b, end in zip(starts, starts[1:], ends.tolist())
     ]
 
-    entered = np.bitwise_or.reduce(replay.bugs_in[:, :n] | replay.bugs_used[:, :n], axis=0)
+    entered = replay.entered()[:n]
     scores = [
         TrajectoryScore(
             traj_id=int(rec["id"]),

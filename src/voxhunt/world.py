@@ -18,10 +18,11 @@ Observations never see physics, only semantics, so the same map stepped with
 ``Physics.step`` is the only implementation of the step rules. It advances a
 lockstep batch of agents in one numpy call: each agent is a flat index into
 the map padded with collision, plus its jump ticks and flags, and every rule
-is a lookup in per-phase tables built once per map. Training steps its m
-episodes with one call per tick; ``Physics.replay`` plays any number of
-scripts of any lengths at once (triage replays a whole dataset in one call);
-``Env`` and ``play_script`` are one-agent calls of the same step.
+is a lookup in per-phase tables built once per map. A batch's states are
+kept as the time-major arrays of a ``Replay``: ``Physics.replay`` plays any
+number of scripts of any lengths at once (triage replays a whole dataset in
+one call), and training records its m lockstep episodes, stepped with one
+call per tick, into the same arrays. ``play_script`` is a one-script replay.
 """
 
 from __future__ import annotations
@@ -276,20 +277,6 @@ class VoxelMap:
 
 
 @dataclass(slots=True)
-class StepResult:
-    state: AgentState
-    r_e: float
-    done: bool
-    goal_ids: tuple[int, ...]
-    bug_regions: tuple[int, ...]
-    bug_kinds: tuple[str, ...]
-
-
-# One agent's share of a batch step: (state', goal_ids, bug_regions, bug_kinds, r_e).
-Outcome = tuple[AgentState, tuple[int, ...], tuple[int, ...], tuple[str, ...], float]
-
-
-@dataclass(slots=True)
 class Agents:
     """A lockstep batch of agents, one array entry per agent.
 
@@ -326,6 +313,16 @@ class BatchStep:
 def _bits(value: int) -> tuple[int, ...]:
     """Positions of the set bits of ``value``, lowest first."""
     return tuple(i for i in range(value.bit_length()) if value >> i & 1)
+
+
+def first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct values of ``keys`` in first-seen order. Returns the
+    index of each number's first occurrence, and every key's number."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return first[order], number[inverse]
 
 
 class Physics:
@@ -467,9 +464,6 @@ class Physics:
             return True
         return bool(self._collide[tick % self.phase_period, self.cell(pos)])
 
-    def state_in_goal(self, pos: Vec3) -> bool:
-        return self.map.in_bounds(pos) and bool(self._goals[self.cell(pos)])
-
     def initial_state(self) -> AgentState:
         spawn = self.map.spawn
         below = (spawn[0], spawn[1] - 1, spawn[2])
@@ -578,23 +572,6 @@ class Physics:
         regions = _bits(inside) + _bits(used)
         return regions, tuple(self.map.bugs[i].kind for i in regions)
 
-    def outcomes(self, before: Sequence[AgentState], step: BatchStep) -> list[Outcome]:
-        """Each agent's (state', goal_ids, bug_regions, bug_kinds, r_e) after
-        ``step``, given its state before."""
-        a = step.agents
-        out = []
-        for s, cell, jt, grounded, climbing, dj, goals, inside, used in zip(
-            before, a.cell.tolist(), a.jump_ticks.tolist(), a.grounded.tolist(),
-            a.climbing.tolist(), a.double_jump.tolist(), step.goals.tolist(),
-            step.bugs_in.tolist(), step.bugs_used.tolist(),
-        ):
-            x, y, z = pos = self.position(cell)
-            x0, y0, z0 = s.pos
-            state = AgentState(pos, jt, grounded, climbing, dj, (x - x0, y - y0, z - z0))
-            regions, kinds = self.bug_hits(inside, used)
-            out.append((state, self.goal_ids(goals), regions, kinds, GOAL_REWARD if goals else 0.0))
-        return out
-
     def replay(self, scripts: Sequence[Sequence[int]]) -> Replay:
         """Play every script from spawn in one lockstep batch.
 
@@ -603,32 +580,16 @@ class Physics:
         """
         n = len(scripts)
         lengths = np.array([len(s) for s in scripts], dtype=np.intp)
-        width = int(lengths.max(initial=0))
-        scripts_by_row = np.full((n, width), Action.WAIT, dtype=np.int8)
+        out = Replay.empty(self, lengths)
+        actions = out.actions
         for i, script in enumerate(scripts):
-            scripts_by_row[i, : len(script)] = script
-        if scripts_by_row.size and not 0 <= scripts_by_row.min() <= scripts_by_row.max() < len(Action):
+            actions[: len(script), i] = script
+        if actions.size and not 0 <= actions.min() <= actions.max() < len(Action):
             raise ValueError(f"action ids must lie in 0..{len(Action) - 1}")
-        actions = scripts_by_row.T
-        cell_type = np.int16 if self.size <= np.iinfo(np.int16).max else np.int32
-        states = (width + 1, n)
-        out = Replay(
-            self,
-            actions,
-            lengths,
-            np.empty(states, dtype=cell_type),
-            np.empty(states, dtype=np.int8),
-            np.empty(states, dtype=bool),
-            np.empty(states, dtype=bool),
-            np.empty(states, dtype=bool),
-            np.empty(states, dtype=bool),
-            np.zeros((width, n), dtype=self._bugs_in.dtype),
-            np.zeros((width, n), dtype=self._bugs_in.dtype),
-        )
         agents = self.spawn(n)
         out.record(0, agents)
         shortest = int(lengths.min()) if n else 0
-        for t in range(width):
+        for t in range(len(actions)):
             if t < shortest:
                 step = self.step(agents, actions[t], t)
                 agents, live = step.agents, slice(None)
@@ -648,9 +609,10 @@ class Physics:
 
 @dataclass(slots=True)
 class Replay:
-    """States s_0..s_T of a batch of scripts played in lockstep, time-major:
-    row t holds every script's s_t (or action a_t). Rows past a script's end
-    repeat its last state, with Wait actions and zero bug masks."""
+    """States s_0..s_T of a batch of scripts (or rollout episodes) stepped
+    in lockstep, time-major: row t holds every script's s_t (or action a_t).
+    Rows past a script's end repeat its last state, with Wait actions and
+    zero bug masks."""
 
     physics: Physics
     actions: np.ndarray  # (T, N) int8
@@ -664,6 +626,27 @@ class Replay:
     bugs_in: np.ndarray  # (T, N) bit masks, as in BatchStep
     bugs_used: np.ndarray  # (T, N)
 
+    @classmethod
+    def empty(cls, physics: Physics, lengths: np.ndarray) -> Replay:
+        """Arrays for scripts of ``lengths`` actions, every action Wait and
+        every bug mask zero, with no state recorded yet."""
+        n, width = len(lengths), int(lengths.max(initial=0))
+        cell_type = np.int16 if physics.size <= np.iinfo(np.int16).max else np.int32
+        states, masks = (width + 1, n), (width, n)
+        return cls(
+            physics,
+            np.full(masks, Action.WAIT, dtype=np.int8),
+            lengths,
+            np.empty(states, dtype=cell_type),
+            np.empty(states, dtype=np.int8),
+            np.empty(states, dtype=bool),
+            np.empty(states, dtype=bool),
+            np.empty(states, dtype=bool),
+            np.empty(states, dtype=bool),
+            np.zeros(masks, dtype=physics._bugs_in.dtype),
+            np.zeros(masks, dtype=physics._bugs_in.dtype),
+        )
+
     def record(self, t: int, agents: Agents) -> None:
         """Store ``agents`` as every script's state s_t."""
         self.cell[t] = agents.cell
@@ -673,108 +656,65 @@ class Replay:
         self.double_jump[t] = agents.double_jump
         self.goal[t] = self.physics._goals[agents.cell] != 0
 
+    def rows(self, t, n=slice(None)) -> tuple[np.ndarray, ...]:
+        """The encoder's view of the states s_t of scripts ``n`` (``t`` and
+        ``n`` index as a pair): (positions, positions one step earlier,
+        grounded, climbing, double_jump). s_0 is its own earlier state."""
+        positions = self.physics.positions
+        return (
+            positions(self.cell[t, n]),
+            positions(self.cell[np.maximum(t - 1, 0), n]),
+            self.grounded[t, n],
+            self.climbing[t, n],
+            self.double_jump[t, n],
+        )
+
     def first_goal(self) -> np.ndarray:
         """Each script's first state index in a goal, -1 where it has none."""
         return np.where(self.goal.any(axis=0), self.goal.argmax(axis=0), -1)
 
-    def state_table(self, ends: np.ndarray) -> tuple[list[AgentState], np.ndarray]:
+    def entered(self) -> np.ndarray:
+        """Each script's bug regions entered or used, as one bit mask."""
+        return np.bitwise_or.reduce(self.bugs_in | self.bugs_used, axis=0)
+
+    def state_table(self, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Number the distinct states s_0..s_{ends[i]} of every script (none
         where ``ends[i]`` is -1) in first-seen order, script by script.
 
-        Returns the distinct states and the id of every included state, flat
-        in the same order. States are compared as whole ``AgentState``s: the
-        key holds the voxel, the voxel one step earlier (so the last
-        displacement), the jump ticks and the three flags.
+        Returns (t, n) of each distinct state's first occurrence, by number,
+        and the number of every included state, flat in the same order.
+        States are compared as whole ``AgentState``s: the key holds the voxel,
+        the voxel one step earlier (so the last displacement), the jump ticks
+        and the three flags.
         """
-        take = (np.arange(len(self.cell))[:, None] <= ends).T
-        prev = np.concatenate([self.cell[:1], self.cell[:-1]])
+        n, t = np.nonzero(np.arange(len(self.cell)) <= ends[:, None])
+        before = np.maximum(t - 1, 0)
         flags = (
-            self.jump_ticks.T[take] * 8
-            + self.grounded.T[take] + 2 * self.climbing.T[take] + 4 * self.double_jump.T[take]
+            self.jump_ticks[t, n] * 8
+            + self.grounded[t, n] + 2 * self.climbing[t, n] + 4 * self.double_jump[t, n]
         )
         size = self.physics.size
-        keys = (self.cell.T[take].astype(np.int64) * size + prev.T[take]) * 24 + flags
-        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        states = []
-        for key in distinct[order].tolist():
-            pair, flag = divmod(key, 24)
-            here, before = divmod(pair, size)
-            x, y, z = pos = self.physics.position(here)
-            x0, y0, z0 = self.physics.position(before)
-            states.append(AgentState(
-                pos, flag >> 3, bool(flag & 1), bool(flag & 2), bool(flag & 4),
-                (x - x0, y - y0, z - z0),
-            ))
-        return states, rank[inverse]
+        keys = (self.cell[t, n].astype(np.int64) * size + self.cell[before, n]) * 24 + flags
+        first, ids = first_seen(keys)
+        return t[first], n[first], ids
 
     def trajectory(self, i: int) -> Trajectory:
         """Script ``i`` as a :class:`Trajectory`."""
-        phys = self.physics
         n = int(self.lengths[i])
-        positions = [phys.position(c) for c in self.cell[: n + 1, i].tolist()]
+        pos, prev, *flags = (a.tolist() for a in self.rows(np.arange(n + 1), i))
         states = [
-            AgentState(pos, jt, g, c, dj, (pos[0] - p0[0], pos[1] - p0[1], pos[2] - p0[2]))
-            for pos, p0, jt, g, c, dj in zip(
-                positions, positions[:1] + positions[:-1],
-                self.jump_ticks[: n + 1, i].tolist(), self.grounded[: n + 1, i].tolist(),
-                self.climbing[: n + 1, i].tolist(), self.double_jump[: n + 1, i].tolist(),
-            )
+            AgentState(tuple(p), jt, *f, (p[0] - q[0], p[1] - q[1], p[2] - q[2]))
+            for p, q, jt, *f in zip(pos, prev, self.jump_ticks[: n + 1, i].tolist(), *flags)
         ]
         goal_flags = self.goal[: n + 1, i].tolist()
-        hits = [
-            phys.bug_hits(inside, used)
-            for inside, used in zip(self.bugs_in[:n, i].tolist(), self.bugs_used[:n, i].tolist())
-        ]
+        regions, kinds = self.physics.bug_hits(int(self.entered()[i]), 0)
         return Trajectory(
             states,
             self.actions[:n, i].tolist(),
             [GOAL_REWARD if g else 0.0 for g in goal_flags[1:]],
             goal_flags,
-            [regions for regions, _ in hits],
-            [kinds for _, kinds in hits],
-        )
-
-
-class Env:
-    """One agent stepped through :class:`Physics` with a fixed step budget."""
-
-    def __init__(self, vmap: VoxelMap, episode_length: int = 128, bugs_enabled: bool = True):
-        if episode_length < 1:
-            raise ValueError("episode_length must be >= 1")
-        self.physics = Physics(vmap, bugs_enabled=bugs_enabled)
-        self.map = vmap
-        self.episode_length = episode_length
-        self.reset()
-
-    @property
-    def tick(self) -> int:
-        return self._tick
-
-    def reset(self, seed: int = 0) -> AgentState:
-        # Physics is fully deterministic; the seed is accepted for interface
-        # symmetry with stochastic environments and ignored.
-        del seed
-        self._tick = 0
-        self._agents = self.physics.spawn(1)
-        self.state = self.physics.initial_state()
-        return self.state
-
-    def step(self, action: Action) -> StepResult:
-        step = self.physics.step(self._agents, np.array([Action(action)]), self._tick)
-        [(state, goal_ids, regions, kinds, r_e)] = self.physics.outcomes([self.state], step)
-        self._tick += 1
-        self._agents = step.agents
-        self.state = state
-        return StepResult(
-            state=state,
-            r_e=r_e,
-            done=self._tick >= self.episode_length,
-            goal_ids=goal_ids,
-            bug_regions=regions,
-            bug_kinds=kinds,
+            set(regions),
+            set(kinds),
         )
 
 
@@ -786,24 +726,8 @@ class Trajectory:
     actions: list[int]
     r_e: list[float]
     goal_flags: list[bool]  # per state, length len(states)
-    bug_region_steps: list[tuple[int, ...]]  # per action step
-    bug_kind_steps: list[tuple[str, ...]]
-
-    @classmethod
-    def start(cls, physics: Physics) -> Trajectory:
-        """An empty trajectory at spawn."""
-        state = physics.initial_state()
-        return cls([state], [], [], [physics.state_in_goal(state.pos)], [], [])
-
-    def record(self, action: int, outcome: Outcome) -> None:
-        """Append one step's action and outcome."""
-        state, goal_ids, regions, kinds, r_e = outcome
-        self.states.append(state)
-        self.actions.append(action)
-        self.r_e.append(r_e)
-        self.goal_flags.append(bool(goal_ids))
-        self.bug_region_steps.append(regions)
-        self.bug_kind_steps.append(kinds)
+    bug_regions_entered: set[int]  # entered, or for a climbable bug climbed on
+    bug_kinds_entered: set[str]
 
     @property
     def positions(self) -> list[Vec3]:
@@ -819,20 +743,6 @@ class Trajectory:
     @property
     def reached_goal(self) -> bool:
         return self.first_goal_state_index is not None
-
-    @property
-    def bug_regions_entered(self) -> set[int]:
-        out: set[int] = set()
-        for step in self.bug_region_steps:
-            out.update(step)
-        return out
-
-    @property
-    def bug_kinds_entered(self) -> set[str]:
-        out: set[str] = set()
-        for step in self.bug_kind_steps:
-            out.update(step)
-        return out
 
 
 def play_script(

@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from voxhunt import nn
+from voxhunt.encode import agent_info_vector
 from voxhunt.imitation import one_hot_actions
 from voxhunt.policy import act
 from voxhunt.world import (
@@ -25,7 +27,7 @@ from voxhunt.world import (
     UNINTENDED_CLIMBABLE,
     Action,
     AgentState,
-    Env,
+    Physics,
     PhysicsError,
 )
 
@@ -270,6 +272,121 @@ class ScanPhysics:
         return new_state, goal_ids, regions, kinds, r_e
 
 
+def event_scripts(vmap):
+    """A shortest script into each goal and each bug region of ``vmap``, by a
+    breadth-first search over a ``ScanPhysics`` keyed as in
+    ``explore_transitions``: {("goal", id) or ("bug", region): script}, where
+    the script's last step enters the goal or the region (or, for a climbable
+    bug, climbs on it)."""
+    ref = ScanPhysics(vmap)
+    start = ref.initial_state()
+
+    def key(s, ph):
+        return (s.pos, s.jump_ticks, s.double_jump_available, s.climbing, ph)
+
+    want = len(vmap.bugs) + len(vmap.goals)
+    seen, queue, found = {key(start, 0)}, deque([(start, 0, [])]), {}
+    while queue and len(found) < want:
+        s, ph, script = queue.popleft()
+        for a in Action:
+            try:
+                out = ref.step(s, a, ph)
+            except PhysicsError:
+                continue
+            for event in [("goal", g) for g in out[1]] + [("bug", r) for r in out[2]]:
+                found.setdefault(event, script + [int(a)])
+            nph = (ph + 1) % ref.phase_period
+            if key(out[0], nph) not in seen:
+                seen.add(key(out[0], nph))
+                queue.append((out[0], nph, script + [int(a)]))
+    return found
+
+
+def outcomes(physics, before, step):
+    """Each agent's (state', goal_ids, bug_regions, bug_kinds, r_e) after a
+    ``Physics.step`` batch, given its state before: the tuple
+    ``ScanPhysics.step`` returns, read from the ``BatchStep``'s arrays."""
+    a, out = step.agents, []
+    for i, s in enumerate(before):
+        x, y, z = pos = physics.position(int(a.cell[i]))
+        x0, y0, z0 = s.pos
+        state = AgentState(
+            pos, int(a.jump_ticks[i]), bool(a.grounded[i]), bool(a.climbing[i]),
+            bool(a.double_jump[i]), (x - x0, y - y0, z - z0),
+        )
+        goal_ids = physics.goal_ids(int(step.goals[i]))
+        regions, kinds = physics.bug_hits(int(step.bugs_in[i]), int(step.bugs_used[i]))
+        out.append((state, goal_ids, regions, kinds, GOAL_REWARD if goal_ids else 0.0))
+    return out
+
+
+@dataclass
+class StepResult:
+    state: AgentState
+    r_e: float
+    done: bool
+    goal_ids: tuple
+    bug_regions: tuple
+    bug_kinds: tuple
+
+
+class Env:
+    """One agent stepped through ``Physics`` as a batch of one, with a fixed
+    step budget."""
+
+    def __init__(self, vmap, episode_length=128, bugs_enabled=True):
+        if episode_length < 1:
+            raise ValueError("episode_length must be >= 1")
+        self.physics = Physics(vmap, bugs_enabled=bugs_enabled)
+        self.map = vmap
+        self.episode_length = episode_length
+        self.reset()
+
+    def reset(self, seed=0):
+        del seed  # physics is deterministic; the seed is accepted and ignored
+        self.tick = 0
+        self._agents = self.physics.spawn(1)
+        self.state = self.physics.initial_state()
+        return self.state
+
+    def step(self, action):
+        step = self.physics.step(self._agents, np.array([Action(action)]), self.tick)
+        [(state, goal_ids, regions, kinds, r_e)] = outcomes(self.physics, [self.state], step)
+        self.tick += 1
+        self._agents = step.agents
+        self.state = state
+        return StepResult(state, r_e, self.tick >= self.episode_length, goal_ids, regions, kinds)
+
+
+def state_curiosity(states, rnd, encoder):
+    """Raw curiosity of each state, encoded one state at a time."""
+    inputs = {
+        "pos": np.stack([encoder.position_code(s.pos) for s in states]),
+        "info": np.stack([agent_info_vector(s) for s in states]),
+    }
+    return rnd.raw_reward(inputs)
+
+
+def score_trajectory(trajectory, rnd, encoder):
+    """Average raw curiosity from the start to the first goal entry, one
+    trajectory at a time: (score, T), or (None, None) without a goal."""
+    T = trajectory.first_goal_state_index
+    if T is None:
+        return None, None
+    rc = state_curiosity(trajectory.states[: T + 1], rnd, encoder)
+    return float(rc.sum() / max(T, 1)), T
+
+
+def agent_info_ref(state):
+    """Flags, last displacement and its unit direction of one state, as
+    scalar arithmetic."""
+    dx, dy, dz = state.last_disp
+    norm = math.sqrt(dx * dx + dy * dy + dz * dz)
+    unit = [d / norm if norm > 0 else 0.0 for d in state.last_disp]
+    flags = (state.grounded, state.climbing, state.double_jump_available)
+    return np.array([1.0 if f else 0.0 for f in flags] + [float(dx), float(dy), float(dz)] + unit)
+
+
 def local_occupancy(vmap, state, L, tick=0):
     """Semantic L^3 cube centered on the agent, cut from the map per call;
     out-of-bounds encodes as solid. The oracle for
@@ -326,26 +443,30 @@ def parse_export(path):
 
 def greedy_eval_ref(trainer, round_id):
     """Greedy evaluation one episode at a time: a fresh Env per episode,
-    batch-1 actions, and a stop at the first goal entry.
+    batch-1 actions built from one-state encoder calls and the occupancy
+    oracle (sinusoidal positions, occupancy perception), and a stop at the
+    first goal entry.
 
     Returns (goal rate, [(alpha, actions taken, reached goal) per episode]).
     """
-    cfg = trainer.cfg
+    cfg, enc = trainer.cfg, trainer.encoder
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(3, round_id))
     )
     episodes = []
     for _ in range(cfg.eval_episodes):
         env = Env(trainer.map, cfg.episode_length)
-        env.reset()
         alpha = float(rng.random())
-        hit = env.physics.state_in_goal(env.state.pos)
+        hit = any(env.state.pos in g.voxels for g in trainer.map.goals if g.active)
         actions = []
         for _t in range(cfg.episode_length):
-            inputs = trainer._net_inputs(
-                trainer._state_features(env.state, env.tick), np.array(alpha)
-            )
-            acts, _, _ = act(trainer.policy, inputs, greedy=True)
+            s = env.state
+            row = {
+                "occ": local_occupancy(trainer.map, s, enc.L, env.tick).reshape(-1),
+                "pos": enc.position_code(s.pos),
+                "info": agent_info_vector(s),
+            }
+            acts, _, _ = act(trainer.policy, trainer._net_inputs(row, np.array(alpha)), greedy=True)
             actions.append(int(acts[0]))
             hit = hit or bool(env.step(acts[0]).goal_ids)
             if hit:

@@ -40,18 +40,18 @@ from voxhunt.triage import (
     compute_epsilon,
     filter_theta,
     run_triage,
-    score_trajectory,
+    score_records,
 )
 from voxhunt.world import (
     Action,
     AgentState,
-    Env,
     INFINITE_JUMP_GLITCH,
     MISSING_COLLISION,
     play_script,
 )
 
 from .oracles import (
+    Env,
     ScanPhysics,
     assert_grads_close,
     explore_states,
@@ -340,7 +340,8 @@ def test_criterion_02_formula_oracles(tmp_path):
 
         _, _, actions = load_demo_script(DEMO_PATHS[0])
         traj = play_script(vmap, actions)
-        got, T = score_trajectory(traj, pair, enc)
+        T = traj.first_goal_state_index
+        _, [got], _ = score_records([], vmap, pair, enc, [actions], max_rows=T + 1)
         hand = 0.0
         for t in range(T + 1):
             s = traj.states[t]
@@ -389,8 +390,9 @@ def test_criterion_03_simulator_bfs_oracle():
         rng = np.random.default_rng(1)
         env_on.reset()
         for t in range(100):
-            occ_off = ObservationEncoder(env_off.map, L=7).occupancy(env_on.state, env_on.tick)
-            assert np.array_equal(enc.occupancy(env_on.state, env_on.tick), occ_off)
+            pos = np.array([env_on.state.pos])
+            occ_off = ObservationEncoder(env_off.map, L=7).cubes(pos, env_on.tick)
+            assert np.array_equal(enc.cubes(pos, env_on.tick), occ_off)
             # agent info takes no map at all, so it cannot see the bugs either
             assert np.array_equal(
                 agent_info_vector(env_on.state), agent_info_vector(env_on.state)
@@ -469,7 +471,7 @@ def test_criterion_05_amp_separation():
             env = Env(vmap, episode_length=128)
             env.reset()
             for _ in range(128):
-                p_occ_rows.append(enc.occupancy(env.state, env.tick).reshape(-1))
+                p_occ_rows.append(enc.cubes(np.array([env.state.pos]), env.tick)[0])
                 a = int(rng.integers(0, 10))
                 p_act_rows.append(a)
                 env.step(a)
@@ -679,7 +681,7 @@ def test_alpha_conditioning_is_live(reward_sweep):
         inputs = {
             "pos": np.stack([enc.position_code(s.pos) for s in states]),
             "info": np.stack([agent_info_vector(s) for s in states]),
-            "occ": np.stack([enc.occupancy(s, 0).reshape(-1) for s in states]),
+            "occ": enc.cubes(np.array([s.pos for s in states]), 0),
             "alpha": np.full((len(states), 1), alpha),
         }
         _, _, probs = act(net, inputs, greedy=True)

@@ -12,10 +12,10 @@ from voxhunt.encode import (
     positional_embedding,
     raycast_observation,
 )
-from voxhunt.world import AGENT_CODE, AgentState, Env, SOLID
+from voxhunt.world import AGENT_CODE, AgentState, Physics, SOLID
 
 from .conftest import flat_map
-from .oracles import local_occupancy, positional_embedding_ref
+from .oracles import Env, agent_info_ref, local_occupancy, positional_embedding_ref
 
 
 class TestPositionalEmbedding:
@@ -133,13 +133,60 @@ class TestLocalOccupancy:
             local_occupancy(flat5, AgentState(pos=(2, 1, 2)), L=4)
 
     def test_encoder_matches_direct_function(self, area1):
-        enc = ObservationEncoder(area1, L=7)
+        """Every row of a batch encoded at every tick of five platform
+        periods, for L = 3 and 7, equals the one-state oracles: an Env walk
+        from spawn, the map's corners and edge midpoints, and the voxels just
+        above the platform at that tick."""
+        period = Physics(area1).phase_period
         env = Env(area1)
-        env.reset()
-        for t, a in enumerate(np.random.default_rng(2).integers(0, 10, size=40)):
-            res = env.step(int(a))
-            direct = local_occupancy(area1, res.state, L=7, tick=env.tick)
-            assert np.array_equal(enc.occupancy(res.state, env.tick), direct)
+        walk = [env.state]
+        for a in np.random.default_rng(2).integers(0, 10, size=5 * period):
+            walk.append(env.step(int(a)).state)
+        nx, ny, nz = area1.dims
+        edges = {
+            (x, y, z)
+            for x in (0, nx // 2, nx - 1)
+            for y in (0, ny // 2, ny - 1)
+            for z in (0, nz // 2, nz - 1)
+        }
+        rng = np.random.default_rng(3)
+        for L in (3, 7):
+            enc = ObservationEncoder(area1, L=L)
+            for t, state in enumerate(walk):
+                above = {(x, y + 1, z) for x, y, z in area1.platforms[0].cells_at(t)}
+                states = [state] + [
+                    AgentState(
+                        p, 0, *(bool(f) for f in rng.integers(0, 2, size=3)),
+                        tuple(int(d) for d in rng.integers(-1, 2, size=3)),
+                    )
+                    for p in sorted(edges | above)
+                ]
+                pos = np.array([s.pos for s in states])
+                prev = pos - np.array([s.last_disp for s in states])
+                flags = [np.array([getattr(s, f) for s in states]) for f in
+                         ("grounded", "climbing", "double_jump_available")]
+                rows = {
+                    mode: enc.features(pos, prev, *flags, t, mode)
+                    for mode in ("sinusoidal", "normalized", "learned")
+                }
+                got = rows["sinusoidal"]
+                assert got["occ"].shape == (len(states), L**3) and got["occ"].dtype == np.uint8
+                for i, s in enumerate(states):
+                    direct = local_occupancy(area1, s, L=L, tick=t).reshape(-1)
+                    assert np.array_equal(got["occ"][i], direct), (L, t, s)
+                    code = np.concatenate([positional_embedding(c, enc.pe) for c in s.pos])
+                    assert np.array_equal(got["pos_pe"][i], code)
+                    assert np.array_equal(got["pos_pe"][i], enc.position_code(s.pos))
+                    assert np.array_equal(got["pos"][i], code)
+                    assert np.array_equal(got["info"][i], agent_info_vector(s))
+                    assert np.array_equal(got["info"][i], agent_info_ref(s))
+                    assert np.array_equal(
+                        rows["normalized"]["pos"][i], normalized_position(s.pos, area1.dims)
+                    )
+                    assert rows["learned"]["pos_idx"][i].tolist() == list(s.pos)
+                for mode in ("normalized", "learned"):
+                    for key in ("occ", "pos_pe", "info"):
+                        assert np.array_equal(rows[mode][key], got[key])
 
 
 class TestObservationHonesty:
@@ -147,19 +194,16 @@ class TestObservationHonesty:
         rng = np.random.default_rng(7)
         actions = [int(a) for a in rng.integers(0, 10, size=80)]
         env_on = Env(area1, bugs_enabled=True)
-        env_off = Env(area1, bugs_enabled=False)
         enc = ObservationEncoder(area1, L=7)
-        env_on.reset()
         states = [env_on.state]
         for a in actions:
             states.append(env_on.step(a).state)
-        # Encoders only see (map, state, tick): rebuilding the same states on
-        # the bug-free world must give byte-identical observations.
-        del env_off
+        # Encoders only see (map, state, tick): encoding the same states again
+        # with a fresh encoder must give byte-identical observations.
+        pos, ticks = np.array([s.pos for s in states]), np.arange(len(states))
+        again = ObservationEncoder(area1, L=7).cubes(pos, ticks)
+        assert np.array_equal(enc.cubes(pos, ticks), again)
         for t, s in enumerate(states):
-            a_on = enc.occupancy(s, t)
-            a_again = ObservationEncoder(area1, L=7).occupancy(s, t)
-            assert np.array_equal(a_on, a_again)
             r1 = raycast_observation(area1, s, tick=t)
             r2 = raycast_observation(area1, s, tick=t)
             assert np.array_equal(r1, r2)

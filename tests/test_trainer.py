@@ -11,13 +11,15 @@ from voxhunt.config import TrainConfig
 from voxhunt.mapio import fixture_path
 from voxhunt.trainer import (
     Trainer,
+    TrainingDiverged,
     TrajectoryLog,
     combine_reward,
     run_training,
     sample_alpha,
 )
+from voxhunt.world import AgentState
 
-from .oracles import greedy_eval_ref
+from .oracles import event_scripts, greedy_eval_ref, local_occupancy
 
 
 def tiny_cfg(area1_demo_paths, **kw):
@@ -135,9 +137,9 @@ class TestTrainingRuns:
         for it in range(8):
             ref_rate, episodes = greedy_eval_ref(trainer, it)
             ro = trainer.collect_group(np.array([alpha for alpha, _, _ in episodes]))
-            for tr, (_, actions, hit) in zip(ro.trajectories, episodes):
-                assert [int(a) for a in tr.actions[: len(actions)]] == actions
-                assert tr.reached_goal == hit
+            for taken, reached, (_, actions, hit) in zip(ro.actions, ro.reached_goal, episodes):
+                assert taken[: len(actions)].tolist() == actions
+                assert reached == hit
             rates.append(trainer.evaluate(it))
             assert rates[-1] == ref_rate
             trainer.train_iteration(it, None)
@@ -169,9 +171,11 @@ class TestTrainingRuns:
         ids, cubes = occ.ids, occ.table
         assert ids.shape == (4, cfg.episode_length + 1)
         assert cubes.dtype == np.uint8 and cubes.shape[1] == 7**3
-        for i, tr in enumerate(ro.trajectories):
-            for t, state in enumerate(tr.states):
-                want = trainer.encoder.occupancy(state, t).reshape(-1)
+        rec = ro.replay
+        for i in range(4):
+            for t in range(cfg.episode_length + 1):
+                state = AgentState(trainer.physics.position(int(rec.cell[t, i])))
+                want = local_occupancy(trainer.map, state, 7, tick=t).reshape(-1)
                 assert np.array_equal(cubes[ids[i, t]], want)
         # ids count up from 0 in the order states are recorded (step by step)
         order = ids.T.reshape(-1)
@@ -187,6 +191,44 @@ class TestTrainingRuns:
         batch, _ = trainer._build_batch(ro, zeros, zeros)
         assert batch.inputs["occ"].stem_index is occ.stem_index and len(occ.stem_index) == 1
 
+    def test_rollout_records_the_replay_of_its_own_actions(
+        self, tmp_path, area1_demo_paths, monkeypatch
+    ):
+        from voxhunt import trainer as trainer_module
+
+        def assert_recorded(trainer, ro):
+            want = trainer.physics.replay(ro.actions.tolist())
+            for name in ("actions", "lengths", "cell", "jump_ticks", "grounded", "climbing",
+                         "double_jump", "goal", "bugs_in", "bugs_used"):
+                a, b = getattr(ro.replay, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            return ro.replay
+
+        trainer = Trainer(tiny_cfg(area1_demo_paths, episodes_per_iter=5), tmp_path / "run")
+        rngs = [trainer._episode_rng(0, e) for e in range(5)]
+        assert_recorded(trainer, trainer.collect_group(np.linspace(0.0, 1.0, 5), rngs))
+
+        # Scripted episodes into every goal and bug region (area2 has a
+        # climbable bug), then random actions, so every array is exercised.
+        T = 32
+        rng = np.random.default_rng(4)
+        for name in ("testmap_area1", "testmap_area2"):
+            cfg = TrainConfig(map_path=str(fixture_path(f"{name}.json")), demo_paths=[],
+                              reward_mode="extrinsic_only", episode_length=T)
+            trainer = Trainer(cfg, tmp_path / name)
+            heads = list(event_scripts(trainer.map).values()) + [[]]
+            scripts = np.array([(h + rng.integers(0, 10, size=T).tolist())[:T] for h in heads])
+            ticks = iter(range(T))
+
+            def scripted(policy, inputs, rngs, greedy):
+                return scripts[:, next(ticks)], np.zeros(len(scripts)), None
+
+            monkeypatch.setattr(trainer_module, "act", scripted)
+            rec = assert_recorded(trainer, trainer.collect_group(np.full(len(scripts), 0.5)))
+            assert rec.goal.any()
+            assert np.bitwise_or.reduce(rec.entered()) == (1 << len(trainer.map.bugs)) - 1
+            assert rec.bugs_used.any() == (name == "testmap_area2")
+
     def test_existing_run_dir_refused(self, tmp_path, area1_demo_paths):
         cfg = tiny_cfg(area1_demo_paths, iterations=0)
         run_training(cfg, tmp_path / "run")
@@ -201,6 +243,32 @@ class TestTrainingRuns:
         assert doc["config_hash"] == cfg.config_hash()
         assert "seconds" not in json.dumps(doc)  # timing lives in its own file
         assert (tmp_path / "run" / "timing.json").exists()
+
+    def test_timing_and_diagnostics_written_atomically(
+        self, tmp_path, area1_demo_paths, monkeypatch
+    ):
+        written = []
+        write_atomic = nn.write_atomic
+
+        def spy(path, data):
+            written.append(path.name)
+            write_atomic(path, data)
+
+        monkeypatch.setattr(nn, "write_atomic", spy)
+        run_training(tiny_cfg(area1_demo_paths, iterations=1), tmp_path / "run")
+        assert "timing.json" in written
+
+        trainer = Trainer(tiny_cfg(area1_demo_paths), tmp_path / "diverged")
+
+        def diverge(batch, rng):
+            raise nn.NonFiniteError("policy loss is nan")
+
+        monkeypatch.setattr(trainer.ppo, "update", diverge)
+        with pytest.raises(TrainingDiverged, match="iteration 0"):
+            trainer.run()
+        assert "diagnostics.json" in written
+        diag = json.loads((tmp_path / "diverged" / "diagnostics.json").read_text())
+        assert diag == {"iteration": 0, "error": "policy loss is nan"}
 
     def test_metrics_log_one_line_per_iteration(self, tmp_path, area1_demo_paths):
         cfg = tiny_cfg(area1_demo_paths, iterations=3)

@@ -21,11 +21,11 @@ from voxhunt.triage import (
     export_trajectories,
     filter_theta,
     run_triage,
-    score_trajectory,
+    score_records,
 )
 from voxhunt.world import Action, play_script
 
-from .oracles import parse_export
+from .oracles import parse_export, score_trajectory, state_curiosity
 
 
 def synth_score(i, alpha, reached=True, rc=0.5, bugs=()):
@@ -46,33 +46,36 @@ class TestScoreTrajectory:
             pair.predictor.set_params(pair.target.params())
         return pair
 
+    def _score(self, vmap, actions, rnd):
+        """(score, T) of one stored record, through triage's scoring."""
+        traj = play_script(vmap, actions)
+        rec = {"id": 0, "alpha": 0.5, "actions": [int(a) for a in actions],
+               "positions": [list(p) for p in traj.positions]}
+        enc = ObservationEncoder(vmap, L=7)
+        [score], _, _ = score_records([rec], vmap, rnd, enc, [], max_rows=len(actions) + 1)
+        return score.rc_avg, score.first_goal
+
     def test_identical_networks_score_zero(self, area1, area1_demo_paths):
         from voxhunt.mapio import load_demo_script
 
         _, _, actions = load_demo_script(area1_demo_paths[0])
-        traj = play_script(area1, actions)
-        enc = ObservationEncoder(area1, L=7)
-        score, T = score_trajectory(traj, self._rnd(identical=True), enc)
+        score, T = self._score(area1, actions, self._rnd(identical=True))
         assert score == 0.0
-        assert T == traj.first_goal_state_index
+        assert T == play_script(area1, actions).first_goal_state_index
 
     def test_sum_convention_one_extra_term_over_T(self, area1, area1_demo_paths):
         from voxhunt.mapio import load_demo_script
-        from voxhunt.triage import state_curiosity
 
         _, _, actions = load_demo_script(area1_demo_paths[0])
         traj = play_script(area1, actions)
-        enc = ObservationEncoder(area1, L=7)
         rnd = self._rnd()
-        score, T = score_trajectory(traj, rnd, enc)
-        per_state = state_curiosity(traj.states[: T + 1], rnd, enc)
+        score, T = self._score(area1, actions, rnd)
+        per_state = state_curiosity(traj.states[: T + 1], rnd, ObservationEncoder(area1, L=7))
         assert len(per_state) == T + 1  # sum runs 0..T inclusive
         assert score == pytest.approx(per_state.sum() / T, abs=1e-12)
 
     def test_never_reaching_goal_not_scoreable(self, area1):
-        traj = play_script(area1, [Action.WAIT] * 10)
-        enc = ObservationEncoder(area1, L=7)
-        score, T = score_trajectory(traj, self._rnd(), enc)
+        score, T = self._score(area1, [Action.WAIT] * 10, self._rnd())
         assert score is None and T is None
 
 

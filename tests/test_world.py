@@ -10,7 +10,6 @@ from voxhunt.world import (
     Action,
     AgentState,
     BugRegion,
-    Env,
     GoalRegion,
     MapInvariantError,
     MovingPlatform,
@@ -28,7 +27,7 @@ from voxhunt.world import (
 )
 
 from .conftest import flat_map
-from .oracles import ADJACENT_8, ScanPhysics, explore_states, explore_transitions
+from .oracles import ADJACENT_8, Env, ScanPhysics, explore_states, explore_transitions, outcomes
 
 
 A = Action
@@ -376,8 +375,8 @@ class TestBugAsymmetry:
 
 def assert_steps_match_scan(vmap, bugs_enabled):
     """Step every state the scan oracle reaches with all 10 actions, in one
-    batch per platform phase, and compare each agent with the oracle's whole
-    return tuple. A step the oracle squeezes is taken as a one-agent batch
+    batch per platform phase, and compare each agent, read from the batch's
+    arrays by the ``outcomes`` adapter, with the oracle's whole return tuple. A step the oracle squeezes is taken as a one-agent batch
     and must raise the oracle's message. Returns the oracle and the squeezed
     (state, phase, action, error) steps."""
     ref = ScanPhysics(vmap, bugs_enabled)
@@ -391,7 +390,7 @@ def assert_steps_match_scan(vmap, bugs_enabled):
     for phase, rows in batches.items():
         before = [s for s, _, _ in rows]
         step = physics.step(physics.pack(before), np.array([a for _, a, _ in rows]), phase)
-        assert physics.outcomes(before, step) == [out for _, _, out in rows], phase
+        assert outcomes(physics, before, step) == [out for _, _, out in rows], phase
     for s, phase, a, out in squeezed:
         with pytest.raises(PhysicsError) as exc:
             physics.step(physics.pack([s]), np.array([a]), phase)
