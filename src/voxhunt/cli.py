@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -18,7 +19,15 @@ from .config import ConfigError, TrainConfig, resolve_path
 from .imitation import DemoError, load_demos, record_demo
 from .mapio import load_demo_script, load_map, save_demo_script
 from .trainer import TrainingDiverged, TrajectoryLog, run_training
-from .triage import TriageError, export_trajectories, read_report, run_triage
+from .triage import (
+    EXPORT_FIELDS,
+    EXPORT_OPTIONAL,
+    TriageError,
+    check_fields,
+    export_trajectories,
+    read_report,
+    run_triage,
+)
 from .world import NAME_TO_ACTION, WorldError, play_script
 
 VALIDATION_EXIT = 2
@@ -62,6 +71,17 @@ def _load_config(args) -> TrainConfig:
     return cfg
 
 
+def _check_threshold(mode: str, epsilon: float | None, quantile: float | None = None) -> None:
+    """Triage threshold flags, checked before a run is read or trained."""
+    problems = []
+    if quantile is not None and not 0.0 <= quantile <= 1.0:  # also rejects nan
+        problems.append(f"--quantile must be a number in [0, 1], not {quantile}")
+    if mode == "absolute" and (epsilon is None or not math.isfinite(epsilon)):
+        problems.append("--mode absolute requires a finite --epsilon")
+    if problems:
+        raise CliValidationError(problems)
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     run_dir = Path(args.out) if args.out else _out_root() / f"run-seed{cfg.seed}"
@@ -73,6 +93,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_triage(args) -> int:
+    _check_threshold(args.mode, args.epsilon, args.quantile)
     report = run_triage(
         args.run_dir,
         mode=args.mode,
@@ -118,7 +139,8 @@ def cmd_export(args) -> int:
     data_path = run_dir / "dataset.jsonl"
     if not data_path.exists():
         raise TriageError(f"missing dataset: {data_path}")
-    records = TrajectoryLog.read(data_path)
+    records = TrajectoryLog.read(data_path, fields=EXPORT_FIELDS + EXPORT_OPTIONAL)
+    check_fields(records, EXPORT_FIELDS, data_path)
     report = None
     if args.theta_only or (run_dir / "triage_report.json").exists():
         report = read_report(run_dir)
@@ -197,6 +219,7 @@ def cmd_demo_verify(args) -> int:
 
 
 def cmd_ablate_reward(args) -> int:
+    _check_threshold(args.mode, args.epsilon)
     cfg = _load_config(args)
     out_dir = Path(args.out) if args.out else _out_root() / "ablate-reward"
     if out_dir.exists() and any(out_dir.iterdir()):

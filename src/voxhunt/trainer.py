@@ -119,18 +119,31 @@ class TrajectoryLog:
         self._fh.close()
 
     @staticmethod
-    def read(path: str | Path) -> list[dict]:
+    def read(path: str | Path, fields: tuple[str, ...] | None = None) -> list[dict]:
+        """Every record in the file, in order. With ``fields``, each record
+        keeps only those of its keys (a missing key stays missing), so the
+        per-step reward lists of a line are freed as soon as it is decoded.
+
+        Each line is decoded and checked whole either way: a torn line, or
+        one that is not a JSON object, is a TriageError naming path and line.
+        """
         records = []
         with open(path) as fh:
             for number, line in enumerate(fh, start=1):
                 line = line.strip()
-                if line:
-                    try:
-                        records.append(json.loads(line))
-                    except json.JSONDecodeError as e:
-                        raise TriageError(
-                            f"{path}: line {number}: torn or malformed record ({e.msg})"
-                        ) from e
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise TriageError(
+                        f"{path}: line {number}: torn or malformed record ({e.msg})"
+                    ) from e
+                if not isinstance(record, dict):
+                    raise TriageError(f"{path}: line {number}: record is not a JSON object")
+                if fields is not None:
+                    record = {k: record[k] for k in fields if k in record}
+                records.append(record)
         return records
 
 

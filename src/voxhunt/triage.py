@@ -13,9 +13,12 @@ re-encoded by replaying their stored actions through the deterministic
 simulator, so triage needs only the run directory, never the training
 process.
 
-Every stored action must be an action id (an int in 0..9) and every record
-must hold one more position than actions; anything else is a TriageError
-naming the record. Triage then replays all records and the demos in one
+Triage reads only the dataset fields ``id``, ``alpha``, ``actions`` and
+``positions`` (TRIAGE_FIELDS); the reader drops every other field, the
+per-step reward lists among them, line by line. A record that lacks one of
+the four, stores an action that is not an action id (an int in 0..9), or
+does not hold one more position than actions is a TriageError naming the
+record. Triage then replays all records and the demos in one
 lockstep simulator call and checks each record against its stored positions.
 
 A state's novelty depends on the state alone, and goal prefixes share most
@@ -31,6 +34,7 @@ check this bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,6 +50,13 @@ from .world import Action, Physics, PhysicsError, Trajectory, VoxelMap
 
 REPORT_FORMAT_VERSION = 1
 EXPORT_FORMAT_VERSION = 1
+
+# The dataset fields each pass reads (TrajectoryLog.read drops the rest,
+# the per-step reward lists among them, line by line). A record missing one is
+# an error, except export's optional bug_regions.
+TRIAGE_FIELDS = ("id", "alpha", "actions", "positions")
+EXPORT_FIELDS = ("id", "alpha", "reached_goal", "positions")
+EXPORT_OPTIONAL = ("bug_regions",)
 
 
 @dataclass
@@ -104,6 +115,16 @@ class TriageReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True)
+
+
+def check_fields(records: list[dict], fields: tuple[str, ...], path: str | Path) -> None:
+    """TriageError naming the first record that lacks one of ``fields``: by
+    its id, or by its place among the file's records when the id is missing."""
+    for i, rec in enumerate(records, start=1):
+        missing = [k for k in fields if k not in rec]
+        if missing:
+            name = f"trajectory {rec['id']}" if "id" in rec else f"record {i}"
+            raise TriageError(f"{path}: {name}: missing field {', '.join(missing)}")
 
 
 def record_actions(record: dict) -> list[int]:
@@ -193,7 +214,10 @@ def score_records(
         for rec, end, rc_avg, mask in zip(records, ends.tolist(), averages, entered.tolist())
     ]
     demo_scores = [v for v in averages[n:] if v is not None]
-    return scores, demo_scores, len(np.unique(replay.cell[:, :n]))
+    # A mask, not np.unique: numpy 2.4's plain np.unique imports numpy.ma.
+    seen = np.zeros(physics.size, dtype=bool)
+    seen[replay.cell[:, :n]] = True
+    return scores, demo_scores, int(np.count_nonzero(seen))
 
 
 def compute_epsilon(
@@ -218,7 +242,26 @@ def compute_epsilon(
     )
     if not reference:
         raise TriageError("quantile mode needs demo or low-dial reference scores")
-    return float(np.percentile(np.array(reference, dtype=np.float64), quantile * 100.0))
+    if not 0.0 <= quantile <= 1.0:
+        raise TriageError(f"quantile {quantile} is not in [0, 1]")
+    return percentile(reference, quantile * 100.0)
+
+
+def percentile(values: list[float], q: float) -> float:
+    """``np.percentile(values, q)`` with its default linear method, bit for
+    bit, for q in [0, 100] (a tie of 0.0 and -0.0 may take either sign).
+    numpy 2.4's own percentile calls np.unique, which imports numpy.ma
+    (about 1.3 MB and 19 ms per process)."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    ordered = sorted(values)
+    index = (len(ordered) - 1) * (q / 100)
+    if index >= len(ordered) - 1:
+        return float(ordered[-1])
+    lo = math.floor(index)
+    a, b = ordered[lo], ordered[lo + 1]
+    gamma = index - lo
+    return float(b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
 
 
 def filter_theta(scores: list[TrajectoryScore], epsilon: float) -> list[int]:
@@ -293,9 +336,10 @@ def run_triage(
     rnd.target.load(ckpt_dir / "rnd_target.vxnp")
     rnd.predictor.load(ckpt_dir / "rnd_predictor.vxnp")
 
-    records = TrajectoryLog.read(data_path)
+    records = TrajectoryLog.read(data_path, fields=TRIAGE_FIELDS)
     if not records:
         raise TriageError(f"{data_path} holds no trajectories")
+    check_fields(records, TRIAGE_FIELDS, data_path)
     demos = []
     if cfg.demo_paths:
         demos = load_demos([resolve_path(p) for p in cfg.demo_paths], vmap).demos

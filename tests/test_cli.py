@@ -203,6 +203,113 @@ class TestTrainTriageExport:
         assert main(["export", str(out), "--demos"]) == 0
 
 
+class TestBadRecords:
+    """A dataset line that decodes but cannot be used ends in one error line
+    naming it, exit 1, and nothing written."""
+
+    @pytest.fixture
+    def run(self, quick_config, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(quick_config), "--out", str(out)]) == 0
+        return out
+
+    def _rewrite(self, run, edit):
+        """Rewrite every dataset line as ``edit(index, record)``."""
+        data = run / "dataset.jsonl"
+        records = [json.loads(line) for line in data.read_text().splitlines()]
+        data.write_text("".join(edit(i, r) + "\n" for i, r in enumerate(records)))
+        return records
+
+    def _drop(self, run, key):
+        """Drop ``key`` from the second record; return that record whole."""
+        records = self._rewrite(
+            run, lambda i, r: json.dumps({k: v for k, v in r.items() if i != 1 or k != key})
+        )
+        return records[1]
+
+    def _fails(self, run, command, capsys, want):
+        capsys.readouterr()
+        assert main([command, str(run)]) == 1
+        err = capsys.readouterr().err
+        assert want in err and "Traceback" not in err, err
+
+    def test_non_object_line_names_path_and_line(self, run, capsys):
+        self._rewrite(run, lambda i, r: "[1, 2]" if i == 1 else json.dumps(r))
+        want = f"error: {run / 'dataset.jsonl'}: line 2: record is not a JSON object"
+        self._fails(run, "triage", capsys, want)
+        self._fails(run, "export", capsys, want)
+        assert not (run / "triage_report.json").exists()
+        assert not (run / "trajectories.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("triage", k) for k in ("id", "alpha", "actions", "positions")]
+        + [("export", k) for k in ("id", "alpha", "reached_goal", "positions")],
+    )
+    def test_record_missing_a_field_is_named(self, run, command, key, capsys):
+        record = self._drop(run, key)
+        name = "record 2" if key == "id" else f"trajectory {record['id']}"
+        want = f"error: {run / 'dataset.jsonl'}: {name}: missing field {key}"
+        self._fails(run, command, capsys, want)
+        assert not (run / "triage_report.json").exists()
+        assert not (run / "trajectories.tsv").exists()
+
+    def test_export_without_bug_regions(self, run):
+        self._rewrite(
+            run, lambda i, r: json.dumps({k: v for k, v in r.items() if k != "bug_regions"})
+        )
+        assert main(["export", str(run)]) == 0
+        headers = [
+            line for line in (run / "trajectories.tsv").read_text().splitlines()
+            if line.startswith("# trajectory")
+        ]
+        assert headers and all(" bugs=- " in line for line in headers)
+
+
+class TestThresholdFlags:
+    """Bad threshold flags exit 2 before the run is read: a run directory
+    that does not exist would otherwise exit 1."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--quantile", "1.5"],
+            ["--quantile", "-0.1"],
+            ["--quantile", "nan"],
+            ["--quantile", "inf"],
+            ["--mode", "absolute"],
+            ["--mode", "absolute", "--epsilon", "nan"],
+            ["--mode", "absolute", "--epsilon", "inf"],
+        ],
+    )
+    def test_triage_exits_2_before_reading(self, tmp_path, flags, capsys):
+        assert main(["triage", str(tmp_path / "absent"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --") and "Traceback" not in err
+
+    def test_triage_accepts_bounds(self, quick_config, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(quick_config), "--out", str(out)]) == 0
+        for flags in (
+            ["--quantile", "0"], ["--quantile", "1"], ["--mode", "absolute", "--epsilon", "0"]
+        ):
+            assert main(["triage", str(out), *flags]) == 0
+
+    @pytest.mark.parametrize("epsilon", [[], ["--epsilon", "nan"]])
+    def test_ablate_reward_exits_2_before_training(
+        self, quick_config, tmp_path, epsilon, monkeypatch, capsys
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a variant was trained")
+
+        monkeypatch.setattr("voxhunt.cli.run_training", no_training)
+        out = tmp_path / "sweep"
+        argv = ["ablate-reward", "--config", str(quick_config), "--out", str(out)]
+        assert main([*argv, "--mode", "absolute", *epsilon]) == 2
+        assert "--mode absolute requires a finite --epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDemoTools:
     def test_demo_record_and_verify(self, tmp_path, capsys):
         actions = tmp_path / "actions.txt"
@@ -325,6 +432,38 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 0
         assert "train" in proc.stdout and "triage" in proc.stdout
+
+    def test_triage_pass_leaves_numpy_ma_unimported(self, quick_config, tmp_path):
+        # numpy 2.4 imports numpy.ma inside a plain np.unique (and so inside
+        # np.percentile): about 1.3 MB and 19 ms of every triage process.
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(quick_config), "--out", str(run)]) == 0
+        child = """if True:
+            import json, sys
+            from voxhunt.cli import main
+            assert main(["triage", sys.argv[1]]) == 0
+            ma = "numpy.ma" in sys.modules
+            import numpy as np
+            from voxhunt.config import TrainConfig, resolve_path
+            from voxhunt.mapio import load_map
+            from voxhunt.trainer import TrajectoryLog
+            from voxhunt.world import Physics
+            cfg = TrainConfig.from_run_dir(sys.argv[1])
+            physics = Physics(load_map(resolve_path(cfg.map_path)))
+            records = TrajectoryLog.read(sys.argv[1] + "/dataset.jsonl")
+            cells = physics.replay([r["actions"] for r in records]).cell
+            print(json.dumps({"ma": ma, "unique": len(np.unique(cells))}))
+        """
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(run)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        triaged, result = map(json.loads, proc.stdout.splitlines()[-2:])
+        assert result["ma"] is False
+        assert triaged["coverage"] == result["unique"] > 1
 
     def test_validation_exit_code_in_subprocess(self, tmp_path):
         proc = subprocess.run(

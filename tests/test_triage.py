@@ -1,7 +1,10 @@
 """Trajectory filtering: scores, threshold modes, bug tallies, export."""
 
 import json
+import re
 import shutil
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +18,16 @@ from voxhunt.imitation import load_demos
 from voxhunt.mapio import fixture_path, load_map, save_demo_script
 from voxhunt.trainer import TrajectoryLog, run_training
 from voxhunt.triage import (
+    EXPORT_FIELDS,
+    EXPORT_OPTIONAL,
+    TRIAGE_FIELDS,
     TrajectoryScore,
+    TriageError,
     compute_epsilon,
     evaluate_bugs,
     export_trajectories,
     filter_theta,
+    percentile,
     run_triage,
     score_records,
 )
@@ -142,6 +150,25 @@ class TestEpsilon:
         # reference set is {0.1, 0.2, 0.3}: the high-alpha 9.0 must not leak in
         assert eps < 0.5
         assert eps == pytest.approx(np.percentile([0.1, 0.2, 0.3], 90))
+
+    @given(
+        values=st.lists(
+            # non-negative, as scores are: no tie between 0.0 and -0.0
+            st.one_of(st.floats(0, 1e6), st.sampled_from([0.0, 0.1, 0.3])),
+            min_size=1,
+            max_size=12,
+        ),
+        quantile=st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+    )
+    @settings(max_examples=300)
+    def test_percentile_is_numpy_linear_bit_for_bit(self, values, quantile):
+        want = np.percentile(np.array(values, dtype=np.float64), quantile * 100.0)
+        assert repr(percentile(values, quantile * 100.0)) == repr(float(want))
+
+    @pytest.mark.parametrize("quantile", [-0.1, 1.5, float("nan")])
+    def test_quantile_outside_unit_interval_rejected(self, quantile):
+        with pytest.raises(TriageError, match="not in \\[0, 1\\]"):
+            compute_epsilon([], [0.1, 0.2], "quantile", quantile=quantile)
 
 
 class TestEvaluateBugs:
@@ -266,6 +293,63 @@ class TestRunTriage:
         records = TrajectoryLog.read(tiny_run / "dataset.jsonl")
         visited = {tuple(p) for r in records for p in r["positions"]}
         assert run_triage(tiny_run).coverage == len(visited)
+
+
+@pytest.fixture(scope="module")
+def quickstart_run(tmp_path_factory):
+    config = Path(__file__).resolve().parents[1] / "configs" / "quickstart.json"
+    cfg = TrainConfig.from_json_file(config).apply_overrides(["iterations=2"])
+    run_dir = tmp_path_factory.mktemp("runs") / "quickstart"
+    run_training(cfg, run_dir)
+    return run_dir
+
+
+class TestProjectedRead:
+    @pytest.mark.parametrize(
+        "fields", [TRIAGE_FIELDS, EXPORT_FIELDS + EXPORT_OPTIONAL, ("id", "absent")]
+    )
+    def test_projection_keeps_only_the_named_fields(self, quickstart_run, fields):
+        path = quickstart_run / "dataset.jsonl"
+        full = TrajectoryLog.read(path)
+        assert len(full) == 20
+        projected = TrajectoryLog.read(path, fields=fields)
+        assert projected == [{k: rec[k] for k in fields if k in rec} for rec in full]
+
+    def test_projected_read_peaks_under_half_the_full_read(self, quickstart_run):
+        path = quickstart_run / "dataset.jsonl"
+
+        def peak(**kwargs):
+            tracemalloc.start()
+            try:
+                records = TrajectoryLog.read(path, **kwargs)
+                return tracemalloc.get_traced_memory()[1], records
+            finally:
+                tracemalloc.stop()
+
+        full_peak, full = peak()
+        projected_peak, _ = peak(fields=TRIAGE_FIELDS)
+        assert full and projected_peak < 0.5 * full_peak
+
+    @pytest.mark.parametrize(
+        "damage, want",
+        [
+            ("torn", "line 3: torn or malformed record"),
+            ("array", "line 3: record is not a JSON object"),
+        ],
+    )
+    def test_bad_line_same_error_with_and_without_fields(
+        self, quickstart_run, tmp_path, damage, want
+    ):
+        lines = (quickstart_run / "dataset.jsonl").read_text().splitlines(keepends=True)
+        lines[2] = lines[2][: len(lines[2]) // 2] if damage == "torn" else "[1, 2]\n"
+        path = tmp_path / "dataset.jsonl"
+        path.write_text("".join(lines))
+        errors = []
+        for fields in (None, TRIAGE_FIELDS):
+            with pytest.raises(TriageError, match=re.escape(f"{path}: {want}")) as e:
+                TrajectoryLog.read(path, fields=fields)
+            errors.append(str(e.value))
+        assert errors[0] == errors[1]
 
 
 class TestStoredRecordsChecked:
