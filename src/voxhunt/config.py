@@ -1,7 +1,8 @@
 """Run configuration: profiles, JSON round-trip, dotted overrides, stable hash.
 
-Two architecture profiles exist. ``desk`` shrinks every width so a full run
-fits a desktop CPU; ``paper`` keeps the reference sizes (occupancy cube 21,
+Two architecture profiles exist, as ``Profile`` values that every network
+reads its widths from. ``desk``, the field defaults, shrinks every width so a
+full run fits a desktop CPU; ``paper`` keeps the reference sizes (occupancy cube 21,
 dense widths 512/1024, four conv layers) for documentation parity. Both share
 the same hyperparameter defaults.
 """
@@ -14,9 +15,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .curiosity import CuriosityConfig, RNDArch
-from .imitation import DiscArch, ImitationConfig
-from .policy import N_ACTIONS, ObsNetArch, PPOConfig
+from .curiosity import CuriosityConfig
+from .imitation import ImitationConfig
+from .policy import PPOConfig
 
 
 class ConfigError(Exception):
@@ -34,45 +35,29 @@ def resolve_path(path: str) -> str:
 
 @dataclass(frozen=True)
 class Profile:
-    name: str
-    pe_d: int
-    L: int
-    occ_embed: int
-    conv: tuple[tuple[int, int, int], ...]
-    pos_units: int
-    info_units: tuple[int, ...]
-    trunk: tuple[int, ...]
-    ray_units: int
-    act_units: int
-    rnd_pos_units: int
-    rnd_info_units: tuple[int, ...]
-    rnd_trunk: tuple[int, ...]
-    rnd_out: int
+    """The widths of every network: the policy and critic, the discriminator
+    (``act_units``) and the RND pair (``rnd_*``). The defaults are ``desk``."""
+
+    name: str = "desk"
+    pe_d: int = 32  # sinusoidal code values per coordinate
+    L: int = 7  # occupancy cube side
+    occ_embed: int = 8
+    conv: tuple[tuple[int, int, int], ...] = ((8, 2, 0), (16, 2, 0))  # (channels, stride, pad)
+    pos_units: int = 64
+    info_units: tuple[int, ...] = (64, 64)
+    trunk: tuple[int, ...] = (128, 64, 64)
+    ray_units: int = 64
+    act_units: int = 64
+    rnd_pos_units: int = 64
+    rnd_info_units: tuple[int, ...] = (64, 64)
+    rnd_trunk: tuple[int, ...] = (128, 64)
+    rnd_out: int = 128
 
 
-def desk_profile() -> Profile:
-    return Profile(
-        name="desk",
-        pe_d=32,
-        L=7,
-        occ_embed=8,
-        conv=((8, 2, 0), (16, 2, 0)),
-        pos_units=64,
-        info_units=(64, 64),
-        trunk=(128, 64, 64),
-        ray_units=64,
-        act_units=64,
-        rnd_pos_units=64,
-        rnd_info_units=(64, 64),
-        rnd_trunk=(128, 64),
-        rnd_out=128,
-    )
-
-
-def paper_profile() -> Profile:
-    return Profile(
+PROFILES = {
+    "desk": Profile(),
+    "paper": Profile(
         name="paper",
-        pe_d=32,
         L=21,
         occ_embed=16,
         conv=((32, 2, 1), (32, 2, 1), (64, 2, 1), (64, 2, 1)),
@@ -84,11 +69,8 @@ def paper_profile() -> Profile:
         rnd_pos_units=512,
         rnd_info_units=(512, 512),
         rnd_trunk=(1024, 512),
-        rnd_out=128,
-    )
-
-
-PROFILES = {"desk": desk_profile, "paper": paper_profile}
+    ),
+}
 
 
 @dataclass
@@ -159,40 +141,12 @@ class TrainConfig:
         return problems
 
     def net_profile(self) -> Profile:
-        return PROFILES[self.profile]()
+        return PROFILES[self.profile]
 
-    def policy_arch(self, dims) -> ObsNetArch:
-        p = self.net_profile()
-        return ObsNetArch(
-            out_dim=N_ACTIONS,
-            pe_d=p.pe_d,
-            position_mode=self.position_mode,
-            perception=self.perception,
-            L=p.L,
-            occ_embed=p.occ_embed,
-            conv=p.conv,
-            pos_units=p.pos_units,
-            info_units=p.info_units,
-            ray_units=p.ray_units,
-            trunk=p.trunk,
-            dims=tuple(dims),
-        )
-
-    def disc_arch(self) -> DiscArch:
-        p = self.net_profile()
-        return DiscArch(
-            L=p.L, occ_embed=p.occ_embed, conv=p.conv, act_units=p.act_units, trunk=p.trunk
-        )
-
-    def rnd_arch(self) -> RNDArch:
-        p = self.net_profile()
-        return RNDArch(
-            pos_dim=3 * p.pe_d,
-            pos_units=p.rnd_pos_units,
-            info_units=p.rnd_info_units,
-            trunk=p.rnd_trunk,
-            out_dim=p.rnd_out,
-        )
+    def rnd_arch(self) -> Profile:
+        """The novelty pair's widths: the profile itself. Kept under this name
+        because ``benchmark/gen_triage.py`` builds its ``RNDPair`` from it."""
+        return self.net_profile()
 
     def to_dict(self) -> dict:
         return _dataclass_to_dict(self)

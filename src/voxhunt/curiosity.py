@@ -13,10 +13,15 @@ step reward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import nn
+from .encode import INFO_DIM
+
+if TYPE_CHECKING:
+    from .config import Profile
 
 
 @dataclass(frozen=True)
@@ -27,24 +32,16 @@ class CuriosityConfig:
     updates_per_iter: int = 4
 
 
-@dataclass(frozen=True)
-class RNDArch:
-    pos_dim: int = 96  # 3 * pe_d
-    info_dim: int = 9
-    pos_units: int = 64
-    info_units: tuple[int, ...] = (64, 64)
-    trunk: tuple[int, ...] = (128, 64)
-    out_dim: int = 128
-
-
 class RNDNet(nn.Net):
-    def __init__(self, arch: RNDArch, rng: np.random.Generator):
+    """(position code, agent info) -> feature vector, at the profile's ``rnd_*`` widths."""
+
+    def __init__(self, profile: Profile, rng: np.random.Generator):
         super().__init__()
-        self.arch = a = arch
-        self.layers["pos_fc"] = nn.Dense(a.pos_dim, a.pos_units, "relu", rng)
-        info, width = self.dense_chain("info_fc", a.info_dim, a.info_units, rng)
-        trunk, width = self.dense_chain("trunk_fc", a.pos_units + width, a.trunk, rng)
-        self.layers["out"] = nn.Dense(width, a.out_dim, None, rng)
+        self.profile = p = profile
+        self.layers["pos_fc"] = nn.Dense(3 * p.pe_d, p.rnd_pos_units, "relu", rng)
+        info, width = self.dense_chain("info_fc", INFO_DIM, p.rnd_info_units, rng)
+        trunk, width = self.dense_chain("trunk_fc", p.rnd_pos_units + width, p.rnd_trunk, rng)
+        self.layers["out"] = nn.Dense(width, p.rnd_out, None, rng)
         self.graph = [nn.Concat([("pos", ["pos_fc"]), ("info", info)]), *trunk, "out"]
 
 
@@ -75,15 +72,14 @@ class RNDPair:
 
     def __init__(
         self,
-        arch: RNDArch,
+        profile: Profile,
         cfg: CuriosityConfig,
         target_rng: np.random.Generator,
         predictor_rng: np.random.Generator,
     ):
-        self.arch = arch
         self.cfg = cfg
-        self.target = RNDNet(arch, target_rng)
-        self.predictor = RNDNet(arch, predictor_rng)
+        self.target = RNDNet(profile, target_rng)
+        self.predictor = RNDNet(profile, predictor_rng)
         self.adam = nn.Adam(self.predictor.params(), lr=cfg.lr)
         self.reward_std = RunningStd()
 

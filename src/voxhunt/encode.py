@@ -28,6 +28,9 @@ from .world import (
     VoxelMap,
 )
 
+INFO_DIM = 9  # agent_info: 3 flags, the displacement and its unit direction
+RAY_DIM = 48  # raycast_observation: (distance, hit code) of 24 rays
+
 
 @dataclass(frozen=True)
 class PEConfig:
@@ -65,8 +68,8 @@ def normalized_position(pos, dims: Vec3) -> np.ndarray:
 
 
 def agent_info(disp, grounded, climbing, double_jump) -> np.ndarray:
-    """Flags plus last displacement and its unit direction, 9 values per
-    state; ``disp`` has a trailing axis of 3 over the flags' batch shape."""
+    """Flags plus last displacement and its unit direction, INFO_DIM values
+    per state; ``disp`` has a trailing axis of 3 over the flags' batch shape."""
     disp = np.asarray(disp)
     norm = np.sqrt((disp * disp).sum(axis=-1, keepdims=True))
     unit = np.divide(disp, norm, out=np.zeros(disp.shape), where=norm > 0)
@@ -113,7 +116,7 @@ def raycast_observation(
     for p in vmap.platforms:
         plat_cells.update(p.cells_at(tick))
     cx, cy, cz = (state.pos[0] + 0.5, state.pos[1] + 0.5, state.pos[2] + 0.5)
-    out = np.zeros(48, dtype=np.float64)
+    out = np.zeros(RAY_DIM, dtype=np.float64)
     steps = int(max_range)
     for i, (dx, dy, dz) in enumerate(_RAY_DIRS):
         dist = 1.0

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,7 +24,10 @@ from . import nn
 from .encode import ObservationEncoder
 from .mapio import load_demo_script
 from .policy import N_ACTIONS, occupancy_branch
-from .world import Action, Physics, PhysicsError, Replay, Trajectory, VoxelMap, WorldError, play_script
+from .world import Action, Physics, PhysicsError, Replay, Trajectory, VoxelMap, WorldError
+
+if TYPE_CHECKING:
+    from .config import Profile
 
 
 class DemoError(WorldError):
@@ -48,15 +52,6 @@ class ImitationConfig:
     fd_step: float = 1e-3  # directional step for the penalty's parameter grads
 
 
-@dataclass(frozen=True)
-class DiscArch:
-    L: int = 7
-    occ_embed: int = 8
-    conv: tuple[tuple[int, int, int], ...] = ((8, 2, 0), (16, 2, 0))
-    act_units: int = 64
-    trunk: tuple[int, ...] = (128, 64, 64)
-
-
 class Discriminator(nn.Net):
     """Occupancy conv branch + action one-hot branch -> trunk -> linear D(s,a).
 
@@ -65,12 +60,12 @@ class Discriminator(nn.Net):
     differentiates.
     """
 
-    def __init__(self, arch: DiscArch, rng: np.random.Generator):
+    def __init__(self, profile: Profile, rng: np.random.Generator):
         super().__init__()
-        self.arch = a = arch
-        stem, width = occupancy_branch(self, a.L, a.occ_embed, a.conv, rng)
-        self.layers["act_fc"] = nn.Dense(N_ACTIONS, a.act_units, "relu", rng)
-        trunk, width = self.dense_chain("trunk_fc", width + a.act_units, a.trunk, rng)
+        self.profile = p = profile
+        stem, width = occupancy_branch(self, p, rng)
+        self.layers["act_fc"] = nn.Dense(N_ACTIONS, p.act_units, "relu", rng)
+        trunk, width = self.dense_chain("trunk_fc", width + p.act_units, p.trunk, rng)
         self.layers["head"] = nn.Dense(width, 1, None, rng)
         act = ("act", ["act_fc"])
         self.graph = [nn.Concat([("occ", stem), act]), *trunk, "head"]
@@ -79,7 +74,7 @@ class Discriminator(nn.Net):
     def embed_occupancy(self, occ_codes):
         """Map integer codes (N, L^3), or their ``nn.Rows``, onto the continuous
         embedded cube, one per row."""
-        L = self.arch.L
+        L = self.profile.L
         return self.layers["occ_embed"].forward(np.asarray(occ_codes).reshape(-1, L, L, L))
 
     def core_forward(self, occ_emb: np.ndarray, act_onehot: np.ndarray):
@@ -222,53 +217,36 @@ class DemoSet:
         return len(self.demos)
 
 
-def _checked_demo(
-    vmap: VoxelMap, actions: list[Action], goal_id: int, traj: Trajectory, source: str
-) -> Demo:
-    """A replayed script as an expert demo; it must reach its goal."""
+def check_demos(scripts: list[tuple[str, str, int, list[Action]]], vmap: VoxelMap) -> DemoSet:
+    """Replay (source, map name, goal id, actions) scripts on ``vmap`` in one
+    lockstep batch. Each must name ``vmap`` and one of its goals, and reach a
+    goal; the error names the source of the first that does not."""
+    if not scripts:
+        raise DemoError("no demo files given")
     goal_ids = {g.id for g in vmap.goals}
-    if goal_id not in goal_ids:
-        raise DemoReferenceError(
-            f"{source or 'demo'}: goal {goal_id} not in map {vmap.name} (has {sorted(goal_ids)})"
-        )
-    if not traj.reached_goal:
-        raise DemoReplayError(
-            f"{source or 'demo'}: script never reaches a goal on map {vmap.name}"
-        )
-    return Demo(vmap.name, goal_id, list(actions), traj, source)
-
-
-def record_demo(
-    vmap: VoxelMap, actions: list[Action], goal_id: int, source: str = ""
-) -> Demo:
-    """Replay-validate a script as an expert demo; it must reach its goal."""
-    return _checked_demo(vmap, actions, goal_id, play_script(vmap, actions), source)
+    for source, map_name, goal_id, _ in scripts:
+        if map_name != vmap.name:
+            raise DemoReferenceError(f"{source}: demo is for map {map_name!r}, not {vmap.name!r}")
+        if goal_id not in goal_ids:
+            raise DemoReferenceError(
+                f"{source}: goal {goal_id} not in map {vmap.name} (has {sorted(goal_ids)})"
+            )
+    try:
+        replay = Physics(vmap).replay([actions for *_, actions in scripts])
+    except PhysicsError as e:
+        raise DemoReplayError(f"{scripts[e.agent][0]}: {e}") from e
+    demos = []
+    for i, (source, _, goal_id, actions) in enumerate(scripts):
+        traj = replay.trajectory(i)
+        if not traj.reached_goal:
+            raise DemoReplayError(f"{source}: script never reaches a goal on map {vmap.name}")
+        demos.append(Demo(vmap.name, goal_id, list(actions), traj, source))
+    return DemoSet(vmap.name, demos, replay)
 
 
 def load_demos(paths: list[str | Path], vmap: VoxelMap) -> DemoSet:
-    """Load demo scripts for ``vmap`` and replay them all in one lockstep batch."""
-    if not paths:
-        raise DemoError("no demo files given")
-    scripts = []
-    for p in paths:
-        map_name, goal_id, actions = load_demo_script(p)
-        if map_name != vmap.name:
-            raise DemoReferenceError(
-                f"{p}: demo is for map {map_name!r}, training on {vmap.name!r}"
-            )
-        scripts.append((str(p), goal_id, actions))
-    try:
-        replay = Physics(vmap).replay([actions for _, _, actions in scripts])
-    except PhysicsError as e:
-        raise DemoReplayError(f"{scripts[e.agent][0]}: {e}") from e
-    return DemoSet(
-        vmap.name,
-        [
-            _checked_demo(vmap, actions, goal_id, replay.trajectory(i), source)
-            for i, (source, goal_id, actions) in enumerate(scripts)
-        ],
-        replay,
-    )
+    """Load demo scripts for ``vmap`` and check them all in one lockstep replay."""
+    return check_demos([(str(p), *load_demo_script(p)) for p in paths], vmap)
 
 
 def demo_pairs(
@@ -291,16 +269,16 @@ class AMPModule:
 
     def __init__(
         self,
-        arch: DiscArch,
+        profile: Profile,
         cfg: ImitationConfig,
         expert_occ: np.ndarray,
         expert_act: np.ndarray,
         rng: np.random.Generator,
     ):
         self.cfg = cfg
-        self.disc = Discriminator(arch, rng)
+        self.disc = Discriminator(profile, rng)
         self.adam = nn.Adam(self.disc.params(), lr=cfg.lr)
-        self.buffer = ReplayBuffer(cfg.buffer_capacity, arch.L**3)
+        self.buffer = ReplayBuffer(cfg.buffer_capacity, profile.L**3)
         table, ids = np.unique(expert_occ, axis=0, return_inverse=True)
         self.expert_occ = nn.Rows(table, ids.reshape(-1))
         self.expert_act = expert_act

@@ -202,13 +202,14 @@ def save_demo_script(
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_demo_script(path: str | Path) -> tuple[str, int, list[Action]]:
-    """Parse a demo script; returns (map name, goal id, actions)."""
+def read_script(path: str | Path) -> tuple[dict[str, str], list[Action]]:
+    """The ``key: value`` header lines of a script and the action names after
+    them, one per line; blank lines and ``#`` comments are skipped."""
     path = Path(path)
     try:
         raw = path.read_text()
     except OSError as e:
-        raise MapFormatError(f"cannot read demo {path}: {e}") from e
+        raise MapFormatError(f"cannot read {path}: {e}") from e
     header: dict[str, str] = {}
     actions: list[Action] = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -223,18 +224,24 @@ def load_demo_script(path: str | Path) -> tuple[str, int, list[Action]]:
         if act is None:
             raise MapFormatError(f"{path}:{lineno}: unknown action {line!r}")
         actions.append(act)
-    if "format_version" not in header:
-        raise MapFormatError(f"{path}: missing format_version header")
-    if int(header["format_version"]) != DEMO_FORMAT_VERSION:
-        raise MapFormatError(
-            f"{path}: unsupported format_version {header['format_version']}"
-        )
-    for key in ("map", "goal"):
+    return header, actions
+
+
+def load_demo_script(path: str | Path) -> tuple[str, int, list[Action]]:
+    """Parse a demo script; returns (map name, goal id, actions)."""
+    header, actions = read_script(path)
+    for key in ("format_version", "map", "goal"):
         if key not in header:
             raise MapFormatError(f"{path}: missing {key!r} header")
+    try:
+        version, goal = int(header["format_version"]), int(header["goal"])
+    except ValueError as e:
+        raise MapFormatError(f"{path}: header value is not an integer ({e})") from e
+    if version != DEMO_FORMAT_VERSION:
+        raise MapFormatError(f"{path}: unsupported format_version {version}")
     if not actions:
         raise MapFormatError(f"{path}: no actions listed")
-    return header["map"], int(header["goal"]), actions
+    return header["map"], goal, actions
 
 
 def fixture_path(name: str) -> Path:

@@ -9,50 +9,31 @@ ray-cast or no perception) reuse the same wiring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import nn
+from .encode import INFO_DIM, RAY_DIM
 from .world import Action, Vec3
+
+if TYPE_CHECKING:
+    from .config import Profile
 
 
 N_ACTIONS = len(Action)
 
 
-@dataclass(frozen=True)
-class ObsNetArch:
-    """Shapes of one actor or critic network."""
-
-    out_dim: int
-    pe_d: int = 32
-    position_mode: str = "sinusoidal"  # sinusoidal | normalized | learned
-    perception: str = "occupancy"  # occupancy | raycast | none
-    L: int = 7
-    occ_embed: int = 8
-    conv: tuple[tuple[int, int, int], ...] = ((8, 2, 0), (16, 2, 0))  # (channels, stride, pad)
-    pos_units: int = 64
-    info_units: tuple[int, ...] = (64, 64)
-    ray_units: int = 64
-    trunk: tuple[int, ...] = (128, 64, 64)
-    head_scale: float = 0.01
-    dims: Vec3 = (1, 1, 1)  # needed by learned position tables
-    info_dim: int = 9
-
-    def pos_input_dim(self) -> int:
-        if self.position_mode == "normalized":
-            return 3
-        return 3 * self.pe_d
-
-
-def occupancy_branch(net: nn.Net, L: int, channels: int, conv, rng: np.random.Generator):
+def occupancy_branch(net: nn.Net, profile: Profile, rng: np.random.Generator):
     """Add ``occ_embed`` (the 4 occupancy codes) and ``conv0..`` to ``net``.
 
     Returns the branch stages from the integer codes (the fused stem first)
     and the flattened output width.
     """
-    net.layers["occ_embed"] = nn.Embedding(4, channels, "tanh", rng)
-    c_prev, side = channels, L
+    L, conv = profile.L, profile.conv
+    net.layers["occ_embed"] = nn.Embedding(4, profile.occ_embed, "tanh", rng)
+    c_prev, side = profile.occ_embed, L
     for i, (c_out, stride, pad) in enumerate(conv):
         layer = net.layers[f"conv{i}"] = nn.Conv3d(c_prev, c_out, 3, stride, pad, "relu", rng)
         side, c_prev = layer.out_size(side), c_out
@@ -63,60 +44,77 @@ def occupancy_branch(net: nn.Net, L: int, channels: int, conv, rng: np.random.Ge
 
 
 class ObsNet(nn.Net):
-    """One observation-conditioned network (actor head or scalar critic)."""
+    """One observation-conditioned network (actor head or scalar critic).
 
-    def __init__(self, arch: ObsNetArch, rng: np.random.Generator):
+    ``position_mode`` is sinusoidal, normalized or learned (``dims`` sizes
+    the learned tables); ``perception`` is occupancy, raycast or none.
+    """
+
+    def __init__(
+        self,
+        profile: Profile,
+        rng: np.random.Generator,
+        *,
+        out_dim: int,
+        position_mode: str,
+        perception: str,
+        dims: Vec3,
+        head_scale: float = 0.01,
+    ):
         super().__init__()
-        self.arch = a = arch
+        self.profile = p = profile
+        self.out_dim, self.position_mode, self.perception = out_dim, position_mode, perception
 
         pos = ("pos", ["pos_fc"])
-        if a.position_mode == "learned":
+        if position_mode == "learned":
             tables = []
             for i, axis in enumerate("xyz"):
-                self.layers[f"pos_table_{axis}"] = nn.Embedding(a.dims[i], a.pe_d, rng=rng)
+                self.layers[f"pos_table_{axis}"] = nn.Embedding(dims[i], p.pe_d, rng=rng)
                 tables.append((np.s_[:, i], [f"pos_table_{axis}"]))
             pos = ("pos_idx", [nn.Concat(tables), "pos_fc"])
-        self.layers["pos_fc"] = nn.Dense(a.pos_input_dim(), a.pos_units, "relu", rng)
-        info, width = self.dense_chain("info_fc", a.info_dim, a.info_units, rng)
+        pos_dim = 3 if position_mode == "normalized" else 3 * p.pe_d
+        self.layers["pos_fc"] = nn.Dense(pos_dim, p.pos_units, "relu", rng)
+        info, width = self.dense_chain("info_fc", INFO_DIM, p.info_units, rng)
         branches = [pos, ("info", info)]
-        width += a.pos_units + 1  # +1: alpha
+        width += p.pos_units + 1  # +1: alpha
 
-        if a.perception == "occupancy":
-            stages, perc_width = occupancy_branch(self, a.L, a.occ_embed, a.conv, rng)
+        if perception == "occupancy":
+            stages, perc_width = occupancy_branch(self, p, rng)
             branches.append(("occ", stages))
             width += perc_width
-        elif a.perception == "raycast":
-            self.layers["ray_fc"] = nn.Dense(48, a.ray_units, "relu", rng)
+        elif perception == "raycast":
+            self.layers["ray_fc"] = nn.Dense(RAY_DIM, p.ray_units, "relu", rng)
             branches.append(("rays", ["ray_fc"]))
-            width += a.ray_units
-        elif a.perception != "none":
-            raise ValueError(f"unknown perception {a.perception!r}")
+            width += p.ray_units
+        elif perception != "none":
+            raise ValueError(f"unknown perception {perception!r}")
         branches.append(("alpha", []))
 
-        trunk, width = self.dense_chain("trunk_fc", width, a.trunk, rng)
-        self.layers["head"] = nn.Dense(width, a.out_dim, None, rng, w_scale=a.head_scale)
+        trunk, width = self.dense_chain("trunk_fc", width, p.trunk, rng)
+        self.layers["head"] = nn.Dense(width, out_dim, None, rng, w_scale=head_scale)
         self.graph = [nn.Concat(branches), *trunk, "head"]
         self.input_keys = [key for key, _ in branches]  # the inputs forward reads
 
     def descriptor(self) -> dict:
         d = super().descriptor()
         d["arch"] = {
-            "out_dim": self.arch.out_dim,
-            "position_mode": self.arch.position_mode,
-            "perception": self.arch.perception,
-            "pe_d": self.arch.pe_d,
-            "L": self.arch.L,
+            "out_dim": self.out_dim,
+            "position_mode": self.position_mode,
+            "perception": self.perception,
+            "pe_d": self.profile.pe_d,
+            "L": self.profile.L,
         }
         return d
 
 
-def make_policy_net(arch: ObsNetArch, rng: np.random.Generator) -> ObsNet:
-    return ObsNet(arch, rng)
+def make_policy_net(profile: Profile, rng: np.random.Generator, **branches) -> ObsNet:
+    """The actor; ``branches`` are ObsNet's position_mode, perception and dims."""
+    return ObsNet(profile, rng, out_dim=N_ACTIONS, **branches)
 
 
-def make_critic_net(arch: ObsNetArch, rng: np.random.Generator) -> ObsNet:
+def make_critic_net(profile: Profile, rng: np.random.Generator, **branches) -> ObsNet:
     # Same topology, scalar output, ordinary head scale.
-    return ObsNet(replace(arch, out_dim=1, head_scale=1.0), rng)
+    return ObsNet(profile, rng, out_dim=1, head_scale=1.0, **branches)
 
 
 def act(

@@ -25,7 +25,7 @@ import numpy as np
 from . import nn
 from .config import TrainConfig, resolve_path
 from .curiosity import RNDPair
-from .encode import ObservationEncoder, raycast_observation
+from .encode import ObservationEncoder, PEConfig, raycast_observation
 from .imitation import AMPModule, demo_pairs, load_demos
 from .mapio import load_map
 from .policy import (
@@ -156,16 +156,17 @@ class Trainer:
         self.run_dir = Path(run_dir)
         self.map: VoxelMap = load_map(resolve_path(cfg.map_path))
         self.physics = Physics(self.map)  # one engine for every rollout
-        profile = cfg.net_profile()
-        self.encoder = ObservationEncoder(self.map, L=profile.L)
-        self.profile = profile
+        self.profile = profile = cfg.net_profile()
+        self.encoder = ObservationEncoder(self.map, L=profile.L, pe=PEConfig(d=profile.pe_d))
 
         self._net_rng = lambda k: np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, k))
         )
-        arch = cfg.policy_arch(self.map.dims)
-        self.policy = make_policy_net(arch, self._net_rng(0))
-        self.critic = make_critic_net(arch, self._net_rng(1))
+        branches = dict(
+            position_mode=cfg.position_mode, perception=cfg.perception, dims=self.map.dims
+        )
+        self.policy = make_policy_net(profile, self._net_rng(0), **branches)
+        self.critic = make_critic_net(profile, self._net_rng(1), **branches)
         self.ppo = PPOTrainer(self.policy, self.critic, cfg.ppo)
 
         self.amp: AMPModule | None = None
@@ -175,11 +176,9 @@ class Trainer:
                 load_demos([resolve_path(p) for p in cfg.demo_paths], self.map), self.encoder
             )
             self.amp = AMPModule(
-                cfg.disc_arch(), cfg.imitation, expert_occ, expert_act, self._net_rng(2)
+                profile, cfg.imitation, expert_occ, expert_act, self._net_rng(2)
             )
-            self.rnd = RNDPair(
-                cfg.rnd_arch(), cfg.curiosity, self._net_rng(3), self._net_rng(4)
-            )
+            self.rnd = RNDPair(profile, cfg.curiosity, self._net_rng(3), self._net_rng(4))
 
         self.visited: set[int] = set()  # cells of the trainer's physics
         self.total_env_steps = 0

@@ -35,14 +35,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .config import TrainConfig, resolve_path
 from .curiosity import RNDPair
-from .encode import ObservationEncoder, agent_info
+from .encode import ObservationEncoder, PEConfig, agent_info
 from .imitation import load_demos
 from .mapio import load_map
 from .trainer import TrajectoryLog, TriageError
@@ -69,17 +70,6 @@ class TrajectoryScore:
     bug_regions: tuple[int, ...] = ()
     demo: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "traj_id": self.traj_id,
-            "alpha": self.alpha,
-            "reached_goal": self.reached_goal,
-            "first_goal": self.first_goal,
-            "rc_avg": self.rc_avg,
-            "bug_regions": list(self.bug_regions),
-            "demo": self.demo,
-        }
-
 
 @dataclass
 class TriageReport:
@@ -97,34 +87,44 @@ class TriageReport:
     demo_scores: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": REPORT_FORMAT_VERSION,
-            "epsilon": self.epsilon,
-            "mode": self.mode,
-            "theta": self.theta,
-            "scores": [s.to_dict() for s in self.scores],
-            "bugs_found": self.bugs_found,
-            "bugs_highlighted": self.bugs_highlighted,
-            "bugs_found_regions": self.bugs_found_regions,
-            "bugs_highlighted_regions": self.bugs_highlighted_regions,
-            "per_kind_found": self.per_kind_found,
-            "per_kind_highlighted": self.per_kind_highlighted,
-            "coverage": self.coverage,
-            "demo_scores": self.demo_scores,
-        }
+        return {"format_version": REPORT_FORMAT_VERSION, **asdict(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True)
 
 
+def _ints(values) -> bool:
+    return set(map(type, values)) <= {int}  # a bool is not an int here
+
+
+# What each dataset field a pass reads must hold, and the test for it.
+FIELD_TYPES = {
+    "id": ("an int", lambda v: type(v) is int),
+    "alpha": ("a real number", lambda v: type(v) in (int, float)),
+    "reached_goal": ("a bool", lambda v: type(v) is bool),
+    "positions": (
+        "a list of [x, y, z] int lists",
+        lambda v: type(v) is list
+        and set(map(type, v)) <= {list}
+        and set(map(len, v)) <= {3}
+        and _ints(chain.from_iterable(v)),
+    ),
+    "bug_regions": ("a list of ints", lambda v: type(v) is list and _ints(v)),
+}
+
+
 def check_fields(records: list[dict], fields: tuple[str, ...], path: str | Path) -> None:
-    """TriageError naming the first record that lacks one of ``fields``: by
-    its id, or by its place among the file's records when the id is missing."""
+    """TriageError naming the first record that lacks one of ``fields``, or
+    holds a value of the wrong type in a field of FIELD_TYPES: by its id, or
+    by its place among the file's records when the id is missing or bad."""
     for i, rec in enumerate(records, start=1):
+        name = f"trajectory {rec['id']}" if type(rec.get("id")) is int else f"record {i}"
         missing = [k for k in fields if k not in rec]
         if missing:
-            name = f"trajectory {rec['id']}" if "id" in rec else f"record {i}"
             raise TriageError(f"{path}: {name}: missing field {', '.join(missing)}")
+        for key, value in rec.items():
+            if key in FIELD_TYPES and not FIELD_TYPES[key][1](value):
+                raise TriageError(f"{path}: {name}: field {key} is not {FIELD_TYPES[key][0]}")
 
 
 def record_actions(record: dict) -> list[int]:
@@ -329,10 +329,10 @@ def run_triage(
     cfg = TrainConfig.from_run_dir(run_dir)
     vmap = load_map(resolve_path(cfg.map_path))
     profile = cfg.net_profile()
-    encoder = ObservationEncoder(vmap, L=profile.L)
+    encoder = ObservationEncoder(vmap, L=profile.L, pe=PEConfig(d=profile.pe_d))
 
     rng = np.random.default_rng(0)
-    rnd = RNDPair(cfg.rnd_arch(), cfg.curiosity, rng, rng)
+    rnd = RNDPair(profile, cfg.curiosity, rng, rng)
     rnd.target.load(ckpt_dir / "rnd_target.vxnp")
     rnd.predictor.load(ckpt_dir / "rnd_predictor.vxnp")
 

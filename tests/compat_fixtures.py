@@ -16,17 +16,23 @@ from pathlib import Path
 
 import numpy as np
 
-from voxhunt.curiosity import RNDArch, RNDNet
-from voxhunt.imitation import DiscArch, Discriminator, one_hot_actions
-from voxhunt.policy import ObsNet, ObsNetArch
+from voxhunt.config import Profile
+from voxhunt.curiosity import RNDNet
+from voxhunt.imitation import Discriminator, one_hot_actions
+from voxhunt.policy import ObsNet
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "compat"
 EXPECTED = FIXTURE_DIR / "expected.npz"
 
 N = 5
 L = 5
-CONV = ((4, 2, 1), (5, 2, 0))  # padded stem, then a strided conv down to 1^3
 DIMS = (6, 5, 7)
+TINY = Profile(
+    pe_d=4, L=L, occ_embed=3,
+    conv=((4, 2, 1), (5, 2, 0)),  # padded stem, then a strided conv down to 1^3
+    pos_units=6, info_units=(5,), ray_units=6, trunk=(7, 6), act_units=6,
+    rnd_pos_units=6, rnd_info_units=(5, 4), rnd_trunk=(7, 6), rnd_out=8,
+)
 OBS_VARIANTS = {
     "obs_sinusoidal_occupancy": ("sinusoidal", "occupancy"),
     "obs_learned_raycast": ("learned", "raycast"),
@@ -38,15 +44,13 @@ NAMES = (*OBS_VARIANTS, "discriminator", "rnd")
 def build(name: str, rng: np.random.Generator):
     if name in OBS_VARIANTS:
         position_mode, perception = OBS_VARIANTS[name]
-        arch = ObsNetArch(
-            out_dim=4, pe_d=4, position_mode=position_mode, perception=perception,
-            L=L, occ_embed=3, conv=CONV, pos_units=6, info_units=(5,), ray_units=6,
-            trunk=(7, 6), head_scale=0.5, dims=DIMS,
+        return ObsNet(
+            TINY, rng, out_dim=4, position_mode=position_mode, perception=perception,
+            dims=DIMS, head_scale=0.5,
         )
-        return ObsNet(arch, rng)
     if name == "discriminator":
-        return Discriminator(DiscArch(L=L, occ_embed=3, conv=CONV, act_units=6, trunk=(7, 6)), rng)
-    return RNDNet(RNDArch(pos_dim=12, pos_units=6, info_units=(5, 4), trunk=(7, 6), out_dim=8), rng)
+        return Discriminator(TINY, rng)
+    return RNDNet(TINY, rng)
 
 
 def make_inputs(name: str, rng: np.random.Generator) -> dict[str, np.ndarray]:

@@ -179,7 +179,8 @@ def test_criterion_01_gradient_suite():
         # full desk networks
         cfg = sweep_config()
         vmap = load_fixture_map("testmap_area1")
-        arch = cfg.policy_arch(vmap.dims)
+        profile = cfg.net_profile()
+        branches = dict(position_mode=cfg.position_mode, perception=cfg.perception, dims=vmap.dims)
         rng = np.random.default_rng(7)
 
         def net_inputs(n):
@@ -190,7 +191,8 @@ def test_criterion_01_gradient_suite():
                 "alpha": rng.random(size=(n, 1)),
             }
 
-        for net in (make_policy_net(arch, rng), make_critic_net(arch, rng)):
+        nets = [make(profile, rng, **branches) for make in (make_policy_net, make_critic_net)]
+        for net in nets:
             inputs = net_inputs(3)
             out, cache = net.forward(inputs)
             w_out = rng.normal(size=out.shape)
@@ -205,7 +207,7 @@ def test_criterion_01_gradient_suite():
 
         from voxhunt.imitation import Discriminator
 
-        disc = Discriminator(cfg.disc_arch(), rng)
+        disc = Discriminator(profile, rng)
         occ = rng.integers(0, 4, size=(3, 343))
         onehot = one_hot_actions(rng.integers(0, 10, size=3))
         d, cache = disc.forward(occ, onehot)
@@ -249,7 +251,7 @@ def test_criterion_01_gradient_suite():
             assert abs(got - fd_v) / max(abs(fd_v), abs(got), 1e-7) < 1e-4
 
         rnd = RNDPair(
-            cfg.rnd_arch(), CuriosityConfig(), np.random.default_rng(1), np.random.default_rng(2)
+            profile, CuriosityConfig(), np.random.default_rng(1), np.random.default_rng(2)
         )
         inputs = {"pos": rng.uniform(-1, 1, size=(4, 96)), "info": rng.normal(size=(4, 9))}
         out, cache = rnd.predictor.forward(inputs)
@@ -290,7 +292,7 @@ def test_criterion_02_formula_oracles(tmp_path):
 
         # curiosity reward vs elementwise mean
         pair = RNDPair(
-            TrainConfig(map_path="x").rnd_arch(),
+            TrainConfig(map_path="x").net_profile(),
             CuriosityConfig(),
             np.random.default_rng(3),
             np.random.default_rng(4),
@@ -438,7 +440,7 @@ def test_criterion_04_rnd_region_behavior():
         region_a = region_states((0, 8), 512)
         region_b = region_states((11, 16), 512)
         pair = RNDPair(
-            TrainConfig(map_path="x").rnd_arch(),
+            TrainConfig(map_path="x").net_profile(),
             CuriosityConfig(lr=7e-5),
             np.random.default_rng(1),
             np.random.default_rng(2),
@@ -480,7 +482,7 @@ def test_criterion_05_amp_separation():
 
         e_cut, p_cut = int(0.8 * len(e_act)), int(0.8 * len(p_act))
         amp = AMPModule(
-            sweep_config().disc_arch(),
+            sweep_config().net_profile(),
             ImitationConfig(lr=2e-4, updates_per_iter=1, gp_coef=0.1),
             e_occ[:e_cut],
             e_act[:e_cut],
@@ -666,7 +668,10 @@ def test_alpha_conditioning_is_live(reward_sweep):
     run_dir = reward_sweep["ccpt"]["dir"]
     cfg = TrainConfig.from_dict(json.loads((run_dir / "config.json").read_text()))
     vmap = load_fixture_map("testmap_area1")
-    net = make_policy_net(cfg.policy_arch(vmap.dims), np.random.default_rng(0))
+    net = make_policy_net(
+        cfg.net_profile(), np.random.default_rng(0),
+        position_mode=cfg.position_mode, perception=cfg.perception, dims=vmap.dims,
+    )
     net.load(run_dir / "checkpoints" / "policy.vxnp")
     enc = ObservationEncoder(vmap, L=7)
 
@@ -712,10 +717,10 @@ def test_rnd_target_frozen_across_run(reward_sweep):
     from voxhunt.curiosity import RNDNet
 
     fresh = RNDNet(
-        cfg.rnd_arch(),
+        cfg.net_profile(),
         np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, 3))),
     )
-    stored = RNDNet(cfg.rnd_arch(), np.random.default_rng(0))
+    stored = RNDNet(cfg.net_profile(), np.random.default_rng(0))
     stored.load(run_dir / "checkpoints" / "rnd_target.vxnp")
     for name, arr in fresh.params().items():
         assert np.array_equal(arr, stored.params()[name])
@@ -733,7 +738,7 @@ def test_gradient_penalty_shrinks_expert_input_gradients():
 
     def grad_norm_trace(gp_coef):
         amp = AMPModule(
-            sweep_config().disc_arch(),
+            sweep_config().net_profile(),
             ImitationConfig(lr=2e-4, updates_per_iter=1, gp_coef=gp_coef),
             e_occ,
             e_act,

@@ -254,6 +254,35 @@ class TestBadRecords:
         assert not (run / "triage_report.json").exists()
         assert not (run / "trajectories.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, commands",
+        [
+            ("id", "7", ("triage", "export")),
+            ("id", True, ("triage", "export")),
+            ("id", 1.0, ("triage", "export")),
+            ("alpha", "high", ("triage", "export")),
+            ("alpha", True, ("triage", "export")),
+            ("alpha", None, ("triage", "export")),
+            ("reached_goal", 1, ("export",)),
+            ("reached_goal", "yes", ("export",)),
+            ("positions", [[0, 0]], ("triage", "export")),
+            ("positions", [[0, 0, 0.5]], ("triage", "export")),
+            ("positions", [[0, 0, True]], ("triage", "export")),
+            ("positions", [(0, 0, 0), 5], ("triage", "export")),
+            ("positions", "0 0 0", ("triage", "export")),
+            ("bug_regions", [0, "1"], ("export",)),
+            ("bug_regions", 3, ("export",)),
+        ],
+    )
+    def test_record_with_a_mistyped_field_is_named(self, run, key, value, commands, capsys):
+        records = self._rewrite(run, lambda i, r: json.dumps({**r, key: value} if i == 1 else r))
+        name = "record 2" if key == "id" else f"trajectory {records[1]['id']}"
+        want = f"error: {run / 'dataset.jsonl'}: {name}: field {key} is not"
+        for command in commands:
+            self._fails(run, command, capsys, want)
+        assert not (run / "triage_report.json").exists()
+        assert not (run / "trajectories.tsv").exists()
+
     def test_export_without_bug_regions(self, run):
         self._rewrite(
             run, lambda i, r: json.dumps({k: v for k, v in r.items() if k != "bug_regions"})
@@ -332,6 +361,20 @@ class TestDemoTools:
             "--goal", "0", "--actions", str(actions), "--out", str(tmp_path / "d.txt"),
         ])
         assert rc == 1
+
+    def test_demo_tools_check_what_training_checks(self, tmp_path, capsys):
+        """A demo naming a goal the map lacks fails demo-verify and demo-record,
+        as it fails training."""
+        p = tmp_path / "goal7.txt"
+        p.write_text(fixture_path("demo_area1_1.txt").read_text().replace("goal: 0", "goal: 7"))
+        area1 = str(fixture_path("testmap_area1.json"))
+        assert main(["demo-verify", "--map", area1, str(p)]) == 1
+        assert f"{p}: goal 7 not in map testmap_area1" in capsys.readouterr().out
+        out = tmp_path / "d.txt"
+        argv = ["--map", area1, "--goal", "7", "--actions", str(p), "--out", str(out)]
+        assert main(["demo-record", *argv]) == 1
+        assert "goal 7 not in map testmap_area1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_demo_verify_flags_bug_entering_script(self, tmp_path, capsys):
         # walking straight east crosses the hidden hole in the dividing wall

@@ -5,16 +5,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from voxhunt.curiosity import CuriosityConfig, RNDArch, RNDPair, RunningStd
+from voxhunt.config import Profile
+from voxhunt.curiosity import CuriosityConfig, RNDPair, RunningStd
 
 
-def tiny_arch():
-    return RNDArch(pos_dim=12, info_dim=9, pos_units=16, info_units=(16,), trunk=(24,), out_dim=16)
+def tiny_profile():
+    return Profile(pe_d=4, rnd_pos_units=16, rnd_info_units=(16,), rnd_trunk=(24,), rnd_out=16)
 
 
 def make_pair(cfg=None, seed_t=0, seed_p=1):
     return RNDPair(
-        tiny_arch(),
+        tiny_profile(),
         cfg or CuriosityConfig(lr=1e-3, batch_size=32),
         np.random.default_rng(seed_t),
         np.random.default_rng(seed_p),

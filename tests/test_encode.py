@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from voxhunt.config import PROFILES, TrainConfig
 from voxhunt.encode import (
     ObservationEncoder,
     PEConfig,
@@ -12,6 +13,9 @@ from voxhunt.encode import (
     positional_embedding,
     raycast_observation,
 )
+from voxhunt.imitation import load_demos, one_hot_actions
+from voxhunt.policy import N_ACTIONS, make_critic_net, make_policy_net
+from voxhunt.trainer import Trainer
 from voxhunt.world import AGENT_CODE, AgentState, Physics, SOLID
 
 from .conftest import flat_map
@@ -249,3 +253,44 @@ class TestAgentInfo:
     def test_stationary_direction_is_zero(self):
         v = agent_info_vector(AgentState(pos=(0, 0, 0)))
         assert np.array_equal(v[3:9], np.zeros(6))
+
+
+class TestNetWidths:
+    """The rows the encoder writes have the widths every net reads, in each profile."""
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_encoded_batch_feeds_every_net(self, name, area1_demo_paths, tmp_path):
+        cfg = TrainConfig(
+            map_path="fixture:testmap_area1.json", demo_paths=area1_demo_paths[:1], profile=name
+        )
+        trainer = Trainer(cfg, tmp_path / "run")  # its encoder, and its disc and RND pair
+        profile, enc, vmap = trainer.profile, trainer.encoder, trainer.map
+        replay = load_demos(area1_demo_paths[:1], vmap).replay
+        t = np.arange(4)
+        pos, prev, *flags = replay.rows(t, 0)
+        rng = np.random.default_rng(0)
+        rays = np.stack([
+            raycast_observation(vmap, AgentState(tuple(p)), tick=k)
+            for k, p in zip(t, pos.tolist())
+        ])
+        alpha = rng.random((len(t), 1))
+
+        code_width = enc.position_code(pos).shape[1]
+        assert code_width == 3 * profile.pe_d
+        assert code_width == trainer.policy.layers["pos_fc"].n_in
+        assert code_width == trainer.rnd.target.layers["pos_fc"].n_in
+        for position_mode in ("sinusoidal", "normalized", "learned"):
+            x = {**enc.features(pos, prev, *flags, t, position_mode), "rays": rays, "alpha": alpha}
+            for perception in ("occupancy", "raycast", "none"):
+                branches = dict(position_mode=position_mode, perception=perception, dims=vmap.dims)
+                for make, width in ((make_policy_net, N_ACTIONS), (make_critic_net, 1)):
+                    net = make(profile, rng, **branches)
+                    out, _ = net.forward({k: x[k] for k in net.input_keys})
+                    assert out.shape == (len(t), width)
+                    assert np.all(np.isfinite(out))
+
+        d = trainer.amp.disc.score(x["occ"], one_hot_actions(replay.actions[t, 0]))
+        assert d.shape == (len(t),)
+        for rnd in (trainer.rnd.target, trainer.rnd.predictor):
+            out, _ = rnd.forward({"pos": x["pos_pe"], "info": x["info"]})
+            assert out.shape == (len(t), profile.rnd_out)

@@ -8,7 +8,6 @@ from voxhunt.imitation import (
     AMPModule,
     DemoReferenceError,
     DemoReplayError,
-    DiscArch,
     Discriminator,
     ImitationConfig,
     ReplayBuffer,
@@ -18,8 +17,9 @@ from voxhunt.imitation import (
     load_demos,
     one_hot_actions,
     penalty_parameter_grads,
-    record_demo,
+    check_demos,
 )
+from voxhunt.config import Profile
 from voxhunt.encode import ObservationEncoder
 from voxhunt.world import Action
 
@@ -31,8 +31,8 @@ from .oracles import (
 )
 
 
-def tiny_disc_arch():
-    return DiscArch(L=5, occ_embed=4, conv=((4, 2, 0), (8, 2, 1)), act_units=16, trunk=(24, 16))
+def tiny_disc_profile():
+    return Profile(L=5, occ_embed=4, conv=((4, 2, 0), (8, 2, 1)), act_units=16, trunk=(24, 16))
 
 
 def random_pairs(rng, n, L=5):
@@ -62,7 +62,7 @@ class TestImitationReward:
 class TestAdversarialLoss:
     def test_perfectly_separated_loss_zero(self):
         rng = np.random.default_rng(0)
-        disc = Discriminator(tiny_disc_arch(), rng)
+        disc = Discriminator(tiny_disc_profile(), rng)
         e_occ, e_act = random_pairs(rng, 8)
         p_occ, p_act = random_pairs(rng, 8)
         d_e, _ = disc.forward(e_occ, one_hot_actions(e_act))
@@ -73,7 +73,7 @@ class TestAdversarialLoss:
 
     def test_zero_output_loss_two(self):
         rng = np.random.default_rng(1)
-        disc = Discriminator(tiny_disc_arch(), rng)
+        disc = Discriminator(tiny_disc_profile(), rng)
         disc.layers["head"].w[:] = 0.0
         disc.layers["head"].b[:] = 0.0
         e_occ, e_act = random_pairs(rng, 4)
@@ -83,7 +83,7 @@ class TestAdversarialLoss:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
-        disc = Discriminator(tiny_disc_arch(), rng)
+        disc = Discriminator(tiny_disc_profile(), rng)
         e_occ, e_act = random_pairs(rng, 6)
         p_occ, p_act = random_pairs(rng, 6)
 
@@ -102,7 +102,7 @@ class TestDiscriminatorStem:
 
     def test_codes_path_matches_embedded_path(self):
         rng = np.random.default_rng(9)
-        disc = Discriminator(tiny_disc_arch(), rng)
+        disc = Discriminator(tiny_disc_profile(), rng)
         occ, act = random_pairs(rng, 12)
         onehot = one_hot_actions(act)
 
@@ -124,7 +124,7 @@ class TestDiscriminatorStem:
 class TestGradientPenalty:
     def test_constant_discriminator_zero_penalty(self):
         rng = np.random.default_rng(3)
-        disc = Discriminator(tiny_disc_arch(), rng)
+        disc = Discriminator(tiny_disc_profile(), rng)
         for name, layer in disc.layers.items():
             if name != "occ_embed":
                 layer.w[:] = 0.0
@@ -139,8 +139,8 @@ class TestGradientPenalty:
     def test_linear_head_penalty_is_coef_times_weight_norm(self):
         """For D linear in its continuous inputs the penalty is input-free."""
         rng = np.random.default_rng(4)
-        arch = tiny_disc_arch()
-        disc = Discriminator(arch, rng)
+        profile = tiny_disc_profile()
+        disc = Discriminator(profile, rng)
         # collapse to a linear map: identity-free path via zeroed trunk weights
         # except a single linear route from the action one-hot branch
         for name in ("trunk_fc0", "trunk_fc1"):
@@ -153,7 +153,7 @@ class TestGradientPenalty:
         # effective linear weight on the one-hot input
         w_eff = (
             disc.layers["act_fc"].w
-            @ disc.layers["trunk_fc0"].w[-arch.act_units :, :]
+            @ disc.layers["trunk_fc0"].w[-profile.act_units :, :]
             @ disc.layers["trunk_fc1"].w
             @ disc.layers["head"].w
         )[:, 0]
@@ -163,7 +163,7 @@ class TestGradientPenalty:
 
     def test_input_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
-        disc = Discriminator(tiny_disc_arch(), rng)
+        disc = Discriminator(tiny_disc_profile(), rng)
         occ, acts = random_pairs(rng, 4)
         onehot = one_hot_actions(acts)
         emb, _ = disc.embed_occupancy(occ)
@@ -186,7 +186,7 @@ class TestGradientPenalty:
 
     def test_penalty_parameter_grads_follow_finite_differences(self):
         rng = np.random.default_rng(6)
-        disc = Discriminator(tiny_disc_arch(), rng)
+        disc = Discriminator(tiny_disc_profile(), rng)
         occ, acts = random_pairs(rng, 4)
 
         def penalty_value():
@@ -249,7 +249,7 @@ class TestDemos:
 
     def test_non_goal_script_rejected(self, area1):
         with pytest.raises(DemoReplayError):
-            record_demo(area1, [Action.WAIT] * 5, goal_id=0)
+            check_demos([("waits", area1.name, 0, [Action.WAIT] * 5)], area1)
 
     def test_demo_pairs_shapes(self, area1, area1_demo_paths):
         demos = load_demos(area1_demo_paths, area1)
@@ -275,7 +275,7 @@ class TestAMPModule:
         enc = ObservationEncoder(area1, L=5)
         e_occ, e_act = demo_pairs(demos, enc)
         amp = AMPModule(
-            tiny_disc_arch(),
+            tiny_disc_profile(),
             ImitationConfig(batch_size=8, updates_per_iter=1),
             e_occ,
             e_act,

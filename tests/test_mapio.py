@@ -103,6 +103,15 @@ class TestDemoScripts:
         with pytest.raises(MapFormatError, match="no actions"):
             load_demo_script(p)
 
+    @pytest.mark.parametrize("header", ["format_version: one", "goal: first"])
+    def test_non_integer_header_rejected(self, tmp_path, header):
+        p = tmp_path / "demo.txt"
+        lines = {"format_version": "format_version: 1", "map": "map: m", "goal": "goal: 0"}
+        lines[header.partition(":")[0]] = header
+        p.write_text("\n".join([*lines.values(), "MoveN"]) + "\n")
+        with pytest.raises(MapFormatError, match="demo.txt: header value is not an integer"):
+            load_demo_script(p)
+
     def test_missing_header_rejected(self, tmp_path):
         p = tmp_path / "demo.txt"
         p.write_text("MoveN\n")

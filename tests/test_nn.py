@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from voxhunt import nn
-from voxhunt.config import TrainConfig
-from voxhunt.imitation import DiscArch, Discriminator, one_hot_actions
+from voxhunt.config import Profile, TrainConfig
+from voxhunt.imitation import Discriminator, one_hot_actions
 from voxhunt.mapio import fixture_path
-from voxhunt.policy import N_ACTIONS, ObsNetArch, make_critic_net, make_policy_net
+from voxhunt.policy import N_ACTIONS, make_critic_net, make_policy_net
 from voxhunt.trainer import Trainer
 
 from .oracles import (
@@ -404,10 +404,10 @@ def desk_net_and_inputs(kind, occ, rng):
     """A desk-profile policy, critic or discriminator and inputs around ``occ``."""
     n = len(occ)
     if kind == "discriminator":
-        net = Discriminator(DiscArch(), rng)
+        net = Discriminator(Profile(), rng)
         return net, {"occ": occ, "act": one_hot_actions(rng.integers(0, N_ACTIONS, size=n))}
     make = make_policy_net if kind == "policy" else make_critic_net
-    net = make(ObsNetArch(out_dim=N_ACTIONS), rng)
+    net = make(Profile(), rng, position_mode="sinusoidal", perception="occupancy", dims=(1, 1, 1))
     for layer in net.layers.values():  # nonzero biases, so no gradient is trivially zero
         if hasattr(layer, "b"):
             layer.b[:] = rng.normal(scale=0.1, size=layer.b.shape)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from voxhunt import nn
+from voxhunt.config import PROFILES, Profile
 from voxhunt.policy import (
     N_ACTIONS,
     ObsNet,
-    ObsNetArch,
     PPOConfig,
     PPOTrainer,
     RolloutBatch,
@@ -20,36 +20,30 @@ from voxhunt.policy import (
 from .oracles import assert_grads_close, fd_param_gradients, gae_ref
 
 
-def tiny_arch(**kw) -> ObsNetArch:
-    base = dict(
-        out_dim=N_ACTIONS,
-        pe_d=8,
-        L=5,
-        occ_embed=4,
-        conv=((4, 2, 0), (8, 2, 1)),
-        pos_units=16,
-        info_units=(16,),
-        trunk=(24, 16),
-        dims=(6, 6, 6),
-    )
-    base.update(kw)
-    return ObsNetArch(**base)
+TINY = Profile(
+    pe_d=8, L=5, occ_embed=4, conv=((4, 2, 0), (8, 2, 1)), pos_units=16, info_units=(16,),
+    trunk=(24, 16),
+)
 
 
-def random_inputs(rng, n, arch: ObsNetArch):
+def tiny_net(rng, make=make_policy_net, position_mode="sinusoidal", perception="occupancy"):
+    return make(TINY, rng, position_mode=position_mode, perception=perception, dims=(6, 6, 6))
+
+
+def random_inputs(rng, n, net: ObsNet):
     inputs = {
         "info": rng.normal(size=(n, 9)),
         "alpha": rng.random(size=(n, 1)),
     }
-    if arch.position_mode == "learned":
+    if net.position_mode == "learned":
         inputs["pos_idx"] = rng.integers(0, 6, size=(n, 3))
-    elif arch.position_mode == "normalized":
+    elif net.position_mode == "normalized":
         inputs["pos"] = rng.random(size=(n, 3))
     else:
-        inputs["pos"] = rng.uniform(-1, 1, size=(n, 3 * arch.pe_d))
-    if arch.perception == "occupancy":
-        inputs["occ"] = rng.integers(0, 4, size=(n, arch.L**3))
-    elif arch.perception == "raycast":
+        inputs["pos"] = rng.uniform(-1, 1, size=(n, 3 * net.profile.pe_d))
+    if net.perception == "occupancy":
+        inputs["occ"] = rng.integers(0, 4, size=(n, net.profile.L**3))
+    elif net.perception == "raycast":
         inputs["rays"] = rng.random(size=(n, 48))
     return inputs
 
@@ -59,9 +53,8 @@ class TestObsNet:
     @pytest.mark.parametrize("perception", ["occupancy", "raycast", "none"])
     def test_forward_backward_all_variants(self, position_mode, perception):
         rng = np.random.default_rng(0)
-        arch = tiny_arch(position_mode=position_mode, perception=perception)
-        net = ObsNet(arch, rng)
-        inputs = random_inputs(rng, 4, arch)
+        net = tiny_net(rng, position_mode=position_mode, perception=perception)
+        inputs = random_inputs(rng, 4, net)
         out, cache = net.forward(inputs)
         assert out.shape == (4, N_ACTIONS)
         w_out = rng.normal(size=out.shape)
@@ -77,20 +70,20 @@ class TestObsNet:
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
-        net = ObsNet(tiny_arch(), rng)
+        net = tiny_net(rng)
         net.save(tmp_path / "net.vxnp")
-        net2 = ObsNet(tiny_arch(), np.random.default_rng(99))
+        net2 = tiny_net(np.random.default_rng(99))
         net2.load(tmp_path / "net.vxnp")
-        inputs = random_inputs(rng, 3, net.arch)
+        inputs = random_inputs(rng, 3, net)
         a, _ = net.forward(inputs)
         b, _ = net2.forward(inputs)
         assert np.array_equal(a, b)
 
     def test_wrong_descriptor_rejected(self, tmp_path):
         rng = np.random.default_rng(2)
-        net = ObsNet(tiny_arch(), rng)
+        net = tiny_net(rng)
         net.save(tmp_path / "net.vxnp")
-        other = ObsNet(tiny_arch(perception="raycast"), rng)
+        other = tiny_net(rng, perception="raycast")
         with pytest.raises(nn.DescriptorMismatchError):
             other.load(tmp_path / "net.vxnp")
 
@@ -98,28 +91,28 @@ class TestObsNet:
 class TestAct:
     def test_uniform_logits_give_uniform_distribution(self):
         rng = np.random.default_rng(3)
-        net = ObsNet(tiny_arch(), rng)
+        net = tiny_net(rng)
         net.layers["head"].w[:] = 0.0
         net.layers["head"].b[:] = 0.0
-        inputs = random_inputs(rng, 2, net.arch)
+        inputs = random_inputs(rng, 2, net)
         _, _, probs = act(net, inputs, rng)
         assert np.allclose(probs, 0.1, atol=1e-12)
 
     def test_dominant_logit_wins_greedy(self):
         rng = np.random.default_rng(4)
-        net = ObsNet(tiny_arch(), rng)
+        net = tiny_net(rng)
         net.layers["head"].w[:] = 0.0
         net.layers["head"].b[:] = 0.0
         net.layers["head"].b[6] = 50.0
-        inputs = random_inputs(rng, 3, net.arch)
+        inputs = random_inputs(rng, 3, net)
         actions, logp, _ = act(net, inputs, greedy=True)
         assert np.all(actions == 6)
         assert np.allclose(logp, 0.0, atol=1e-12)
 
     def test_fixed_seed_reproducible(self):
         rng = np.random.default_rng(5)
-        net = ObsNet(tiny_arch(), rng)
-        inputs = random_inputs(rng, 4, net.arch)
+        net = tiny_net(rng)
+        inputs = random_inputs(rng, 4, net)
         a1, l1, _ = act(net, inputs, np.random.default_rng(42))
         a2, l2, _ = act(net, inputs, np.random.default_rng(42))
         assert np.array_equal(a1, a2) and np.array_equal(l1, l2)
@@ -127,8 +120,8 @@ class TestAct:
     def test_initial_entropy_near_log_ten(self):
         # small head init keeps the starting policy near uniform
         rng = np.random.default_rng(6)
-        net = make_policy_net(tiny_arch(), rng)
-        inputs = random_inputs(rng, 64, net.arch)
+        net = tiny_net(rng)
+        inputs = random_inputs(rng, 64, net)
         _, _, probs = act(net, inputs, rng)
         entropy = -(probs * np.log(probs)).sum(axis=1).mean()
         assert abs(entropy - np.log(10)) < 0.05
@@ -280,12 +273,9 @@ class TestPaperProfile:
     def test_reference_architecture_builds_and_differentiates(self, tmp_path):
         """The full-size profile (21^3 cube, four conv layers, 512/1024 dense)
         constructs, runs forward/backward, and round-trips its parameters."""
-        from voxhunt.config import TrainConfig
-
-        cfg = TrainConfig(map_path="unused", profile="paper")
-        arch = cfg.policy_arch((64, 64, 64))
+        branches = dict(position_mode="sinusoidal", perception="occupancy", dims=(64, 64, 64))
         rng = np.random.default_rng(0)
-        net = make_policy_net(arch, rng)
+        net = make_policy_net(PROFILES["paper"], rng, **branches)
         inputs = {
             "pos": rng.uniform(-1, 1, size=(2, 96)),
             "info": rng.normal(size=(2, 9)),
@@ -297,22 +287,20 @@ class TestPaperProfile:
         grads = net.backward(cache, np.ones_like(out))
         assert set(grads) == set(net.params())
         net.save(tmp_path / "paper.vxnp")
-        net2 = make_policy_net(arch, np.random.default_rng(9))
+        net2 = make_policy_net(PROFILES["paper"], np.random.default_rng(9), **branches)
         net2.load(tmp_path / "paper.vxnp")
         out2, _ = net2.forward(inputs)
         assert np.array_equal(out, out2)
 
     def test_reference_rnd_and_disc_shapes(self):
-        from voxhunt.config import TrainConfig
         from voxhunt.curiosity import RNDNet
         from voxhunt.imitation import Discriminator
 
-        cfg = TrainConfig(map_path="unused", profile="paper")
         rng = np.random.default_rng(1)
-        rnd = RNDNet(cfg.rnd_arch(), rng)
+        rnd = RNDNet(PROFILES["paper"], rng)
         out, _ = rnd.forward({"pos": rng.normal(size=(2, 96)), "info": rng.normal(size=(2, 9))})
         assert out.shape == (2, 128)
-        disc = Discriminator(cfg.disc_arch(), rng)
+        disc = Discriminator(PROFILES["paper"], rng)
         d, _ = disc.forward(
             rng.integers(0, 4, size=(2, 21**3)),
             np.eye(N_ACTIONS)[rng.integers(0, N_ACTIONS, size=2)],
@@ -323,10 +311,9 @@ class TestPaperProfile:
 class TestCriticRegression:
     def test_value_mse_decreases_over_first_updates(self):
         rng = np.random.default_rng(13)
-        arch = tiny_arch()
-        critic = make_critic_net(arch, rng)
+        critic = tiny_net(rng, make_critic_net)
         adam = nn.Adam(critic.params(), lr=3e-3)
-        inputs = random_inputs(rng, 128, critic.arch)
+        inputs = random_inputs(rng, 128, critic)
         targets = rng.normal(size=128)
         losses = []
         for _ in range(10):

@@ -307,9 +307,10 @@ class TestConfig:
             tiny_cfg(area1_demo_paths).apply_overrides(["ppo.momentum=0.9"])
 
     def test_profiles_expose_both_sizes(self):
-        from voxhunt.config import desk_profile, paper_profile
+        from voxhunt.config import PROFILES, Profile
 
-        desk, paper = desk_profile(), paper_profile()
+        desk, paper = PROFILES["desk"], PROFILES["paper"]
+        assert desk == Profile()
         assert desk.L == 7 and paper.L == 21
         assert paper.trunk == (1024, 512, 512)
         assert paper.conv == ((32, 2, 1), (32, 2, 1), (64, 2, 1), (64, 2, 1))

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voxhunt.cli import main
-from voxhunt.config import TrainConfig, resolve_path
-from voxhunt.curiosity import CuriosityConfig, RNDArch, RNDPair
+from voxhunt.config import Profile, TrainConfig, resolve_path
+from voxhunt.curiosity import CuriosityConfig, RNDPair
 from voxhunt.encode import ObservationEncoder
 from voxhunt.imitation import load_demos
 from voxhunt.mapio import fixture_path, load_map, save_demo_script
@@ -46,9 +46,8 @@ def synth_score(i, alpha, reached=True, rc=0.5, bugs=()):
 
 class TestScoreTrajectory:
     def _rnd(self, identical=False):
-        arch = RNDArch(pos_dim=96)
         pair = RNDPair(
-            arch, CuriosityConfig(), np.random.default_rng(0), np.random.default_rng(1)
+            Profile(), CuriosityConfig(), np.random.default_rng(0), np.random.default_rng(1)
         )
         if identical:
             pair.predictor.set_params(pair.target.params())
