@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import nn
-from .config import ConfigError, TrainConfig, resolve_path
+from .config import PROFILES, ConfigError, TrainConfig, resolve_path
 from .imitation import DemoError, check_demos, load_demos
 from .mapio import load_map, read_script, save_demo_script
 from .trainer import TrainingDiverged, TrajectoryLog, run_training
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_config_flags(p):
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--profile", choices=["desk", "paper"], help="architecture profile")
+        p.add_argument("--profile", choices=list(PROFILES), help="architecture profile")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument(
             "--set",

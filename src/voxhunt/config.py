@@ -24,6 +24,12 @@ class ConfigError(Exception):
     pass
 
 
+# Settings removed since run directories were first written, by dotted name.
+# An old run's config.json still loads for triage and export; a training
+# config that names one is rejected as an unknown field.
+RETIRED = ("workers", "ppo.normalize_advantages", "imitation.fd_step", "curiosity.normalize")
+
+
 def resolve_path(path: str) -> str:
     """Expand `fixture:<name>` references to bundled files."""
     if path.startswith("fixture:"):
@@ -73,6 +79,50 @@ PROFILES = {
 }
 
 
+# What a value must be, by the type of its field's default: a bool is never
+# a number, and an int is accepted where a float is expected.
+TYPES = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    str: ("a string", lambda v: type(v) is str),
+    list: ("a list of strings", lambda v: type(v) is list and all(type(p) is str for p in v)),
+}
+
+
+def _at_least(low):
+    return f">= {low}", lambda v: v >= low
+
+
+def _one_of(*choices):
+    return f"one of {'|'.join(choices)}", lambda v: v in choices
+
+
+# The bounds and choices of the settings that have them, by dotted name,
+# checked once a value has its field's type.
+LIMITS = {
+    "iterations": _at_least(0),
+    "episodes_per_iter": _at_least(1),
+    "episode_length": _at_least(1),
+    "profile": _one_of(*PROFILES),
+    "alpha_mode": _one_of("uniform", "fixed"),
+    "alpha_value": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "reward_mode": _one_of("full", "extrinsic_only"),
+    "position_mode": _one_of("sinusoidal", "normalized", "learned"),
+    "perception": _one_of("occupancy", "raycast", "none"),
+    "eval_every": _at_least(0),
+    "eval_episodes": _at_least(1),
+    "ppo.gae_lambda": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "ppo.clip": ("in (0, 1)", lambda v: 0 < v < 1),
+    "ppo.epochs": _at_least(0),
+    "ppo.minibatch": _at_least(1),
+    "imitation.batch_size": _at_least(1),
+    "imitation.buffer_capacity": _at_least(1),
+    "imitation.updates_per_iter": _at_least(0),
+    "curiosity.batch_size": _at_least(1),
+    "curiosity.updates_per_iter": _at_least(0),
+}
+
+
 @dataclass
 class TrainConfig:
     map_path: str = ""
@@ -95,49 +145,20 @@ class TrainConfig:
     curiosity: CuriosityConfig = field(default_factory=CuriosityConfig)
 
     def validate(self) -> list[str]:
-        problems = []
-        if not self.map_path:
-            problems.append("map_path is required")
-        elif not Path(resolve_path(self.map_path)).exists():
-            problems.append(f"map_path does not exist: {self.map_path}")
-        for p in self.demo_paths:
-            if not Path(resolve_path(p)).exists():
-                problems.append(f"demo path does not exist: {p}")
-        if self.reward_mode == "full" and not self.demo_paths:
-            problems.append("reward_mode 'full' requires at least one demo path")
-        if self.reward_mode not in ("full", "extrinsic_only"):
-            problems.append(f"unknown reward_mode {self.reward_mode!r}")
-        if self.iterations < 0:
-            problems.append(f"iterations must be >= 0, got {self.iterations}")
-        if self.episodes_per_iter < 1:
-            problems.append("episodes_per_iter must be >= 1")
-        if self.episode_length < 1:
-            problems.append("episode_length must be >= 1")
-        if self.profile not in PROFILES:
-            problems.append(f"unknown profile {self.profile!r} (desk|paper)")
-        if self.alpha_mode not in ("uniform", "fixed"):
-            problems.append(f"unknown alpha_mode {self.alpha_mode!r}")
-        if not 0.0 <= self.alpha_value <= 1.0:
-            problems.append(f"alpha_value must be in [0,1], got {self.alpha_value}")
-        if self.position_mode not in ("sinusoidal", "normalized", "learned"):
-            problems.append(f"unknown position_mode {self.position_mode!r}")
-        if self.perception not in ("occupancy", "raycast", "none"):
-            problems.append(f"unknown perception {self.perception!r}")
-        if self.eval_every < 0:
-            problems.append(f"eval_every must be >= 0, got {self.eval_every}")
-        if self.eval_episodes < 1:
-            problems.append(f"eval_episodes must be >= 1, got {self.eval_episodes}")
-        for name, value, least in (
-            ("ppo.minibatch", self.ppo.minibatch, 1),
-            ("imitation.batch_size", self.imitation.batch_size, 1),
-            ("curiosity.batch_size", self.curiosity.batch_size, 1),
-            ("imitation.buffer_capacity", self.imitation.buffer_capacity, 1),
-            ("ppo.epochs", self.ppo.epochs, 0),
-            ("imitation.updates_per_iter", self.imitation.updates_per_iter, 0),
-            ("curiosity.updates_per_iter", self.curiosity.updates_per_iter, 0),
-        ):
-            if value < least:
-                problems.append(f"{name} must be >= {least}, got {value}")
+        """Every problem of this config, one line each, naming its field."""
+        bad = _field_problems(self, TrainConfig())
+        problems = list(bad.values())
+        if "map_path" not in bad:
+            if not self.map_path:
+                problems.append("map_path is required")
+            elif not Path(resolve_path(self.map_path)).exists():
+                problems.append(f"map_path does not exist: {self.map_path}")
+        if "demo_paths" not in bad:
+            for p in self.demo_paths:
+                if not Path(resolve_path(p)).exists():
+                    problems.append(f"demo path does not exist: {p}")
+            if self.reward_mode == "full" and not self.demo_paths:
+                problems.append("reward_mode 'full' requires at least one demo path")
         return problems
 
     def net_profile(self) -> Profile:
@@ -149,7 +170,7 @@ class TrainConfig:
         return self.net_profile()
 
     def to_dict(self) -> dict:
-        return _dataclass_to_dict(self)
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True)
@@ -161,15 +182,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        doc = dict(doc)
-        for key, sub in (("ppo", PPOConfig), ("imitation", ImitationConfig), ("curiosity", CuriosityConfig)):
-            if key in doc and isinstance(doc[key], dict):
-                doc[key] = _dataclass_from_dict(sub, doc[key])
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**doc)
+        """A config from its JSON object; ConfigError names unknown fields."""
+        return _dataclass_from_dict(cls, doc)
 
     @classmethod
     def from_json_file(cls, path: str | Path, retired: tuple[str, ...] = ()) -> "TrainConfig":
@@ -181,12 +195,17 @@ class TrainConfig:
             raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: top level must be an object")
-        return cls.from_dict({k: v for k, v in doc.items() if k not in retired})
+        for dotted in retired:
+            *group, key = dotted.split(".")
+            node = doc.get(group[0]) if group else doc
+            if isinstance(node, dict):
+                node.pop(key, None)
+        return cls.from_dict(doc)
 
     @classmethod
     def from_run_dir(cls, run_dir: str | Path) -> "TrainConfig":
         """A run directory's ``config.json``, minus fields retired since it was written."""
-        return cls.from_json_file(Path(run_dir) / "config.json", retired=("workers",))
+        return cls.from_json_file(Path(run_dir) / "config.json", retired=RETIRED)
 
     def apply_overrides(self, overrides: list[str]) -> "TrainConfig":
         """Apply `dotted.path=value` strings; values parse as JSON when possible."""
@@ -211,25 +230,37 @@ class TrainConfig:
         return TrainConfig.from_dict(doc)
 
 
-def _dataclass_to_dict(obj):
-    if dataclasses.is_dataclass(obj):
-        return {
-            f.name: _dataclass_to_dict(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, (list, tuple)):
-        return [_dataclass_to_dict(v) for v in obj]
-    return obj
+def _field_problems(group, default, prefix: str = "") -> dict[str, str]:
+    """The problem of each field of ``group`` that does not have the type of
+    its value in ``default``, or breaks its LIMITS, by dotted name; a nested
+    group is checked field by field once it is an object."""
+    problems = {}
+    for f in dataclasses.fields(default):
+        name, value, like = prefix + f.name, getattr(group, f.name), getattr(default, f.name)
+        if dataclasses.is_dataclass(like):
+            if type(value) is not type(like):
+                problems[name] = f"{name} must be an object, got {value!r}"
+            else:
+                problems.update(_field_problems(value, like, f"{name}."))
+            continue
+        kind, is_kind = TYPES[type(like)]
+        if not is_kind(value):
+            problems[name] = f"{name} must be {kind}, got {value!r}"
+        elif name in LIMITS and not LIMITS[name][1](value):
+            problems[name] = f"{name} must be {LIMITS[name][0]}, got {value!r}"
+    return problems
 
 
-def _dataclass_from_dict(cls, doc: dict):
-    known = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(doc) - set(known)
+def _dataclass_from_dict(cls, doc: dict, prefix: str = ""):
+    """``cls`` built from ``doc``, each nested group that ``doc`` holds as an
+    object built the same way; ConfigError names unknown fields by dotted name."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = [prefix + key for key in doc if key not in fields]
     if unknown:
-        raise ConfigError(f"unknown fields for {cls.__name__}: {sorted(unknown)}")
-    kwargs = {}
-    for name, value in doc.items():
-        if isinstance(value, list):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        kwargs[name] = value
+        raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
+    kwargs = dict(doc)
+    for key, value in doc.items():
+        group = fields[key].default_factory
+        if dataclasses.is_dataclass(group) and isinstance(value, dict):
+            kwargs[key] = _dataclass_from_dict(group, value, f"{prefix}{key}.")
     return cls(**kwargs)

@@ -5,7 +5,7 @@ info) to a feature vector; a trainable predictor chases it. The mean squared
 prediction error is the curiosity reward: it decays wherever the agent keeps
 returning and stays high in rarely visited states.
 
-The raw error is what trajectory triage consumes after training; an optional
+The raw error is what trajectory triage consumes after training; a
 running-deviation normalizer only rescales the copy fed into the combined
 step reward.
 """
@@ -28,7 +28,6 @@ if TYPE_CHECKING:
 class CuriosityConfig:
     lr: float = 7e-5
     batch_size: int = 128
-    normalize: bool = True
     updates_per_iter: int = 4
 
 
@@ -90,13 +89,10 @@ class RNDPair:
         return ((t - p) ** 2).mean(axis=-1)
 
     def normalized_reward(self, raw: np.ndarray) -> np.ndarray:
-        if not self.cfg.normalize:
-            return np.asarray(raw, dtype=np.float64)
         return np.asarray(raw, dtype=np.float64) / (self.reward_std.std + 1e-8)
 
     def observe_rewards(self, raw: np.ndarray) -> None:
-        if self.cfg.normalize:
-            self.reward_std.update(raw)
+        self.reward_std.update(raw)
 
     def train_step(self, inputs: dict[str, np.ndarray]) -> float:
         """One Adam step on the predictor; the target never moves."""

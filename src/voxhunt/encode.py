@@ -15,7 +15,6 @@ are one-row calls of the same code. Ray casts stay a per-state march.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import cos, lcm, sin, sqrt
 
 import numpy as np
@@ -32,30 +31,21 @@ INFO_DIM = 9  # agent_info: 3 flags, the displacement and its unit direction
 RAY_DIM = 48  # raycast_observation: (distance, hit code) of 24 rays
 
 
-@dataclass(frozen=True)
-class PEConfig:
-    """Sinusoidal code shape: d values per coordinate, geometric wavelengths."""
-
-    d: int = 32
-    base: float = 10000.0
-
-    def __post_init__(self):
-        if self.d <= 0 or self.d % 2 != 0:
-            raise ValueError(f"embedding size d must be a positive even integer, got {self.d}")
-        if self.base <= 1:
-            raise ValueError(f"base must be > 1, got {self.base}")
+PE_BASE = 10000.0  # the code's wavelengths rise geometrically from 2 pi toward 2 pi PE_BASE
 
 
-def positional_embedding(pos: int, cfg: PEConfig = PEConfig()) -> np.ndarray:
-    """sin/cos code of a non-negative integer coordinate, values in [-1, 1].
+def positional_embedding(pos: int, d: int = 32) -> np.ndarray:
+    """sin/cos code of a non-negative integer coordinate, d values in [-1, 1].
 
-    Element 2i is sin(pos / base^(2i/d)), element 2i+1 the matching cosine.
+    Element 2i is sin(pos / PE_BASE^(2i/d)), element 2i+1 the matching cosine.
     """
+    if d <= 0 or d % 2 != 0:
+        raise ValueError(f"embedding size d must be a positive even integer, got {d}")
     if pos < 0:
         raise ValueError(f"pos must be >= 0, got {pos}")
-    half = np.arange(cfg.d // 2, dtype=np.float64)
-    angles = pos / np.power(cfg.base, 2.0 * half / cfg.d)
-    out = np.empty(cfg.d, dtype=np.float64)
+    half = np.arange(d // 2, dtype=np.float64)
+    angles = pos / np.power(PE_BASE, 2.0 * half / d)
+    out = np.empty(d, dtype=np.float64)
     out[0::2] = np.sin(angles)
     out[1::2] = np.cos(angles)
     return out
@@ -142,15 +132,15 @@ def raycast_observation(
 class ObservationEncoder:
     """Per-map lookup tables; every feature row of a batch is a gather."""
 
-    def __init__(self, vmap: VoxelMap, L: int = 7, pe: PEConfig = PEConfig()):
+    def __init__(self, vmap: VoxelMap, L: int = 7, pe_d: int = 32):
         if L < 1 or L % 2 == 0:
             raise ValueError(f"L must be odd and positive, got {L}")
         self.map = vmap
         self.L = L
-        self.pe = pe
+        self.pe_d = pe_d
         nx, ny, nz = vmap.dims
         self._pe_tables = [
-            np.stack([positional_embedding(i, pe) for i in range(n)])
+            np.stack([positional_embedding(i, pe_d) for i in range(n)])
             for n in (nx, ny, nz)
         ]
         # Voxel p's cube is the L^3 window whose corner is p in the map padded

@@ -49,7 +49,6 @@ class ImitationConfig:
     buffer_capacity: int = 100_000
     gp_coef: float = 5.0
     updates_per_iter: int = 2
-    fd_step: float = 1e-3  # directional step for the penalty's parameter grads
 
 
 class Discriminator(nn.Net):
@@ -132,7 +131,7 @@ def penalty_parameter_grads(
     expert_occ: np.ndarray,
     expert_act: np.ndarray,
     coef: float,
-    fd_step: float,
+    fd_step: float = 1e-3,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Penalty value plus its parameter gradients.
 
@@ -302,11 +301,7 @@ class AMPModule:
             )
             if cfg.gp_coef > 0.0:
                 penalty, pgrads = penalty_parameter_grads(
-                    self.disc,
-                    self.expert_occ[ei],
-                    self.expert_act[ei],
-                    cfg.gp_coef,
-                    cfg.fd_step,
+                    self.disc, self.expert_occ[ei], self.expert_act[ei], cfg.gp_coef
                 )
                 for k, g in pgrads.items():
                     grads[k] = grads[k] + g

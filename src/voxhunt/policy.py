@@ -120,23 +120,21 @@ def make_critic_net(profile: Profile, rng: np.random.Generator, **branches) -> O
 def act(
     net: ObsNet,
     inputs: dict[str, np.ndarray],
-    rngs: list[np.random.Generator] | np.random.Generator | None = None,
-    greedy: bool = False,
+    rngs: list[np.random.Generator] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample actions for a batch of observations.
+    """Actions for a batch of observations: each row samples from its own
+    generator, so lockstep rollouts stay per-episode deterministic, or every
+    row takes its most likely action when ``rngs`` is None.
 
-    Returns (actions, log_probs, probs). Each batch row can carry its own
-    generator so lockstep rollouts stay per-episode deterministic.
+    Returns (actions, log_probs, probs).
     """
     logits, _ = net.forward(inputs)
     nn.check_finite("policy logits", logits)
     probs = nn.softmax(logits)
     n = probs.shape[0]
-    if greedy:
+    if rngs is None:
         actions = probs.argmax(axis=-1)
     else:
-        if isinstance(rngs, np.random.Generator):
-            rngs = [rngs] * n
         u = np.array([r.random() for r in rngs])
         cum = probs.cumsum(axis=-1)
         actions = (u[:, None] >= cum).sum(axis=-1)
@@ -155,13 +153,6 @@ class PPOConfig:
     value_coef: float = 0.5
     epochs: int = 4
     minibatch: int = 256
-    normalize_advantages: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.clip < 1.0:
-            raise ValueError(f"clip must be in (0,1), got {self.clip}")
-        if not 0.0 <= self.gae_lambda <= 1.0:
-            raise ValueError(f"gae_lambda must be in [0,1], got {self.gae_lambda}")
 
 
 def compute_gae(
@@ -210,8 +201,7 @@ class PPOTrainer:
         cfg = self.cfg
         n = len(batch)
         adv = batch.advantages
-        if cfg.normalize_advantages:
-            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
         stats = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0, "clip_frac": 0.0}
         updates = 0

@@ -25,7 +25,7 @@ import numpy as np
 from . import nn
 from .config import TrainConfig, resolve_path
 from .curiosity import RNDPair
-from .encode import ObservationEncoder, PEConfig, raycast_observation
+from .encode import ObservationEncoder, raycast_observation
 from .imitation import AMPModule, demo_pairs, load_demos
 from .mapio import load_map
 from .policy import (
@@ -157,7 +157,7 @@ class Trainer:
         self.map: VoxelMap = load_map(resolve_path(cfg.map_path))
         self.physics = Physics(self.map)  # one engine for every rollout
         self.profile = profile = cfg.net_profile()
-        self.encoder = ObservationEncoder(self.map, L=profile.L, pe=PEConfig(d=profile.pe_d))
+        self.encoder = ObservationEncoder(self.map, L=profile.L, pe_d=profile.pe_d)
 
         self._net_rng = lambda k: np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, k))
@@ -233,7 +233,7 @@ class Trainer:
             if t == T:
                 break
             inputs = self._net_inputs(states[-1], alphas)
-            acts, logp[:, t], _ = act(self.policy, inputs, rngs, greedy=rngs is None)
+            acts, logp[:, t], _ = act(self.policy, inputs, rngs)
             step = physics.step(agents, acts, t)
             agents = step.agents
             rec.actions[t], rec.bugs_in[t], rec.bugs_used[t] = acts, step.bugs_in, step.bugs_used

@@ -16,10 +16,11 @@ process.
 Triage reads only the dataset fields ``id``, ``alpha``, ``actions`` and
 ``positions`` (TRIAGE_FIELDS); the reader drops every other field, the
 per-step reward lists among them, line by line. A record that lacks one of
-the four, stores an action that is not an action id (an int in 0..9), or
-does not hold one more position than actions is a TriageError naming the
-record. Triage then replays all records and the demos in one
-lockstep simulator call and checks each record against its stored positions.
+the four, holds a value of the wrong type (an action that is not an int in
+0..9, say), or does not hold one more position than actions is a
+TriageError naming the dataset and the record. Triage then replays all
+records and the demos in one lockstep simulator call and checks each record
+against its stored positions.
 
 A state's novelty depends on the state alone, and goal prefixes share most
 of their states. The replay's goal-prefix states are numbered in one
@@ -43,7 +44,7 @@ import numpy as np
 
 from .config import TrainConfig, resolve_path
 from .curiosity import RNDPair
-from .encode import ObservationEncoder, PEConfig, agent_info
+from .encode import ObservationEncoder, agent_info
 from .imitation import load_demos
 from .mapio import load_map
 from .trainer import TrajectoryLog, TriageError
@@ -110,6 +111,10 @@ FIELD_TYPES = {
         and _ints(chain.from_iterable(v)),
     ),
     "bug_regions": ("a list of ints", lambda v: type(v) is list and _ints(v)),
+    "actions": (
+        f"a list of action ids 0..{len(Action) - 1}",
+        lambda v: type(v) is list and _ints(v) and (not v or 0 <= min(v) <= max(v) < len(Action)),
+    ),
 }
 
 
@@ -128,23 +133,12 @@ def check_fields(records: list[dict], fields: tuple[str, ...], path: str | Path)
 
 
 def record_actions(record: dict) -> list[int]:
-    """A stored record's action ids. TriageError names the record if an
-    action is not an int in 0..9 (a bool is not), or if the record does not
-    hold exactly one more position than actions."""
-    rid = record.get("id")
-    actions, positions = record.get("actions"), record.get("positions")
-    if not isinstance(actions, list) or not isinstance(positions, list):
-        raise TriageError(f"trajectory {rid}: actions and positions must be lists")
-    if not set(map(type, actions)) <= {int} or (
-        actions and not 0 <= min(actions) <= max(actions) < len(Action)
-    ):
-        bad = next(a for a in actions if type(a) is not int or not 0 <= a < len(Action))
-        raise TriageError(
-            f"trajectory {rid}: stored action {bad!r} is not an action id 0..{len(Action) - 1}"
-        )
+    """A stored record's action ids; TriageError names the record if it does
+    not hold exactly one more position than actions."""
+    actions, positions = record["actions"], record["positions"]
     if len(positions) != len(actions) + 1:
         raise TriageError(
-            f"trajectory {rid}: {len(positions)} positions for {len(actions)} actions"
+            f"trajectory {record['id']}: {len(positions)} positions for {len(actions)} actions"
         )
     return actions
 
@@ -329,7 +323,7 @@ def run_triage(
     cfg = TrainConfig.from_run_dir(run_dir)
     vmap = load_map(resolve_path(cfg.map_path))
     profile = cfg.net_profile()
-    encoder = ObservationEncoder(vmap, L=profile.L, pe=PEConfig(d=profile.pe_d))
+    encoder = ObservationEncoder(vmap, L=profile.L, pe_d=profile.pe_d)
 
     rng = np.random.default_rng(0)
     rnd = RNDPair(profile, cfg.curiosity, rng, rng)
@@ -343,10 +337,13 @@ def run_triage(
     demos = []
     if cfg.demo_paths:
         demos = load_demos([resolve_path(p) for p in cfg.demo_paths], vmap).demos
-    scores, demo_scores, total_cov = score_records(
-        records, vmap, rnd, encoder,
-        [demo.actions for demo in demos], max_rows=cfg.episode_length + 1,
-    )
+    try:
+        scores, demo_scores, total_cov = score_records(
+            records, vmap, rnd, encoder,
+            [demo.actions for demo in demos], max_rows=cfg.episode_length + 1,
+        )
+    except TriageError as e:  # each names a record of the dataset
+        raise TriageError(f"{data_path}: {e}") from e
 
     eps = compute_epsilon(scores, demo_scores, mode, value=epsilon, quantile=quantile)
     theta = filter_theta(scores, eps)

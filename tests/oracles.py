@@ -466,7 +466,7 @@ def greedy_eval_ref(trainer, round_id):
                 "pos": enc.position_code(s.pos),
                 "info": agent_info_vector(s),
             }
-            acts, _, _ = act(trainer.policy, trainer._net_inputs(row, np.array(alpha)), greedy=True)
+            acts, _, _ = act(trainer.policy, trainer._net_inputs(row, np.array(alpha)))
             actions.append(int(acts[0]))
             hit = hit or bool(env.step(acts[0]).goal_ids)
             if hit:

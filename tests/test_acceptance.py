@@ -19,7 +19,6 @@ from voxhunt.config import TrainConfig
 from voxhunt.curiosity import CuriosityConfig, RNDPair
 from voxhunt.encode import (
     ObservationEncoder,
-    PEConfig,
     agent_info_vector,
     positional_embedding,
     raycast_observation,
@@ -279,7 +278,7 @@ def test_criterion_02_formula_oracles(tmp_path):
         # positional code vs scalar recomputation
         for pos in [0, 1, 5, 311, 9997]:
             for d in (4, 32):
-                got = positional_embedding(pos, PEConfig(d=d))
+                got = positional_embedding(pos, d)
                 ref = positional_embedding_ref(pos, d)
                 assert np.max(np.abs(got - ref)) <= 1e-12
 
@@ -689,7 +688,7 @@ def test_alpha_conditioning_is_live(reward_sweep):
             "occ": enc.cubes(np.array([s.pos for s in states]), 0),
             "alpha": np.full((len(states), 1), alpha),
         }
-        _, _, probs = act(net, inputs, greedy=True)
+        _, _, probs = act(net, inputs)
         return probs
 
     tv = 0.5 * np.abs(probs_at(0.0) - probs_at(1.0)).sum(axis=1)

@@ -73,16 +73,28 @@ class TestValidation:
             "ppo.epochs=-1",
             "imitation.updates_per_iter=-1",
             "curiosity.updates_per_iter=-1",
+            "ppo.clip=2",
+            "ppo.gae_lambda=-1",
+            'imitation.gp_coef="x"',
+            "iterations=abc",
+            "ppo=5",
+            "demo_paths=3",
+            "seed=1.5",
+            "alpha_value=true",
+            "ppo.normalize_advantages=false",
         ],
     )
     def test_nested_batch_sizes_exit_2_before_start(self, setting, quick_config, tmp_path, capsys):
+        """A bad value, type or retired setting ends in one error line naming
+        the field, exit 2, and no run directory."""
         out = tmp_path / "run"
         rc = main([
             "train", "--config", str(quick_config), "--out", str(out),
             "--set", "iterations=1", "--set", setting,
         ])
         assert rc == 2
-        assert setting.split("=")[0] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and setting.split("=")[0] in err, err
         assert not out.exists()
 
     def test_removed_workers_setting_rejected_before_side_effect(
@@ -168,7 +180,7 @@ class TestTrainTriageExport:
         capsys.readouterr()
         assert main(["triage", str(out)]) == 1
         err = capsys.readouterr().err
-        assert f"trajectory {records[1]['id']}: replay diverged" in err
+        assert f"error: {data}: trajectory {records[1]['id']}: replay diverged" in err
         assert not (out / "triage_report.json").exists()
 
     def test_rerun_with_same_seed_is_bit_identical(self, quick_config, tmp_path):
@@ -191,16 +203,30 @@ class TestTrainTriageExport:
             err = capsys.readouterr().err
             assert f"error: {cfg}: invalid JSON at line" in err and "Traceback" not in err
 
-    def test_run_written_with_workers_field_still_triages(self, quick_config, tmp_path):
+    def test_run_written_with_workers_field_still_triages(self, quick_config, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", "--config", str(quick_config), "--out", str(out)]) == 0
         main(["triage", str(out)])
         report = (out / "triage_report.json").read_bytes()
         cfg = out / "config.json"
-        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "workers": 2}))
+        doc = json.loads(cfg.read_text())
+        retired = {"ppo": "normalize_advantages", "curiosity": "normalize", "imitation": "fd_step"}
+        old = {**doc, "workers": 2, "ppo": {**doc["ppo"], "normalize_advantages": True},
+               "curiosity": {**doc["curiosity"], "normalize": True},
+               "imitation": {**doc["imitation"], "fd_step": 1e-3}}
+        cfg.write_text(json.dumps(old))
         assert main(["triage", str(out)]) == 0
         assert (out / "triage_report.json").read_bytes() == report
         assert main(["export", str(out), "--demos"]) == 0
+        # a training config that still sets one is refused before any file is written
+        for group, key in retired.items():
+            p = tmp_path / f"{group}.json"
+            train = json.loads(quick_config.read_text())
+            p.write_text(json.dumps({**train, group: {key: old[group][key]}}))
+            capsys.readouterr()
+            assert main(["train", "--config", str(p), "--out", str(tmp_path / "again")]) == 2
+            assert f"{group}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "again").exists()
 
 
 class TestBadRecords:

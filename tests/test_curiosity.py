@@ -122,14 +122,9 @@ class TestNormalization:
         assert rs.std == 1.0
 
     def test_normalized_copy_leaves_raw_alone(self):
-        pair = make_pair(cfg=CuriosityConfig(lr=1e-3, normalize=True))
+        pair = make_pair(cfg=CuriosityConfig(lr=1e-3))
         rng = np.random.default_rng(11)
         raw = pair.raw_reward(random_states(rng, 64))
         pair.observe_rewards(raw)
         normed = pair.normalized_reward(raw)
         assert np.allclose(normed * (pair.reward_std.std + 1e-8), raw, rtol=1e-12)
-
-    def test_normalization_off_is_identity(self):
-        pair = make_pair(cfg=CuriosityConfig(normalize=False))
-        raw = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(pair.normalized_reward(raw), raw)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from voxhunt.config import PROFILES, TrainConfig
 from voxhunt.encode import (
     ObservationEncoder,
-    PEConfig,
     agent_info_vector,
     normalized_position,
     positional_embedding,
@@ -24,63 +23,57 @@ from .oracles import Env, agent_info_ref, local_occupancy, positional_embedding_
 
 class TestPositionalEmbedding:
     def test_pos_zero_alternates_zero_one(self):
-        v = positional_embedding(0, PEConfig(d=8))
+        v = positional_embedding(0, 8)
         assert np.array_equal(v[0::2], np.zeros(4))
         assert np.array_equal(v[1::2], np.ones(4))
 
     def test_first_element_is_sin_of_pos(self):
-        v = positional_embedding(1, PEConfig(d=4))
+        v = positional_embedding(1, 4)
         assert v[0] == pytest.approx(np.sin(1.0), abs=1e-12)
         assert v[0] == pytest.approx(0.841471, abs=1e-6)
 
     @given(pos=st.integers(0, 10_000), d=st.sampled_from([2, 8, 32]))
     @settings(max_examples=60, deadline=None)
     def test_bounded_and_matches_scalar_reference(self, pos, d):
-        cfg = PEConfig(d=d)
-        v = positional_embedding(pos, cfg)
+        v = positional_embedding(pos, d)
         assert np.max(np.abs(v)) <= 1.0 + 1e-15
         ref = positional_embedding_ref(pos, d)
         assert np.allclose(v, ref, atol=1e-12, rtol=0)
 
     def test_rejects_odd_d(self):
         with pytest.raises(ValueError):
-            PEConfig(d=5)
+            positional_embedding(0, 5)
 
     def test_pure_function(self):
-        cfg = PEConfig(d=16)
-        assert np.array_equal(positional_embedding(37, cfg), positional_embedding(37, cfg))
+        assert np.array_equal(positional_embedding(37, 16), positional_embedding(37, 16))
 
 
-def encode_position(pos3, cfg):
+def encode_position(pos3, d):
     """The encoder's concatenated X, Y, Z code on a map large enough for pos3."""
-    return ObservationEncoder(flat_map(dims=(8, 8, 8)), pe=cfg).position_code(pos3)
+    return ObservationEncoder(flat_map(dims=(8, 8, 8)), pe_d=d).position_code(pos3)
 
 
 class TestEncodePosition:
     def test_origin_is_three_zero_patterns(self):
-        cfg = PEConfig(d=6)
-        v = encode_position((0, 0, 0), cfg)
-        assert np.array_equal(v, np.tile(positional_embedding(0, cfg), 3))
+        v = encode_position((0, 0, 0), 6)
+        assert np.array_equal(v, np.tile(positional_embedding(0, 6), 3))
 
     def test_block_structure(self):
-        cfg = PEConfig(d=8)
-        a = encode_position((5, 0, 0), cfg)
-        b = encode_position((0, 5, 0), cfg)
-        zero = positional_embedding(0, cfg)
+        a = encode_position((5, 0, 0), 8)
+        b = encode_position((0, 5, 0), 8)
+        zero = positional_embedding(0, 8)
         assert not np.array_equal(a[:8], zero) and np.array_equal(a[8:], np.tile(zero, 2))
         assert np.array_equal(b[:8], zero) and not np.array_equal(b[8:16], zero)
 
     def test_matches_elementwise_reference(self):
-        cfg = PEConfig(d=32)
-        v = encode_position((3, 4, 5), cfg)
+        v = encode_position((3, 4, 5), 32)
         ref = np.concatenate([positional_embedding_ref(c, 32) for c in (3, 4, 5)])
         assert np.allclose(v, ref, atol=1e-12, rtol=0)
 
     def test_injective_over_64_cubed_grid(self):
         import hashlib
 
-        cfg = PEConfig(d=32)
-        table = np.stack([positional_embedding(i, cfg) for i in range(64)])
+        table = np.stack([positional_embedding(i, 32) for i in range(64)])
         digests = set()
         for x in range(64):
             bx = table[x].tobytes()
@@ -178,7 +171,7 @@ class TestLocalOccupancy:
                 for i, s in enumerate(states):
                     direct = local_occupancy(area1, s, L=L, tick=t).reshape(-1)
                     assert np.array_equal(got["occ"][i], direct), (L, t, s)
-                    code = np.concatenate([positional_embedding(c, enc.pe) for c in s.pos])
+                    code = np.concatenate([positional_embedding(c, enc.pe_d) for c in s.pos])
                     assert np.array_equal(got["pos_pe"][i], code)
                     assert np.array_equal(got["pos_pe"][i], enc.position_code(s.pos))
                     assert np.array_equal(got["pos"][i], code)

@@ -95,7 +95,7 @@ class TestAct:
         net.layers["head"].w[:] = 0.0
         net.layers["head"].b[:] = 0.0
         inputs = random_inputs(rng, 2, net)
-        _, _, probs = act(net, inputs, rng)
+        _, _, probs = act(net, inputs, [rng] * 2)
         assert np.allclose(probs, 0.1, atol=1e-12)
 
     def test_dominant_logit_wins_greedy(self):
@@ -105,7 +105,7 @@ class TestAct:
         net.layers["head"].b[:] = 0.0
         net.layers["head"].b[6] = 50.0
         inputs = random_inputs(rng, 3, net)
-        actions, logp, _ = act(net, inputs, greedy=True)
+        actions, logp, _ = act(net, inputs)
         assert np.all(actions == 6)
         assert np.allclose(logp, 0.0, atol=1e-12)
 
@@ -113,8 +113,8 @@ class TestAct:
         rng = np.random.default_rng(5)
         net = tiny_net(rng)
         inputs = random_inputs(rng, 4, net)
-        a1, l1, _ = act(net, inputs, np.random.default_rng(42))
-        a2, l2, _ = act(net, inputs, np.random.default_rng(42))
+        a1, l1, _ = act(net, inputs, [np.random.default_rng(42)] * 4)
+        a2, l2, _ = act(net, inputs, [np.random.default_rng(42)] * 4)
         assert np.array_equal(a1, a2) and np.array_equal(l1, l2)
 
     def test_initial_entropy_near_log_ten(self):
@@ -122,7 +122,7 @@ class TestAct:
         rng = np.random.default_rng(6)
         net = tiny_net(rng)
         inputs = random_inputs(rng, 64, net)
-        _, _, probs = act(net, inputs, rng)
+        _, _, probs = act(net, inputs, [rng] * 64)
         entropy = -(probs * np.log(probs)).sum(axis=1).mean()
         assert abs(entropy - np.log(10)) < 0.05
 
@@ -222,7 +222,7 @@ class TestPPO:
         rng = np.random.default_rng(11)
         policy = BanditNet(2, rng)
         critic = BanditNet(1, rng)
-        trainer = PPOTrainer(policy, critic, PPOConfig(lr=1e-4, normalize_advantages=False, epochs=1))
+        trainer = PPOTrainer(policy, critic, PPOConfig(lr=1e-4, epochs=1))
         batch = self._bandit_batch(policy, rng, n=32)
         batch.advantages[:] = 0.0
         stats = trainer.update(batch, rng)

@@ -220,7 +220,7 @@ class TestTrainingRuns:
             scripts = np.array([(h + rng.integers(0, 10, size=T).tolist())[:T] for h in heads])
             ticks = iter(range(T))
 
-            def scripted(policy, inputs, rngs, greedy):
+            def scripted(policy, inputs, rngs):
                 return scripts[:, next(ticks)], np.zeros(len(scripts)), None
 
             monkeypatch.setattr(trainer_module, "act", scripted)

@@ -371,12 +371,13 @@ class TestStoredRecordsChecked:
                 "action_float": (9.7, Action.WAIT), "action_bool": (True, Action.MOVE_S),
             }[problem]
             bad["actions"][bad["actions"].index(replaced)] = value
-            want = f"stored action {value!r} is not an action id 0..9"
+            want = "field actions is not a list of action ids 0..9"
         (run / "dataset.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
         capsys.readouterr()
         assert main(["triage", str(run)]) == 1
         err = capsys.readouterr().err
-        assert f"error: trajectory {bad['id']}: {want}" in err and "Traceback" not in err
+        want = f"error: {run / 'dataset.jsonl'}: trajectory {bad['id']}: {want}"
+        assert want in err and "Traceback" not in err
         assert not (run / "triage_report.json").exists()
 
 
