@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,6 +98,12 @@ def _one_of(*choices):
     return f"one of {'|'.join(choices)}", lambda v: v in choices
 
 
+# NaN fails every comparison, so none of these bounds admits it.
+_POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
+_NON_NEGATIVE = ("finite and >= 0", lambda v: 0 <= v < math.inf)
+_UNIT = ("in [0, 1]", lambda v: 0 <= v <= 1)
+
+
 # The bounds and choices of the settings that have them, by dotted name,
 # checked once a value has its field's type.
 LIMITS = {
@@ -105,19 +112,27 @@ LIMITS = {
     "episode_length": _at_least(1),
     "profile": _one_of(*PROFILES),
     "alpha_mode": _one_of("uniform", "fixed"),
-    "alpha_value": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "alpha_value": _UNIT,
     "reward_mode": _one_of("full", "extrinsic_only"),
     "position_mode": _one_of("sinusoidal", "normalized", "learned"),
     "perception": _one_of("occupancy", "raycast", "none"),
     "eval_every": _at_least(0),
     "eval_episodes": _at_least(1),
-    "ppo.gae_lambda": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "stop_at_goal_rate": _UNIT,
+    "ppo.lr": _POSITIVE,
+    "ppo.gamma": _UNIT,
+    "ppo.gae_lambda": _UNIT,
     "ppo.clip": ("in (0, 1)", lambda v: 0 < v < 1),
+    "ppo.entropy_coef": _NON_NEGATIVE,
+    "ppo.value_coef": _NON_NEGATIVE,
     "ppo.epochs": _at_least(0),
     "ppo.minibatch": _at_least(1),
+    "imitation.lr": _POSITIVE,
+    "imitation.gp_coef": _NON_NEGATIVE,
     "imitation.batch_size": _at_least(1),
     "imitation.buffer_capacity": _at_least(1),
     "imitation.updates_per_iter": _at_least(0),
+    "curiosity.lr": _POSITIVE,
     "curiosity.batch_size": _at_least(1),
     "curiosity.updates_per_iter": _at_least(0),
 }

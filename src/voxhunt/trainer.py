@@ -180,7 +180,7 @@ class Trainer:
             )
             self.rnd = RNDPair(profile, cfg.curiosity, self._net_rng(3), self._net_rng(4))
 
-        self.visited: set[int] = set()  # cells of the trainer's physics
+        self.visited = np.zeros(self.physics.size, dtype=bool)  # cells entered
         self.total_env_steps = 0
         self.traj_count = 0
 
@@ -222,9 +222,7 @@ class Trainer:
         """
         m, T = len(alphas), self.cfg.episode_length
         physics = self.physics
-        rec = Replay.empty(physics, np.full(m, T))
-        agents = physics.spawn(m)
-        rec.record(0, agents)
+        rec = physics.start(np.full(m, T))
 
         states: list[dict[str, np.ndarray]] = []
         logp = np.zeros((m, T))
@@ -233,11 +231,8 @@ class Trainer:
             if t == T:
                 break
             inputs = self._net_inputs(states[-1], alphas)
-            acts, logp[:, t], _ = act(self.policy, inputs, rngs)
-            step = physics.step(agents, acts, t)
-            agents = step.agents
-            rec.actions[t], rec.bugs_in[t], rec.bugs_used[t] = acts, step.bugs_in, step.bugs_used
-            rec.record(t + 1, agents)
+            rec.actions[t], logp[:, t], _ = act(self.policy, inputs, rngs)
+            physics.step(rec, t)
 
         # The rollout keeps the occupancy once: as ids into the distinct cubes.
         occ = np.stack([s.pop("occ") for s in states]).reshape((T + 1) * m, -1)
@@ -294,7 +289,7 @@ class Trainer:
         if cfg.alpha_mode == "fixed":  # drawn anyway: both modes consume the same streams
             alphas = np.full_like(alphas, cfg.alpha_value)
         ro = self.collect_group(alphas, rngs)
-        self.visited.update(ro.replay.cell.ravel().tolist())
+        self.visited[ro.replay.cell] = True
         self.total_env_steps += ro.logp.size
         r_i, rc_raw, rc_norm = self._reward_components(ro)
         batch, R = self._build_batch(ro, r_i, rc_norm)
@@ -348,7 +343,7 @@ class Trainer:
             "mean_rc_raw": float(rc_raw.mean()),
             "mean_rc_norm": float(rc_norm.mean()),
             "goal_rate": goal_rate,
-            "coverage": len(self.visited),
+            "coverage": int(np.count_nonzero(self.visited)),
         }
         metrics.update({k: float(v) for k, v in stats.items()})
         return metrics
@@ -430,7 +425,7 @@ class Trainer:
         return {
             "run_dir": str(run_dir),
             "trajectories": log.count,
-            "coverage": len(self.visited),
+            "coverage": int(np.count_nonzero(self.visited)),
             "env_steps": self.total_env_steps,
             "eval_goal_rate": eval_rate,
             "stopped_early": stopped_early,

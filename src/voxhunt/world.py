@@ -15,14 +15,16 @@ Planted bug regions make physics diverge from what observations report:
 Observations never see physics, only semantics, so the same map stepped with
 ``bugs_enabled=False`` yields identical observations for identical states.
 
-``Physics.step`` is the only implementation of the step rules. It advances a
-lockstep batch of agents in one numpy call: each agent is a flat index into
-the map padded with collision, plus its jump ticks and flags, and every rule
-is a lookup in per-phase tables built once per map. A batch's states are
-kept as the time-major arrays of a ``Replay``: ``Physics.replay`` plays any
-number of scripts of any lengths at once (triage replays a whole dataset in
-one call), and training records its m lockstep episodes, stepped with one
-call per tick, into the same arrays. ``play_script`` is a one-script replay.
+A batch's states live only in the time-major arrays of a ``Replay``: each
+agent is a column, and its state s_t in row t is a flat index into the map
+padded with collision, plus its jump ticks and flags. ``Physics.start`` makes
+a Replay with every agent at spawn as s_0, and ``Physics.step``, the only
+implementation of the step rules, reads row t's states and actions and
+writes s_{t+1} into row t + 1 in place, every rule a lookup in per-phase
+tables built once per map. ``Physics.replay`` plays any number of scripts of
+any lengths at once (triage replays a whole dataset in one call), and
+training steps its m lockstep episodes in the same way, choosing row t's
+actions before each step. ``play_script`` is a one-script replay.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class MapInvariantError(WorldError):
 
 class PhysicsError(WorldError):
     """Raised when the physics update cannot produce a legal agent position;
-    ``agent`` is the index of the squeezed agent in its batch."""
+    ``agent`` is the squeezed agent's column in its ``Replay``."""
 
     def __init__(self, message: str, agent: int | None = None):
         super().__init__(message)
@@ -276,40 +278,6 @@ class VoxelMap:
             raise MapInvariantError(f"spawn {self.spawn} has no support below at tick 0")
 
 
-@dataclass(slots=True)
-class Agents:
-    """A lockstep batch of agents, one array entry per agent.
-
-    ``cell`` is the agent's voxel as a flat index into its ``Physics``'s
-    padded volume; the other fields are those of :class:`AgentState`.
-    """
-
-    cell: np.ndarray  # intp
-    jump_ticks: np.ndarray  # int8
-    grounded: np.ndarray  # bool
-    climbing: np.ndarray  # bool
-    double_jump: np.ndarray  # bool
-
-    def __len__(self) -> int:
-        return len(self.cell)
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return self.cell, self.jump_ticks, self.grounded, self.climbing, self.double_jump
-
-    def __getitem__(self, idx) -> Agents:
-        return Agents(*(a[idx] for a in self.arrays()))
-
-
-@dataclass(slots=True)
-class BatchStep:
-    """What one tick did to each agent of a batch."""
-
-    agents: Agents
-    goals: np.ndarray  # bit j: the agent is in the j-th active goal
-    bugs_in: np.ndarray  # bit i: the agent is inside bug region i
-    bugs_used: np.ndarray  # bit i: the agent climbs on climbable bug i
-
-
 def _bits(value: int) -> tuple[int, ...]:
     """Positions of the set bits of ``value``, lowest first."""
     return tuple(i for i in range(value.bit_length()) if value >> i & 1)
@@ -335,8 +303,8 @@ class Physics:
     Everything a step reads is a table built here once per map, over the map
     padded by ``pad`` voxels of collision on every side: collision, platform
     cells and the carry of the platform under a voxel at each platform phase,
-    climbable, adjacent-climbable and glitch voxels, and bitmasks of the
-    goals and bug regions. ``pad`` covers the longest one-tick offset (a
+    climbable, adjacent-climbable, glitch and active-goal voxels, and
+    bitmasks of the bug regions. ``pad`` covers the longest one-tick offset (a
     move, a rise or fall, a platform carry), so no index of a step leaves the
     volume and a step is whole-array lookups.
     """
@@ -392,22 +360,20 @@ class Physics:
         self._adjacent_climb = adjacent.reshape(-1)
         self._glitch = np.pad(glitch, pad).reshape(-1)
 
-        # Bit j of a goal mask is the j-th active goal; bit i of a bug mask is
-        # bug region i. A climbable bug is "used", never occupied: its mask
-        # marks the voxels beside it (any of their 8 neighbours).
-        active = [g for g in vmap.goals if g.active]
-        self._goal_ids = [g.id for g in active]
-        self._goals = self._masks([g.voxels for g in active], "active goals")
+        self._goal = np.zeros(self.size, dtype=bool)
+        self._goal[self._cells([v for g in vmap.goals if g.active for v in g.voxels])] = True
+        # Bit i of a bug mask is bug region i. A climbable bug is "used",
+        # never occupied: its mask marks the voxels beside it (any of their 8
+        # neighbours).
         self._bugs_in = self._masks(
-            [() if b.kind == UNINTENDED_CLIMBABLE else b.voxels for b in vmap.bugs], "bug regions"
+            [() if b.kind == UNINTENDED_CLIMBABLE else b.voxels for b in vmap.bugs]
         )
         self._bugs_beside = self._masks(
             [
                 {(x - dx, y, z - dz) for x, y, z in b.voxels for dx, dz in _ADJACENT_8}
                 if b.kind == UNINTENDED_CLIMBABLE else ()
                 for b in vmap.bugs
-            ],
-            "bug regions",
+            ]
         )
 
         # Per phase p, with p1 the next phase: the platform cells, collision,
@@ -435,9 +401,11 @@ class Physics:
         xyz = np.array([v for v in voxels if self.map.in_bounds(v)], dtype=np.intp).reshape(-1, 3)
         return np.ravel_multi_index(tuple((xyz + self._pad).T), self._shape)
 
-    def _masks(self, voxel_sets, what: str) -> np.ndarray:
+    def _masks(self, voxel_sets) -> np.ndarray:
         if len(voxel_sets) > 64:
-            raise MapInvariantError(f"physics holds at most 64 {what}, map has {len(voxel_sets)}")
+            raise MapInvariantError(
+                f"physics holds at most 64 bug regions, map has {len(voxel_sets)}"
+            )
         out = np.zeros(self.size, dtype=np.min_scalar_type((1 << len(voxel_sets)) - 1))
         for bit, voxels in enumerate(voxel_sets):
             out[self._cells(voxels)] |= out.dtype.type(1 << bit)
@@ -464,26 +432,34 @@ class Physics:
             return True
         return bool(self._collide[tick % self.phase_period, self.cell(pos)])
 
-    def initial_state(self) -> AgentState:
-        spawn = self.map.spawn
-        below = (spawn[0], spawn[1] - 1, spawn[2])
-        return AgentState(pos=spawn, grounded=self.colliding(below, 0))
-
-    def pack(self, states: Sequence[AgentState]) -> Agents:
-        """A batch holding ``states`` in order."""
-        return Agents(
-            np.array([self.cell(s.pos) for s in states], dtype=np.intp),
-            np.array([s.jump_ticks for s in states], dtype=np.int8),
-            np.array([s.grounded for s in states], dtype=bool),
-            np.array([s.climbing for s in states], dtype=bool),
-            np.array([s.double_jump_available for s in states], dtype=bool),
+    def start(self, lengths: np.ndarray) -> Replay:
+        """A Replay for scripts of ``lengths`` actions, every action Wait and
+        every bug mask zero, with every agent's spawn state written as s_0."""
+        n, width = len(lengths), int(lengths.max(initial=0))
+        cell_type = np.int16 if self.size <= np.iinfo(np.int16).max else np.int32
+        states, masks = (width + 1, n), (width, n)
+        rec = Replay(
+            self,
+            np.full(masks, Action.WAIT, dtype=np.int8),
+            lengths,
+            np.empty(states, dtype=cell_type),
+            np.empty(states, dtype=np.int8),
+            *(np.empty(states, dtype=bool) for _ in range(4)),
+            np.zeros(masks, dtype=self._bugs_in.dtype),
+            np.zeros(masks, dtype=self._bugs_in.dtype),
         )
+        spawn = self.cell(self.map.spawn)
+        rec.cell[0], rec.jump_ticks[0], rec.climbing[0], rec.double_jump[0] = spawn, 0, False, True
+        rec.grounded[0] = self._collide[0, spawn - self._sy]
+        rec.goal[0] = self._goal[spawn]
+        return rec
 
-    def spawn(self, n: int) -> Agents:
-        return self.pack([self.initial_state()] * n)
-
-    def step(self, agents: Agents, actions: np.ndarray, tick: int) -> BatchStep:
-        """Advance every agent of the batch by its action id (0..9) at ``tick``.
+    def step(self, rec: Replay, t: int, live=slice(None)) -> None:
+        """Advance the agents in columns ``live`` of ``rec`` (all of them by
+        default) by one tick, in place: read their states s_t and action ids
+        a_t (0..9) from row t, write s_{t+1} and its goal flag into row
+        t + 1, and the step's bug masks into row t of ``bugs_in`` and
+        ``bugs_used``. Other columns and rows are left as they are.
 
         Phase order: platform resolve, horizontal intent, climb attach,
         vertical (jump / climb hold / gravity), platform carry, state
@@ -495,25 +471,31 @@ class Physics:
         moved. This keeps riders attached to platforms travelling in any
         direction. An agent a platform moves into is pushed along the
         platform's travel; if no free voxel is found it is squeezed, and
-        ``PhysicsError`` names the first such agent.
+        ``PhysicsError`` names the first such agent by its column.
         """
-        phase = tick % self.phase_period
-        after = self._collide[(tick + 1) % self.phase_period]
-        start, grounded = agents.cell, agents.grounded
+        phase = t % self.phase_period
+        after = self._collide[(t + 1) % self.phase_period]
+        # Row views first: one index per row is much cheaper than a 2-D index.
+        start, actions, jump_ticks, grounded, climbing, double_jump = (
+            a[t][live]
+            for a in (rec.cell, rec.actions, rec.jump_ticks, rec.grounded, rec.climbing,
+                      rec.double_jump)
+        )
+        start = start.astype(np.intp)  # int16 cells index the tables slower
 
         # 2: horizontal intent; 3: climb attach to a blocking climbable voxel
         moving = actions < _JUMP
         target = start + self._move[actions]
         blocked = moving & after[target]
-        climbing = agents.climbing | (blocked & self._climb[target])
+        climbing = climbing | (blocked & self._climb[target])
         cell = np.where(moving ^ blocked, target, start)  # blocked only if moving
 
         # 4: vertical
         jump = actions == _JUMP
         fresh = jump & (grounded | climbing)
-        spent = (jump ^ fresh) & agents.double_jump  # fresh only if jumping
-        jump_ticks = np.where(fresh | spent, np.int8(2), agents.jump_ticks)
-        double_jump = agents.double_jump ^ spent
+        spent = (jump ^ fresh) & double_jump  # fresh only if jumping
+        jump_ticks = np.where(fresh | spent, np.int8(2), jump_ticks)
+        double_jump = double_jump ^ spent
         rise = (jump_ticks > 0) & self._free_above[phase][cell]
         fall = self._free_below[phase][cell] & ~(rise | climbing)
         cell = np.where(rise, cell + self._sy, np.where(fall, cell - self._sy, cell))
@@ -524,22 +506,27 @@ class Physics:
             target = cell + np.where(grounded, self._carry[phase][start], 0)
             cell = np.where(after[target], cell, target)
             # 5b: a platform may have moved into the agent; push along its travel
-            for i in np.flatnonzero(self._plat[(tick + 1) % self.phase_period][cell]):
-                pushed = self._push(self.position(int(cell[i])), tick)
+            for i in np.flatnonzero(self._plat[(t + 1) % self.phase_period][cell]):
+                pushed = self._push(self.position(int(cell[i])), t)
                 if pushed is None:
-                    raise self._squeezed(agents, int(i), tick)
+                    n = rec.cell.shape[1]
+                    agent = int(np.arange(n)[live][i])
+                    who = "agent" if n == 1 else f"agent {agent}"
+                    pos = self.position(int(start[i]))
+                    raise PhysicsError(
+                        f"{who} at {pos} squeezed by platform at tick {t}", agent=agent
+                    )
                 cell[i] = pushed
 
         # 6: recompute climbing, grounded and double-jump availability
         climbing &= self._adjacent_climb[cell]
         grounded = self._support[phase][cell]
         double_jump |= grounded | self._glitch[cell]
-        return BatchStep(
-            Agents(cell, jump_ticks, grounded, climbing, double_jump),
-            self._goals[cell],
-            self._bugs_in[cell],
-            self._bugs_beside[cell] * climbing,
-        )
+        after_step = (cell, jump_ticks, grounded, climbing, double_jump, self._goal[cell])
+        for a, value in zip(rec.states(), after_step):
+            a[t + 1][live] = value
+        rec.bugs_in[t][live] = self._bugs_in[cell]
+        rec.bugs_used[t][live] = self._bugs_beside[cell] * climbing
 
     def _push(self, pos: Vec3, tick: int) -> int | None:
         """The cell a platform entering ``pos`` at ``tick + 1`` pushes the
@@ -556,14 +543,6 @@ class Physics:
                 return None
         return None
 
-    def _squeezed(self, agents: Agents, i: int, tick: int) -> PhysicsError:
-        who = "agent" if len(agents) == 1 else f"agent {i}"
-        pos = self.position(int(agents.cell[i]))
-        return PhysicsError(f"{who} at {pos} squeezed by platform at tick {tick}", agent=i)
-
-    def goal_ids(self, mask: int) -> tuple[int, ...]:
-        return tuple(self._goal_ids[j] for j in _bits(mask)) if mask else ()
-
     def bug_hits(self, inside: int, used: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
         """(regions, kinds) of a step's bug masks: regions entered, then
         climbable bugs used, each in map order."""
@@ -576,35 +555,23 @@ class Physics:
         """Play every script from spawn in one lockstep batch.
 
         Scripts may differ in length. An agent past the end of its script is
-        frozen: it is not stepped again, so it can never be squeezed.
+        frozen: it is not stepped again, so it can never be squeezed, and
+        each later row repeats its last state.
         """
-        n = len(scripts)
         lengths = np.array([len(s) for s in scripts], dtype=np.intp)
-        out = Replay.empty(self, lengths)
-        actions = out.actions
+        rec = self.start(lengths)
         for i, script in enumerate(scripts):
-            actions[: len(script), i] = script
-        if actions.size and not 0 <= actions.min() <= actions.max() < len(Action):
+            rec.actions[: len(script), i] = script
+        if rec.actions.size and not 0 <= rec.actions.min() <= rec.actions.max() < len(Action):
             raise ValueError(f"action ids must lie in 0..{len(Action) - 1}")
-        agents = self.spawn(n)
-        out.record(0, agents)
-        shortest = int(lengths.min()) if n else 0
-        for t in range(len(actions)):
-            if t < shortest:
-                step = self.step(agents, actions[t], t)
-                agents, live = step.agents, slice(None)
-            else:
-                live = np.flatnonzero(lengths > t)
-                try:
-                    step = self.step(agents[live], actions[t, live], t)
-                except PhysicsError as e:
-                    raise self._squeezed(agents, int(live[e.agent]), t) from None
-                for whole, part in zip(agents.arrays(), step.agents.arrays()):
-                    whole[live] = part
-            out.bugs_in[t, live] = step.bugs_in
-            out.bugs_used[t, live] = step.bugs_used
-            out.record(t + 1, agents)
-        return out
+        shortest = int(lengths.min()) if len(lengths) else 0
+        for t in range(shortest):
+            self.step(rec, t)
+        for t in range(shortest, len(rec.actions)):
+            for a in rec.states():
+                a[t + 1] = a[t]
+            self.step(rec, t, np.flatnonzero(lengths > t))
+        return rec
 
 
 @dataclass(slots=True)
@@ -623,38 +590,12 @@ class Replay:
     climbing: np.ndarray  # (T+1, N) bool
     double_jump: np.ndarray  # (T+1, N) bool
     goal: np.ndarray  # (T+1, N) bool: the state is in an active goal
-    bugs_in: np.ndarray  # (T, N) bit masks, as in BatchStep
-    bugs_used: np.ndarray  # (T, N)
+    bugs_in: np.ndarray  # (T, N) bit i: s_{t+1} is inside bug region i
+    bugs_used: np.ndarray  # (T, N) bit i: s_{t+1} climbs on climbable bug i
 
-    @classmethod
-    def empty(cls, physics: Physics, lengths: np.ndarray) -> Replay:
-        """Arrays for scripts of ``lengths`` actions, every action Wait and
-        every bug mask zero, with no state recorded yet."""
-        n, width = len(lengths), int(lengths.max(initial=0))
-        cell_type = np.int16 if physics.size <= np.iinfo(np.int16).max else np.int32
-        states, masks = (width + 1, n), (width, n)
-        return cls(
-            physics,
-            np.full(masks, Action.WAIT, dtype=np.int8),
-            lengths,
-            np.empty(states, dtype=cell_type),
-            np.empty(states, dtype=np.int8),
-            np.empty(states, dtype=bool),
-            np.empty(states, dtype=bool),
-            np.empty(states, dtype=bool),
-            np.empty(states, dtype=bool),
-            np.zeros(masks, dtype=physics._bugs_in.dtype),
-            np.zeros(masks, dtype=physics._bugs_in.dtype),
-        )
-
-    def record(self, t: int, agents: Agents) -> None:
-        """Store ``agents`` as every script's state s_t."""
-        self.cell[t] = agents.cell
-        self.jump_ticks[t] = agents.jump_ticks
-        self.grounded[t] = agents.grounded
-        self.climbing[t] = agents.climbing
-        self.double_jump[t] = agents.double_jump
-        self.goal[t] = self.physics._goals[agents.cell] != 0
+    def states(self) -> tuple[np.ndarray, ...]:
+        """The arrays with a row per state: the five state arrays and ``goal``."""
+        return self.cell, self.jump_ticks, self.grounded, self.climbing, self.double_jump, self.goal
 
     def rows(self, t, n=slice(None)) -> tuple[np.ndarray, ...]:
         """The encoder's view of the states s_t of scripts ``n`` (``t`` and
@@ -745,15 +686,6 @@ class Trajectory:
         return self.first_goal_state_index is not None
 
 
-def play_script(
-    vmap: VoxelMap,
-    actions: Sequence[Action],
-    episode_length: int | None = None,
-    bugs_enabled: bool = True,
-) -> Trajectory:
+def play_script(vmap: VoxelMap, actions: Sequence[Action]) -> Trajectory:
     """Replay a fixed action list from spawn; deterministic bit-for-bit."""
-    if episode_length is not None and len(actions) > episode_length:
-        raise ValueError(
-            f"script has {len(actions)} actions, episode allows {episode_length}"
-        )
-    return Physics(vmap, bugs_enabled=bugs_enabled).replay([actions]).trajectory(0)
+    return Physics(vmap).replay([actions]).trajectory(0)

@@ -302,21 +302,41 @@ def event_scripts(vmap):
     return found
 
 
-def outcomes(physics, before, step):
-    """Each agent's (state', goal_ids, bug_regions, bug_kinds, r_e) after a
-    ``Physics.step`` batch, given its state before: the tuple
-    ``ScanPhysics.step`` returns, read from the ``BatchStep``'s arrays."""
-    a, out = step.agents, []
+def step_states(physics, states, actions, tick):
+    """Step one agent per ``AgentState`` of ``states`` by its action at
+    ``tick`` through ``Physics.step``: write the states as row ``tick`` of a
+    ``Physics.start`` Replay, set the actions and step. Returns the Replay."""
+    rec = physics.start(np.full(len(states), tick + 1))
+    rec.cell[tick] = [physics.cell(s.pos) for s in states]
+    rec.jump_ticks[tick] = [s.jump_ticks for s in states]
+    rec.grounded[tick] = [s.grounded for s in states]
+    rec.climbing[tick] = [s.climbing for s in states]
+    rec.double_jump[tick] = [s.double_jump_available for s in states]
+    rec.actions[tick] = actions
+    physics.step(rec, tick)
+    return rec
+
+
+def outcomes(physics, before, rec, tick):
+    """Each agent's (state', goal_ids, bug_regions, bug_kinds, r_e) after
+    ``step_states`` stepped it from its state ``before``: the tuple
+    ``ScanPhysics.step`` returns, read from row ``tick + 1`` of the Replay
+    and the step's bug masks. Goal ids are those of the active goals whose
+    voxels hold the agent, where the Replay flags the state as in a goal."""
+    out, t = [], tick + 1
     for i, s in enumerate(before):
-        x, y, z = pos = physics.position(int(a.cell[i]))
+        x, y, z = pos = physics.position(int(rec.cell[t, i]))
         x0, y0, z0 = s.pos
         state = AgentState(
-            pos, int(a.jump_ticks[i]), bool(a.grounded[i]), bool(a.climbing[i]),
-            bool(a.double_jump[i]), (x - x0, y - y0, z - z0),
+            pos, int(rec.jump_ticks[t, i]), bool(rec.grounded[t, i]), bool(rec.climbing[t, i]),
+            bool(rec.double_jump[t, i]), (x - x0, y - y0, z - z0),
         )
-        goal_ids = physics.goal_ids(int(step.goals[i]))
-        regions, kinds = physics.bug_hits(int(step.bugs_in[i]), int(step.bugs_used[i]))
-        out.append((state, goal_ids, regions, kinds, GOAL_REWARD if goal_ids else 0.0))
+        in_goal = bool(rec.goal[t, i])
+        goal_ids = tuple(
+            g.id for g in physics.map.goals if in_goal and g.active and pos in g.voxels
+        )
+        regions, kinds = physics.bug_hits(int(rec.bugs_in[tick, i]), int(rec.bugs_used[tick, i]))
+        out.append((state, goal_ids, regions, kinds, GOAL_REWARD if in_goal else 0.0))
     return out
 
 
@@ -345,15 +365,19 @@ class Env:
     def reset(self, seed=0):
         del seed  # physics is deterministic; the seed is accepted and ignored
         self.tick = 0
-        self._agents = self.physics.spawn(1)
-        self.state = self.physics.initial_state()
+        rec = self.physics.start(np.zeros(1, dtype=np.intp))
+        self.state = AgentState(
+            self.map.spawn, int(rec.jump_ticks[0, 0]), bool(rec.grounded[0, 0]),
+            bool(rec.climbing[0, 0]), bool(rec.double_jump[0, 0]),
+        )
         return self.state
 
     def step(self, action):
-        step = self.physics.step(self._agents, np.array([Action(action)]), self.tick)
-        [(state, goal_ids, regions, kinds, r_e)] = outcomes(self.physics, [self.state], step)
+        rec = step_states(self.physics, [self.state], [Action(action)], self.tick)
+        [(state, goal_ids, regions, kinds, r_e)] = outcomes(
+            self.physics, [self.state], rec, self.tick
+        )
         self.tick += 1
-        self._agents = step.agents
         self.state = state
         return StepResult(state, r_e, self.tick >= self.episode_length, goal_ids, regions, kinds)
 

@@ -82,6 +82,10 @@ class TestValidation:
             "seed=1.5",
             "alpha_value=true",
             "ppo.normalize_advantages=false",
+            "ppo.lr=NaN",
+            "ppo.lr=-1",
+            "imitation.gp_coef=-1",
+            "stop_at_goal_rate=2",
         ],
     )
     def test_nested_batch_sizes_exit_2_before_start(self, setting, quick_config, tmp_path, capsys):

@@ -27,7 +27,15 @@ from voxhunt.world import (
 )
 
 from .conftest import flat_map
-from .oracles import ADJACENT_8, Env, ScanPhysics, explore_states, explore_transitions, outcomes
+from .oracles import (
+    ADJACENT_8,
+    Env,
+    ScanPhysics,
+    explore_states,
+    explore_transitions,
+    outcomes,
+    step_states,
+)
 
 
 A = Action
@@ -376,8 +384,9 @@ class TestBugAsymmetry:
 def assert_steps_match_scan(vmap, bugs_enabled):
     """Step every state the scan oracle reaches with all 10 actions, in one
     batch per platform phase, and compare each agent, read from the batch's
-    arrays by the ``outcomes`` adapter, with the oracle's whole return tuple. A step the oracle squeezes is taken as a one-agent batch
-    and must raise the oracle's message. Returns the oracle and the squeezed
+    Replay by the ``outcomes`` adapter, with the oracle's whole return tuple.
+    A step the oracle squeezes is taken as a one-agent batch and must raise
+    the oracle's message. Returns the oracle and the squeezed
     (state, phase, action, error) steps."""
     ref = ScanPhysics(vmap, bugs_enabled)
     physics = Physics(vmap, bugs_enabled)
@@ -389,11 +398,11 @@ def assert_steps_match_scan(vmap, bugs_enabled):
             batches[phase].append((s, a, out))
     for phase, rows in batches.items():
         before = [s for s, _, _ in rows]
-        step = physics.step(physics.pack(before), np.array([a for _, a, _ in rows]), phase)
-        assert outcomes(physics, before, step) == [out for _, _, out in rows], phase
+        rec = step_states(physics, before, [a for _, a, _ in rows], phase)
+        assert outcomes(physics, before, rec, phase) == [out for _, _, out in rows], phase
     for s, phase, a, out in squeezed:
         with pytest.raises(PhysicsError) as exc:
-            physics.step(physics.pack([s]), np.array([a]), phase)
+            step_states(physics, [s], [a], phase)
         assert str(exc.value) == str(out)
     return ref, batches, squeezed
 
@@ -435,7 +444,7 @@ class TestStepTables:
         rows = batches[phase][:3]
         before = [row[0] for row in rows] + [s]
         with pytest.raises(PhysicsError) as exc:
-            physics.step(physics.pack(before), np.array([row[1] for row in rows] + [a]), phase)
+            step_states(physics, before, [row[1] for row in rows] + [a], phase)
         assert exc.value.agent == 3
         assert str(exc.value) == f"agent 3 at {s.pos} squeezed by platform at tick {phase}"
 
@@ -476,6 +485,18 @@ class TestReplay:
             for t, a in enumerate(script):
                 states.append(ref.step(states[-1], a, t)[0])
             assert traj.states == states
+
+    def test_rows_past_a_script_end_repeat_its_last_state(self, area1):
+        rng = np.random.default_rng(4)
+        lengths = (0, 5, 60, 128)
+        scripts = [[int(a) for a in rng.integers(0, 10, size=n)] for n in lengths]
+        replay = Physics(area1).replay(scripts)
+        assert replay.cell.shape == (129, 4)
+        for i, n in enumerate(lengths):
+            for a in replay.states():
+                assert (a[n + 1 :, i] == a[n, i]).all()
+            assert (replay.actions[n:, i] == int(Action.WAIT)).all()
+            assert not replay.bugs_in[n:, i].any() and not replay.bugs_used[n:, i].any()
 
     def test_script_ending_under_the_squeezing_lift_is_frozen(self):
         m = two_platform_map()
