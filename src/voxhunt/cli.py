@@ -71,6 +71,14 @@ def _load_config(args) -> TrainConfig:
     return cfg
 
 
+def _fresh_out_dir(path: Path) -> Path:
+    """``path`` when a run can be written there: it is missing or an empty
+    directory. Anything else, a file included, is a validation error."""
+    if path.exists() and (not path.is_dir() or any(path.iterdir())):
+        raise CliValidationError(f"output path exists and is not an empty directory: {path}")
+    return path
+
+
 def _check_threshold(mode: str, epsilon: float | None, quantile: float | None = None) -> None:
     """Triage threshold flags, checked before a run is read or trained."""
     problems = []
@@ -84,9 +92,7 @@ def _check_threshold(mode: str, epsilon: float | None, quantile: float | None = 
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    run_dir = Path(args.out) if args.out else _out_root() / f"run-seed{cfg.seed}"
-    if run_dir.exists() and any(run_dir.iterdir()):
-        raise CliValidationError(f"run directory already exists: {run_dir}")
+    run_dir = _fresh_out_dir(Path(args.out) if args.out else _out_root() / f"run-seed{cfg.seed}")
     result = run_training(cfg, run_dir)
     print(json.dumps(result, sort_keys=True))
     return 0
@@ -211,9 +217,7 @@ def cmd_demo_verify(args) -> int:
 def cmd_ablate_reward(args) -> int:
     _check_threshold(args.mode, args.epsilon)
     cfg = _load_config(args)
-    out_dir = Path(args.out) if args.out else _out_root() / "ablate-reward"
-    if out_dir.exists() and any(out_dir.iterdir()):
-        raise CliValidationError(f"output directory already exists: {out_dir}")
+    out_dir = _fresh_out_dir(Path(args.out) if args.out else _out_root() / "ablate-reward")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     variants = [
@@ -265,9 +269,7 @@ def cmd_ablate_reward(args) -> int:
 
 def cmd_ablate_encoding(args) -> int:
     cfg = _load_config(args)
-    out_dir = Path(args.out) if args.out else _out_root() / "ablate-encoding"
-    if out_dir.exists() and any(out_dir.iterdir()):
-        raise CliValidationError(f"output directory already exists: {out_dir}")
+    out_dir = _fresh_out_dir(Path(args.out) if args.out else _out_root() / "ablate-encoding")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     variants = [

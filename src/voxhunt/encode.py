@@ -8,9 +8,9 @@ with bugs enabled or disabled are identical for identical states.
 (positions, earlier positions, flags and tick, as a ``Replay`` holds them)
 as gathers from tables built once per map: one padded occupancy volume per
 platform phase with the platform cells baked in, the flat offsets of the L^3
-window, and one sinusoidal code table per axis. The one-state calls
-(``position_code`` of a voxel, ``agent_info_vector`` of an ``AgentState``)
-are one-row calls of the same code. Ray casts stay a per-state march.
+window, the marching offsets of the ray fan, and one sinusoidal code table
+per axis. The one-state calls (``position_code`` of a voxel,
+``agent_info_vector`` of an ``AgentState``) are one-row calls of the same code.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .world import (
 )
 
 INFO_DIM = 9  # agent_info: 3 flags, the displacement and its unit direction
-RAY_DIM = 48  # raycast_observation: (distance, hit code) of 24 rays
+RAY_DIM = 48  # ObservationEncoder.rays: (distance, hit code) of 24 rays
 
 
 PE_BASE = 10000.0  # the code's wavelengths rise geometrically from 2 pi toward 2 pi PE_BASE
@@ -91,44 +91,6 @@ def _ray_directions() -> np.ndarray:
 _RAY_DIRS = _ray_directions()
 
 
-def raycast_observation(
-    vmap: VoxelMap, state: AgentState, max_range: float | None = None, tick: int = 0
-) -> np.ndarray:
-    """24 lattice rays (8 compass x 3 elevations), each (distance, hit code).
-
-    Distances count whole-voxel marching steps, normalized by `max_range`
-    (default: map diagonal). A ray that exits the fan range reports (1.0, 0).
-    """
-    nx, ny, nz = vmap.dims
-    if max_range is None:
-        max_range = sqrt(nx * nx + ny * ny + nz * nz)
-    plat_cells = set()
-    for p in vmap.platforms:
-        plat_cells.update(p.cells_at(tick))
-    cx, cy, cz = (state.pos[0] + 0.5, state.pos[1] + 0.5, state.pos[2] + 0.5)
-    out = np.zeros(RAY_DIM, dtype=np.float64)
-    steps = int(max_range)
-    for i, (dx, dy, dz) in enumerate(_RAY_DIRS):
-        dist = 1.0
-        code = 0
-        for k in range(1, steps + 1):
-            vx = int(np.floor(cx + k * dx))
-            vy = int(np.floor(cy + k * dy))
-            vz = int(np.floor(cz + k * dz))
-            if not (0 <= vx < nx and 0 <= vy < ny and 0 <= vz < nz):
-                dist, code = min(k / max_range, 1.0), SOLID
-                break
-            cell_code = int(vmap.voxels[vx, vy, vz])
-            if cell_code == 0 and (vx, vy, vz) in plat_cells:
-                cell_code = SOLID
-            if cell_code != 0:
-                dist, code = min(k / max_range, 1.0), cell_code
-                break
-        out[2 * i] = dist
-        out[2 * i + 1] = float(code)
-    return out
-
-
 class ObservationEncoder:
     """Per-map lookup tables; every feature row of a batch is a gather."""
 
@@ -157,6 +119,10 @@ class ObservationEncoder:
         self._strides = s = np.array([shape[1] * shape[2], shape[2], 1])
         w = np.arange(L)
         self._window = (w[:, None, None] * s[0] + w[:, None] * s[1] + w).reshape(-1)
+        # Ray i from voxel p samples floor((p + 0.5) + k d_i) for k = 1 ..
+        # int(diagonal): the (24, K, 3) table of k d_i.
+        self._diagonal = sqrt(nx * nx + ny * ny + nz * nz)
+        self._ray_steps = np.arange(1, int(self._diagonal) + 1)[:, None] * _RAY_DIRS[:, None]
 
     def cubes(self, pos: np.ndarray, tick) -> np.ndarray:
         """The flat L^3 occupancy cube around each voxel of ``pos`` (m, 3) at
@@ -167,6 +133,25 @@ class ObservationEncoder:
         out[:, len(self._window) // 2] = AGENT_CODE
         return out
 
+    def rays(self, pos: np.ndarray, tick) -> np.ndarray:
+        """24 lattice rays (8 compass x 3 elevations) from each voxel of
+        ``pos`` (m, 3) at ``tick`` (one for all, or one per voxel): one row of
+        RAY_DIM values (distance, hit code) per voxel. A ray stops at its
+        first step k into a non-empty cell, platforms included, or out of the
+        map (a SOLID hit), and reports k / diagonal; a ray that hits nothing
+        within int(diagonal) steps reports (1.0, 0)."""
+        cells = np.floor((pos + 0.5)[:, None, None] + self._ray_steps).astype(np.intp)
+        inside = ((cells >= 0) & (cells < self.map.dims)).all(axis=-1)
+        flat = np.where(inside, (cells + self.L // 2) @ self._strides, 0)
+        phase = np.asarray(tick) % self._period
+        codes = np.where(inside, self._volumes[phase[..., None, None], flat], SOLID)
+        hit = codes != 0
+        k = hit.argmax(axis=-1)[..., None]  # (m, 24, 1): the first hit's step - 1
+        out = np.empty((len(pos), len(_RAY_DIRS), 2))
+        out[..., 0] = np.where(hit.any(axis=-1), (k[..., 0] + 1) / self._diagonal, 1.0)
+        out[..., 1] = np.take_along_axis(codes, k, axis=-1)[..., 0]  # 0 when nothing is hit
+        return out.reshape(len(pos), RAY_DIM)
+
     def position_code(self, pos) -> np.ndarray:
         """The X, Y and Z codes of a voxel, concatenated; an (..., 3) array
         of voxels gives one row each."""
@@ -176,13 +161,25 @@ class ObservationEncoder:
         )
 
     def features(
-        self, pos, prev, grounded, climbing, double_jump, tick, position_mode: str = "sinusoidal"
+        self,
+        pos,
+        prev,
+        grounded,
+        climbing,
+        double_jump,
+        tick,
+        position_mode: str = "sinusoidal",
+        perception: str = "occupancy",
     ) -> dict[str, np.ndarray]:
         """Network inputs of a batch of states, one row each: the cube
         ``occ`` at ``tick``, the sinusoidal ``pos_pe``, the position input
-        of ``position_mode`` (``pos``, or ``pos_idx`` when learned) and
-        ``info``. ``pos`` and ``prev`` are (m, 3) voxels at s_t and s_{t-1}."""
+        of ``position_mode`` (``pos``, or ``pos_idx`` when learned), ``info``,
+        and ``rays`` when ``perception`` is raycast. ``pos`` and ``prev`` are
+        (m, 3) voxels at s_t and s_{t-1}. The cube is built under every
+        perception: the discriminator reads it even when the policy does not."""
         out = {"occ": self.cubes(pos, tick), "pos_pe": self.position_code(pos)}
+        if perception == "raycast":
+            out["rays"] = self.rays(pos, tick)
         if position_mode == "sinusoidal":
             out["pos"] = out["pos_pe"]
         elif position_mode == "normalized":

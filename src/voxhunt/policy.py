@@ -158,21 +158,25 @@ class PPOConfig:
 def compute_gae(
     rewards: np.ndarray, values: np.ndarray, gamma: float, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated advantage estimate for one episode.
+    """Truncated advantage estimate of a batch of episodes, each on its own.
 
-    `values` has one more entry than `rewards` (the value of the final state
-    bootstraps the truncated tail). Returns (advantages, returns).
+    `rewards` is (..., T) and `values` (..., T+1): one more entry per episode,
+    the value of the final state, bootstraps the truncated tail. Returns
+    (advantages, returns), each shaped like `rewards`.
     """
-    T = len(rewards)
-    if len(values) != T + 1:
-        raise ValueError(f"need {T + 1} values for {T} rewards, got {len(values)}")
-    adv = np.zeros(T, dtype=np.float64)
-    gae = 0.0
+    T = rewards.shape[-1]
+    if values.shape != (*rewards.shape[:-1], T + 1):
+        raise ValueError(
+            f"need values of shape {(*rewards.shape[:-1], T + 1)} for rewards of shape "
+            f"{rewards.shape}, got {values.shape}"
+        )
+    adv = np.zeros(rewards.shape, dtype=np.float64)
+    gae = np.zeros(rewards.shape[:-1])
     for t in reversed(range(T)):
-        delta = rewards[t] + gamma * values[t + 1] - values[t]
+        delta = rewards[..., t] + gamma * values[..., t + 1] - values[..., t]
         gae = delta + gamma * lam * gae
-        adv[t] = gae
-    return adv, adv + values[:-1]
+        adv[..., t] = gae
+    return adv, adv + values[..., :-1]
 
 
 @dataclass

@@ -25,7 +25,7 @@ import numpy as np
 from . import nn
 from .config import TrainConfig, resolve_path
 from .curiosity import RNDPair
-from .encode import ObservationEncoder, raycast_observation
+from .encode import ObservationEncoder
 from .imitation import AMPModule, demo_pairs, load_demos
 from .mapio import load_map
 from .policy import (
@@ -36,7 +36,7 @@ from .policy import (
     make_critic_net,
     make_policy_net,
 )
-from .world import GOAL_REWARD, AgentState, Physics, Replay, VoxelMap, first_seen
+from .world import GOAL_REWARD, Physics, Replay, VoxelMap, first_seen
 
 FORMAT_VERSION = 1
 
@@ -191,18 +191,6 @@ class Trainer:
             np.random.SeedSequence(entropy=self.cfg.seed, spawn_key=(1, iteration, episode))
         )
 
-    def _features(self, rec: Replay, t: int) -> dict[str, np.ndarray]:
-        """The network inputs of every episode's state s_t, plus pos_pe for
-        the novelty nets. Occupancy is always built: the discriminator
-        consumes it even when the policy's perception branch is ablated away."""
-        pos, prev, *flags = rec.rows(t)
-        row = self.encoder.features(pos, prev, *flags, t, self.cfg.position_mode)
-        if self.cfg.perception == "raycast":
-            row["rays"] = np.stack(
-                [raycast_observation(self.map, AgentState(tuple(p)), tick=t) for p in pos.tolist()]
-            )
-        return row
-
     def _net_inputs(self, features: dict, alpha: np.ndarray) -> dict:
         """Policy/critic inputs: the features the nets read and the dial, each
         with ``alpha``'s batch shape flattened into rows."""
@@ -220,14 +208,17 @@ class Trainer:
         generators the policy acts greedily. Every state's occupancy cube gets
         an id, numbered in first-seen order over the distinct cubes.
         """
-        m, T = len(alphas), self.cfg.episode_length
+        cfg = self.cfg
+        m, T = len(alphas), cfg.episode_length
         physics = self.physics
         rec = physics.start(np.full(m, T))
 
         states: list[dict[str, np.ndarray]] = []
         logp = np.zeros((m, T))
         for t in range(T + 1):
-            states.append(self._features(rec, t))
+            states.append(
+                self.encoder.features(*rec.rows(t), t, cfg.position_mode, cfg.perception)
+            )
             if t == T:
                 break
             inputs = self._net_inputs(states[-1], alphas)
@@ -265,12 +256,7 @@ class Trainer:
         values, _ = self.critic.forward(self._net_inputs(ro.features, alpha))
         values = values[:, 0].reshape(m, T + 1)
 
-        advs = np.zeros((m, T))
-        rets = np.zeros((m, T))
-        for i in range(m):
-            advs[i], rets[i] = compute_gae(
-                R[i], values[i], cfg.ppo.gamma, cfg.ppo.gae_lambda
-            )
+        advs, rets = compute_gae(R, values, cfg.ppo.gamma, cfg.ppo.gae_lambda)
 
         steps = {k: v[:, :-1] for k, v in ro.features.items()}
         batch = RolloutBatch(

@@ -440,6 +440,46 @@ def local_occupancy(vmap, state, L, tick=0):
     return out
 
 
+def raycast_observation(vmap, state, tick=0):
+    """24 lattice rays (8 compass x 3 elevations), each (distance, hit code),
+    marched voxel by voxel from one state. The oracle for
+    ``ObservationEncoder.rays``, which gathers every step of every ray at once.
+
+    Distances count whole-voxel marching steps over the map diagonal. Leaving
+    the map is a SOLID hit; a ray with no hit within int(diagonal) steps
+    reports (1.0, 0). Moving platforms are solid at their position for `tick`.
+    """
+    nx, ny, nz = vmap.dims
+    diagonal = math.sqrt(nx * nx + ny * ny + nz * nz)
+    plat_cells = set()
+    for p in vmap.platforms:
+        plat_cells.update(p.cells_at(tick))
+    cx, cy, cz = (state.pos[0] + 0.5, state.pos[1] + 0.5, state.pos[2] + 0.5)
+    compass = ((0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1))
+    out = []
+    for elevation in (-30.0, 0.0, 30.0):
+        e = math.radians(elevation)
+        for hx, hz in compass:
+            hn = math.sqrt(hx * hx + hz * hz)
+            dx, dy, dz = math.cos(e) * hx / hn, math.sin(e), math.cos(e) * hz / hn
+            dist, code = 1.0, 0
+            for k in range(1, int(diagonal) + 1):
+                vx = math.floor(cx + k * dx)
+                vy = math.floor(cy + k * dy)
+                vz = math.floor(cz + k * dz)
+                if not (0 <= vx < nx and 0 <= vy < ny and 0 <= vz < nz):
+                    dist, code = min(k / diagonal, 1.0), SOLID
+                    break
+                cell_code = int(vmap.voxels[vx, vy, vz])
+                if cell_code == 0 and (vx, vy, vz) in plat_cells:
+                    cell_code = SOLID
+                if cell_code != 0:
+                    dist, code = min(k / diagonal, 1.0), cell_code
+                    break
+            out += [dist, float(code)]
+    return np.array(out)
+
+
 def gradient_penalty(disc, expert_occ, expert_act, coef=5.0):
     """coef * mean squared norm of D's input gradients on expert samples.
 

@@ -53,6 +53,16 @@ class TestValidation:
         rc = main(["train", "--config", str(quick_config), "--out", str(out)])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["train", "ablate-reward", "ablate-encoding"])
+    def test_out_naming_a_file_exits_2(self, command, quick_config, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("x")
+        rc = main([command, "--config", str(quick_config), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: output path exists and is not an empty directory: {out}" in err
+        assert out.read_text() == "x"
+
     def test_zero_eval_episodes_exits_2_before_start(self, quick_config, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main([

@@ -10,7 +10,6 @@ from voxhunt.encode import (
     agent_info_vector,
     normalized_position,
     positional_embedding,
-    raycast_observation,
 )
 from voxhunt.imitation import load_demos, one_hot_actions
 from voxhunt.policy import N_ACTIONS, make_critic_net, make_policy_net
@@ -18,7 +17,13 @@ from voxhunt.trainer import Trainer
 from voxhunt.world import AGENT_CODE, AgentState, Physics, SOLID
 
 from .conftest import flat_map
-from .oracles import Env, agent_info_ref, local_occupancy, positional_embedding_ref
+from .oracles import (
+    Env,
+    agent_info_ref,
+    local_occupancy,
+    positional_embedding_ref,
+    raycast_observation,
+)
 
 
 class TestPositionalEmbedding:
@@ -167,6 +172,7 @@ class TestLocalOccupancy:
                     for mode in ("sinusoidal", "normalized", "learned")
                 }
                 got = rows["sinusoidal"]
+                assert "rays" not in got  # rays are built only for raycast perception
                 assert got["occ"].shape == (len(states), L**3) and got["occ"].dtype == np.uint8
                 for i, s in enumerate(states):
                     direct = local_occupancy(area1, s, L=L, tick=t).reshape(-1)
@@ -198,39 +204,73 @@ class TestObservationHonesty:
         # Encoders only see (map, state, tick): encoding the same states again
         # with a fresh encoder must give byte-identical observations.
         pos, ticks = np.array([s.pos for s in states]), np.arange(len(states))
-        again = ObservationEncoder(area1, L=7).cubes(pos, ticks)
-        assert np.array_equal(enc.cubes(pos, ticks), again)
-        for t, s in enumerate(states):
-            r1 = raycast_observation(area1, s, tick=t)
-            r2 = raycast_observation(area1, s, tick=t)
-            assert np.array_equal(r1, r2)
+        again = ObservationEncoder(area1, L=7)
+        assert np.array_equal(enc.cubes(pos, ticks), again.cubes(pos, ticks))
+        assert np.array_equal(enc.rays(pos, ticks), again.rays(pos, ticks))
 
 
 class TestRaycast:
-    def test_no_hit_in_open_space_with_short_range(self):
+    """``ObservationEncoder.rays`` against hand-computed rays and, bit for
+    bit, against the per-state march in ``tests/oracles.py``."""
+
+    @staticmethod
+    def both(vmap, pos, tick=0):
+        """The encoder's rays of one voxel, as (24, 2), after checking them
+        against the oracle's."""
+        got = ObservationEncoder(vmap).rays(np.array([pos]), tick)[0]
+        assert np.array_equal(got, raycast_observation(vmap, AgentState(pos), tick))
+        return got.reshape(24, 2)
+
+    def test_leaving_the_map_is_a_solid_hit(self):
         m = flat_map(dims=(30, 30, 30), spawn=(15, 15, 15))
         m.voxels[:, :, :] = 0
-        m.voxels[:, 0, :] = SOLID
-        s = AgentState(pos=(15, 15, 15), grounded=False)
-        v = raycast_observation(m, s, max_range=5)
-        horiz = v.reshape(24, 2)[8:16]  # middle fan: elevation 0
-        assert np.all(horiz[:, 0] == 1.0)
-        assert np.all(horiz[:, 1] == 0.0)
+        diagonal = np.sqrt(3 * 30**2)
+        horiz = self.both(m, (15, 15, 15))[8:16]  # middle fan: elevation 0
+        # From cell centre 15.5, a step of 1 leaves at 30 after 15 steps and
+        # below 0 after 16; a diagonal step of 0.7071 after 21 and 22.
+        # Compass order: N, NE, E, SE, S, SW, W, NW (z is north, x is east).
+        steps = [15, 21, 15, 21, 16, 22, 16, 21]
+        assert np.array_equal(horiz[:, 0], np.array(steps) / diagonal)
+        assert np.all(horiz[:, 1] == SOLID)
 
-    def test_wall_three_north_range_ten(self):
+    def test_wall_three_north(self):
         m = flat_map(dims=(20, 6, 20), spawn=(10, 1, 10))
         m.voxels[10, 1, 13] = SOLID
-        s = AgentState(pos=(10, 1, 10))
-        v = raycast_observation(m, s, max_range=10).reshape(24, 2)
-        north = v[8]  # elevation 0 fan starts at index 8; first compass is north
-        assert north[0] == pytest.approx(0.3)
+        north = self.both(m, (10, 1, 10))[8]  # elevation 0 fan starts at 8; north is first
+        assert north[0] == 3 / np.sqrt(20**2 + 6**2 + 20**2)
         assert north[1] == SOLID
 
+    def test_no_hit_within_the_diagonal(self):
+        # A flat 1-voxel-high slab: the horizontal diagonals from a corner
+        # cross 6.5 sqrt(2) = 9.19 voxels, past int(sqrt(7^2 + 1 + 7^2)) = 9 steps.
+        m = flat_map(dims=(7, 1, 7), spawn=(0, 0, 0))
+        m.voxels[:, :, :] = 0
+        northeast = self.both(m, (0, 0, 0))[9]
+        assert np.array_equal(northeast, [1.0, 0.0])
+
     def test_deterministic(self, area1):
-        s = AgentState(pos=area1.spawn)
-        assert np.array_equal(
-            raycast_observation(area1, s), raycast_observation(area1, s)
-        )
+        # a voxel's row depends on nothing but the voxel and the tick: not on
+        # the call, nor on the other rows of the batch
+        enc = ObservationEncoder(area1)
+        alone = self.both(area1, area1.spawn).reshape(1, -1)
+        batch = np.array([(0, 0, 0), area1.spawn, (5, 5, 5)])
+        assert np.array_equal(enc.rays(batch, 0)[1:2], alone)
+        assert np.array_equal(enc.rays(batch, 0), enc.rays(batch, 0))
+
+    def test_matches_march_on_every_empty_voxel(self, area1, area2):
+        # every empty voxel of area2, every fourth of area1 at each platform phase
+        for vmap, stride in ((area2, 1), (area1, 4)):
+            enc, period = ObservationEncoder(vmap), Physics(vmap).phase_period
+            pos = np.argwhere(vmap.voxels == 0)[::stride]
+            for t in range(period):
+                want = [raycast_observation(vmap, AgentState(tuple(p)), t) for p in pos.tolist()]
+                assert np.array_equal(enc.rays(pos, t), np.stack(want)), (vmap.name, t)
+            per_row = np.arange(len(pos)) % period  # one tick per voxel
+            want = [
+                raycast_observation(vmap, AgentState(tuple(p)), t)
+                for p, t in zip(pos.tolist(), per_row.tolist())
+            ]
+            assert np.array_equal(enc.rays(pos, per_row), np.stack(want))
 
 
 class TestAgentInfo:
@@ -262,10 +302,6 @@ class TestNetWidths:
         t = np.arange(4)
         pos, prev, *flags = replay.rows(t, 0)
         rng = np.random.default_rng(0)
-        rays = np.stack([
-            raycast_observation(vmap, AgentState(tuple(p)), tick=k)
-            for k, p in zip(t, pos.tolist())
-        ])
         alpha = rng.random((len(t), 1))
 
         code_width = enc.position_code(pos).shape[1]
@@ -273,7 +309,7 @@ class TestNetWidths:
         assert code_width == trainer.policy.layers["pos_fc"].n_in
         assert code_width == trainer.rnd.target.layers["pos_fc"].n_in
         for position_mode in ("sinusoidal", "normalized", "learned"):
-            x = {**enc.features(pos, prev, *flags, t, position_mode), "rays": rays, "alpha": alpha}
+            x = {**enc.features(pos, prev, *flags, t, position_mode, "raycast"), "alpha": alpha}
             for perception in ("occupancy", "raycast", "none"):
                 branches = dict(position_mode=position_mode, perception=perception, dims=vmap.dims)
                 for make, width in ((make_policy_net, N_ACTIONS), (make_critic_net, 1)):

@@ -149,9 +149,20 @@ class TestGae:
         adv, _ = compute_gae(r, v, gamma=0.9, lam=0.95)
         assert np.allclose(adv, gae_ref(r, v, 0.9, 0.95), atol=1e-12, rtol=0)
 
+    def test_batch_equals_one_episode_at_a_time(self):
+        rng = np.random.default_rng(9)
+        r = rng.normal(size=(10, 128))
+        v = rng.normal(size=(10, 129))
+        adv, ret = compute_gae(r, v, gamma=0.99, lam=0.95)
+        for i in range(10):
+            adv_i, ret_i = compute_gae(r[i], v[i], gamma=0.99, lam=0.95)
+            assert np.array_equal(adv[i], adv_i) and np.array_equal(ret[i], ret_i)
+
     def test_value_count_checked(self):
         with pytest.raises(ValueError):
             compute_gae(np.zeros(5), np.zeros(5), 0.9, 0.95)
+        with pytest.raises(ValueError):
+            compute_gae(np.zeros((2, 5)), np.zeros((3, 6)), 0.9, 0.95)
 
 
 class BanditNet(nn.Net):
