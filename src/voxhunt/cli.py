@@ -18,7 +18,7 @@ from . import nn
 from .config import PROFILES, ConfigError, TrainConfig, resolve_path
 from .imitation import DemoError, check_demos, load_demos
 from .mapio import load_map, read_script, save_demo_script
-from .trainer import TrainingDiverged, TrajectoryLog, run_training
+from .trainer import TrainingDiverged, TrajectoryLog, fresh_dir, run_training
 from .triage import (
     EXPORT_FIELDS,
     EXPORT_OPTIONAL,
@@ -34,6 +34,22 @@ VALIDATION_EXIT = 2
 RUNTIME_EXIT = 1
 
 OUT_ROOT_ENV = "VOXHUNT_OUT"
+
+# The paper's reward comparison: (run directory, table label, config patch).
+REWARD_VARIANTS = [
+    ("ccpt", "CCPT", {"alpha_mode": "uniform"}),
+    ("linear_combination", "Linear Combination", {"alpha_mode": "fixed", "alpha_value": 0.5}),
+    ("only_imitation", "Only Imitation", {"alpha_mode": "fixed", "alpha_value": 0.0}),
+    ("only_curiosity", "Only Curiosity", {"alpha_mode": "fixed", "alpha_value": 1.0}),
+]
+# The encoder comparison: (series name, config patch).
+ENCODING_VARIANTS = [
+    ("full", {"position_mode": "sinusoidal", "perception": "occupancy"}),
+    ("normalized", {"position_mode": "normalized", "perception": "occupancy"}),
+    ("learned", {"position_mode": "learned", "perception": "occupancy"}),
+    ("global_only", {"position_mode": "sinusoidal", "perception": "none"}),
+    ("raycast", {"position_mode": "sinusoidal", "perception": "raycast"}),
+]
 
 
 class CliValidationError(Exception):
@@ -72,9 +88,9 @@ def _load_config(args) -> TrainConfig:
 
 
 def _fresh_out_dir(path: Path) -> Path:
-    """``path`` when a run can be written there: it is missing or an empty
-    directory. Anything else, a file included, is a validation error."""
-    if path.exists() and (not path.is_dir() or any(path.iterdir())):
+    """``path`` when a run can be written there (see ``fresh_dir``). Anything
+    else, a file included, is a validation error."""
+    if not fresh_dir(path):
         raise CliValidationError(f"output path exists and is not an empty directory: {path}")
     return path
 
@@ -214,89 +230,59 @@ def cmd_demo_verify(args) -> int:
     return 0 if failures == 0 else RUNTIME_EXIT
 
 
+def _train_variants(args, default_out: str, variants) -> Path:
+    """Train one run per variant, each in ``<out>/<name>`` on the loaded config
+    with the variant's patch (its last field) applied; returns ``<out>``."""
+    cfg = _load_config(args)
+    out_dir = _fresh_out_dir(Path(args.out) if args.out else _out_root() / default_out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, *_, patch in variants:
+        run_training(TrainConfig.from_dict({**cfg.to_dict(), **patch}), out_dir / name)
+    return out_dir
+
+
+def _write_table(path: Path, lines: list[str]) -> None:
+    text = "".join(line + "\n" for line in lines)
+    nn.write_atomic(path, text)
+    print(text, end="")
+
+
 def cmd_ablate_reward(args) -> int:
     _check_threshold(args.mode, args.epsilon)
-    cfg = _load_config(args)
-    out_dir = _fresh_out_dir(Path(args.out) if args.out else _out_root() / "ablate-reward")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    variants = [
-        ("ccpt", {"alpha_mode": "uniform"}),
-        ("linear_combination", {"alpha_mode": "fixed", "alpha_value": 0.5}),
-        ("only_imitation", {"alpha_mode": "fixed", "alpha_value": 0.0}),
-        ("only_curiosity", {"alpha_mode": "fixed", "alpha_value": 1.0}),
-    ]
-    labels = {
-        "ccpt": "CCPT",
-        "linear_combination": "Linear Combination",
-        "only_imitation": "Only Imitation",
-        "only_curiosity": "Only Curiosity",
-    }
-    rows = []
-    for name, patch in variants:
-        vcfg = TrainConfig.from_dict({**cfg.to_dict(), **patch})
-        run_dir = out_dir / name
-        run_training(vcfg, run_dir)
-        report = run_triage(run_dir, mode=args.mode, epsilon=args.epsilon)
-        nn.write_atomic(run_dir / "triage_report.json", report.to_json() + "\n")
-        rows.append(
-            {
-                "variant": labels[name],
-                "coverage": report.coverage,
-                "bugs_found": report.bugs_found,
-                "bugs_highlighted": report.bugs_highlighted,
-            }
+    out_dir = _train_variants(args, "ablate-reward", REWARD_VARIANTS)
+    lines = ["variant\tcoverage\tbugs_found\tbugs_highlighted"]
+    coverage = {}
+    for name, label, _ in REWARD_VARIANTS:
+        report = run_triage(out_dir / name, mode=args.mode, epsilon=args.epsilon)
+        nn.write_atomic(out_dir / name / "triage_report.json", report.to_json() + "\n")
+        lines.append(
+            f"{label}\t{report.coverage}\t{report.bugs_found}\t{report.bugs_highlighted}"
         )
-    table_path = out_dir / "reward_ablation.tsv"
-    notes = []
-    by = {r["variant"]: r for r in rows}
-    if by["Only Imitation"]["coverage"] >= by["CCPT"]["coverage"]:
-        notes.append(
+        coverage[name] = report.coverage
+    if coverage["only_imitation"] >= coverage["ccpt"]:
+        lines.append(
             "# note: expected Only Imitation coverage < CCPT coverage, observed "
-            f"{by['Only Imitation']['coverage']} vs {by['CCPT']['coverage']}"
+            f"{coverage['only_imitation']} vs {coverage['ccpt']}"
         )
-    with open(table_path, "w") as fh:
-        fh.write("variant\tcoverage\tbugs_found\tbugs_highlighted\n")
-        for r in rows:
-            fh.write(
-                f"{r['variant']}\t{r['coverage']}\t{r['bugs_found']}\t{r['bugs_highlighted']}\n"
-            )
-        for note in notes:
-            fh.write(note + "\n")
-    print(table_path.read_text(), end="")
+    _write_table(out_dir / "reward_ablation.tsv", lines)
     return 0
 
 
 def cmd_ablate_encoding(args) -> int:
-    cfg = _load_config(args)
-    out_dir = _fresh_out_dir(Path(args.out) if args.out else _out_root() / "ablate-encoding")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    variants = [
-        ("full", {"position_mode": "sinusoidal", "perception": "occupancy"}),
-        ("normalized", {"position_mode": "normalized", "perception": "occupancy"}),
-        ("learned", {"position_mode": "learned", "perception": "occupancy"}),
-        ("global_only", {"position_mode": "sinusoidal", "perception": "none"}),
-        ("raycast", {"position_mode": "sinusoidal", "perception": "raycast"}),
-    ]
-    series_path = out_dir / "coverage_series.tsv"
+    out_dir = _train_variants(args, "ablate-encoding", ENCODING_VARIANTS)
+    lines = ["series\tsteps\tcoverage"]
     finals = {}
-    with open(series_path, "w") as fh:
-        fh.write("series\tsteps\tcoverage\n")
-        for name, patch in variants:
-            vcfg = TrainConfig.from_dict({**cfg.to_dict(), **patch})
-            run_dir = out_dir / name
-            run_training(vcfg, run_dir)
-            for line in (run_dir / "metrics.jsonl").read_text().splitlines():
-                rec = json.loads(line)
-                fh.write(f"{name}\t{rec['env_steps']}\t{rec['coverage']}\n")
-                finals[name] = rec["coverage"]
-        if finals.get("full", 0) < finals.get("normalized", 0):
-            fh.write(
-                "# note: expected full >= normalized final coverage, observed "
-                f"{finals.get('full')} vs {finals.get('normalized')}\n"
-            )
-    print(series_path.read_text(), end="")
+    for name, _ in ENCODING_VARIANTS:
+        for line in (out_dir / name / "metrics.jsonl").read_text().splitlines():
+            rec = json.loads(line)
+            lines.append(f"{name}\t{rec['env_steps']}\t{rec['coverage']}")
+            finals[name] = rec["coverage"]
+    if finals.get("full", 0) < finals.get("normalized", 0):
+        lines.append(
+            "# note: expected full >= normalized final coverage, observed "
+            f"{finals.get('full')} vs {finals.get('normalized')}"
+        )
+    _write_table(out_dir / "coverage_series.tsv", lines)
     return 0
 
 

@@ -59,6 +59,11 @@ def combine_reward(r_c, r_i, r_e, alpha):
     return alpha * r_c + (1.0 - alpha) * r_i + r_e
 
 
+def fresh_dir(path: Path) -> bool:
+    """Whether a run can be written at ``path``: it is missing or an empty directory."""
+    return not path.exists() or (path.is_dir() and not any(path.iterdir()))
+
+
 def _rows(a: np.ndarray) -> np.ndarray:
     """Per-episode arrays (m, n, ...) as one batch of m*n rows."""
     return a.reshape(-1, *a.shape[2:])
@@ -294,6 +299,7 @@ class Trainer:
             rec, physics = ro.replay, self.physics
             positions = physics.positions(rec.cell.T).tolist()
             first_goal, r_e = rec.first_goal().tolist(), ro.r_e.tolist()
+            ri, rcr, rcn, Rs = r_i.tolist(), rc_raw.tolist(), rc_norm.tolist(), R.tolist()
             for i, (alpha, actions, entered) in enumerate(
                 zip(ro.alphas, rec.actions.T.tolist(), rec.entered().tolist())
             ):
@@ -309,10 +315,10 @@ class Trainer:
                         "positions": positions[i],
                         "actions": actions,
                         "re": r_e[i],
-                        "ri": [float(v) for v in r_i[i]],
-                        "rc_raw": [float(v) for v in rc_raw[i]],
-                        "rc_norm": [float(v) for v in rc_norm[i]],
-                        "R": [float(v) for v in R[i]],
+                        "ri": ri[i],
+                        "rc_raw": rcr[i],
+                        "rc_norm": rcn[i],
+                        "R": Rs[i],
                         "bug_regions": list(regions),
                         "bug_kinds": sorted(set(kinds)),
                     }
@@ -359,8 +365,8 @@ class Trainer:
     def run(self) -> dict:
         cfg = self.cfg
         run_dir = self.run_dir
-        if run_dir.exists() and any(run_dir.iterdir()):
-            raise FileExistsError(f"run directory {run_dir} already exists and is not empty")
+        if not fresh_dir(run_dir):
+            raise FileExistsError(f"run directory exists and is not an empty directory: {run_dir}")
         run_dir.mkdir(parents=True, exist_ok=True)
         nn.write_atomic(run_dir / "config.json", cfg.to_json() + "\n")
         manifest = {

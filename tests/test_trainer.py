@@ -235,6 +235,13 @@ class TestTrainingRuns:
         with pytest.raises(FileExistsError):
             run_training(cfg, tmp_path / "run")
 
+    def test_run_dir_naming_a_file_refused(self, tmp_path, area1_demo_paths):
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        with pytest.raises(FileExistsError, match="not an empty directory"):
+            run_training(tiny_cfg(area1_demo_paths, iterations=0), taken)
+        assert taken.read_text() == "x"
+
     def test_manifest_stable_fields_only(self, tmp_path, area1_demo_paths):
         cfg = tiny_cfg(area1_demo_paths, iterations=1)
         run_training(cfg, tmp_path / "run")
