@@ -27,6 +27,7 @@ from .triage import (
     export_trajectories,
     read_report,
     run_triage,
+    write_report,
 )
 from .world import MapFormatError, WorldError
 
@@ -116,28 +117,12 @@ def cmd_train(args) -> int:
 
 def cmd_triage(args) -> int:
     _check_threshold(args.mode, args.epsilon, args.quantile)
-    report = run_triage(
-        args.run_dir,
-        mode=args.mode,
-        epsilon=args.epsilon,
-        quantile=args.quantile,
-    )
-    out = Path(args.run_dir) / "triage_report.json"
-    nn.write_atomic(out, report.to_json() + "\n")
-    print(
-        json.dumps(
-            {
-                "epsilon": report.epsilon,
-                "mode": report.mode,
-                "theta_size": len(report.theta),
-                "bugs_found": report.bugs_found,
-                "bugs_highlighted": report.bugs_highlighted,
-                "coverage": report.coverage,
-                "report": str(out),
-            },
-            sort_keys=True,
-        )
-    )
+    report = run_triage(args.run_dir, args.mode, args.epsilon, args.quantile)
+    out = write_report(args.run_dir, report)
+    keys = ("epsilon", "mode", "bugs_found", "bugs_highlighted", "coverage")
+    summary = {k: report[k] for k in keys}
+    summary.update(theta_size=len(report["theta"]), report=str(out))
+    print(json.dumps(summary, sort_keys=True))
     return 0
 
 
@@ -147,8 +132,9 @@ def cmd_report(args) -> int:
     print(f"highlighted trajectories: {len(doc['theta'])}")
     print(f"bugs found {doc['bugs_found']}  bugs highlighted {doc['bugs_highlighted']}")
     print(f"coverage {doc['coverage']} distinct voxels")
+    theta = set(doc["theta"])
     for s in doc["scores"]:
-        if s["traj_id"] in set(doc["theta"]):
+        if s["traj_id"] in theta:
             print(
                 f"  traj {s['traj_id']}: alpha={s['alpha']:.3f} "
                 f"score={s['rc_avg']:.6g} bugs={s['bug_regions']}"
@@ -254,11 +240,11 @@ def cmd_ablate_reward(args) -> int:
     coverage = {}
     for name, label, _ in REWARD_VARIANTS:
         report = run_triage(out_dir / name, mode=args.mode, epsilon=args.epsilon)
-        nn.write_atomic(out_dir / name / "triage_report.json", report.to_json() + "\n")
+        write_report(out_dir / name, report)
         lines.append(
-            f"{label}\t{report.coverage}\t{report.bugs_found}\t{report.bugs_highlighted}"
+            f"{label}\t{report['coverage']}\t{report['bugs_found']}\t{report['bugs_highlighted']}"
         )
-        coverage[name] = report.coverage
+        coverage[name] = report["coverage"]
     if coverage["only_imitation"] >= coverage["ccpt"]:
         lines.append(
             "# note: expected Only Imitation coverage < CCPT coverage, observed "

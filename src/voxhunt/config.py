@@ -219,8 +219,14 @@ class TrainConfig:
 
     @classmethod
     def from_run_dir(cls, run_dir: str | Path) -> "TrainConfig":
-        """A run directory's ``config.json``, minus fields retired since it was written."""
-        return cls.from_json_file(Path(run_dir) / "config.json", retired=RETIRED)
+        """A run directory's ``config.json``, minus fields retired since it was
+        written; ConfigError names the file and each field ``validate`` rejects."""
+        path = Path(run_dir) / "config.json"
+        cfg = cls.from_json_file(path, retired=RETIRED)
+        problems = cfg.validate()
+        if problems:
+            raise ConfigError(f"{path}: {'; '.join(problems)}")
+        return cfg
 
     def apply_overrides(self, overrides: list[str]) -> "TrainConfig":
         """Apply `dotted.path=value` strings; values parse as JSON when possible."""

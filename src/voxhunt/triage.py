@@ -30,18 +30,21 @@ replay's arrays. The table is scored once, in RND calls no larger than one
 episode. Each score sums its prefix's per-state values in prefix order, so
 it equals scoring each trajectory on its own, state by state; the tests
 check this bit for bit.
+
+The report is built as the plain JSON object that ``write_report`` writes,
+and ``read_report`` returns that same shape after checking its keys.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
+from . import nn
 from .config import TrainConfig, resolve_path
 from .curiosity import RNDPair
 from .encode import ObservationEncoder, agent_info
@@ -60,38 +63,15 @@ TRIAGE_FIELDS = ("id", "alpha", "actions", "positions")
 EXPORT_FIELDS = ("id", "alpha", "reached_goal", "positions")
 EXPORT_OPTIONAL = ("bug_regions",)
 
-
-@dataclass
-class TrajectoryScore:
-    traj_id: int
-    alpha: float
-    reached_goal: bool
-    first_goal: int | None  # T: steps to first goal entry
-    rc_avg: float | None  # None when the trajectory never reaches a goal
-    bug_regions: tuple[int, ...] = ()
-    demo: bool = False
-
-
-@dataclass
-class TriageReport:
-    epsilon: float
-    mode: str
-    theta: list[int]
-    scores: list[TrajectoryScore]
-    bugs_found: int
-    bugs_highlighted: int
-    bugs_found_regions: list[int]
-    bugs_highlighted_regions: list[int]
-    per_kind_found: dict[str, int]
-    per_kind_highlighted: dict[str, int]
-    coverage: int
-    demo_scores: list[float] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"format_version": REPORT_FORMAT_VERSION, **asdict(self)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
+# The keys of a format-1 report and of each of its scores. A score's
+# first_goal (T, the steps to the first goal entry) and rc_avg are None when
+# the trajectory never reaches a goal; demo is always false.
+REPORT_KEYS = (
+    "format_version", "epsilon", "mode", "theta", "scores", "bugs_found", "bugs_highlighted",
+    "bugs_found_regions", "bugs_highlighted_regions", "per_kind_found", "per_kind_highlighted",
+    "coverage", "demo_scores",
+)
+SCORE_KEYS = ("traj_id", "alpha", "reached_goal", "first_goal", "rc_avg", "bug_regions", "demo")
 
 
 def _ints(values) -> bool:
@@ -150,7 +130,7 @@ def score_records(
     encoder: ObservationEncoder,
     demo_scripts: list[list[int]],
     max_rows: int,
-) -> tuple[list[TrajectoryScore], list[float], int]:
+) -> tuple[list[dict], list[float], int]:
     """Replay every record and demo script in one lockstep batch, check each
     record against its stored positions, then score the records and the
     demos from one table of their distinct goal-prefix states.
@@ -197,14 +177,15 @@ def score_records(
 
     entered = replay.entered()[:n]
     scores = [
-        TrajectoryScore(
-            traj_id=int(rec["id"]),
-            alpha=float(rec["alpha"]),
-            reached_goal=end >= 0,
-            first_goal=end if end >= 0 else None,
-            rc_avg=rc_avg,
-            bug_regions=physics.bug_hits(mask, 0)[0],
-        )
+        {
+            "traj_id": int(rec["id"]),
+            "alpha": float(rec["alpha"]),
+            "reached_goal": end >= 0,
+            "first_goal": end if end >= 0 else None,
+            "rc_avg": rc_avg,
+            "bug_regions": list(physics.bug_hits(mask, 0)[0]),
+            "demo": False,
+        }
         for rec, end, rc_avg, mask in zip(records, ends.tolist(), averages, entered.tolist())
     ]
     demo_scores = [v for v in averages[n:] if v is not None]
@@ -215,7 +196,7 @@ def score_records(
 
 
 def compute_epsilon(
-    scores: list[TrajectoryScore],
+    scores: list[dict],
     demo_scores: list[float],
     mode: str,
     value: float | None = None,
@@ -232,7 +213,9 @@ def compute_epsilon(
         raise TriageError(f"unknown epsilon mode {mode!r}")
     reference = list(demo_scores)
     reference.extend(
-        s.rc_avg for s in scores if s.alpha < 0.5 and s.reached_goal and s.rc_avg is not None
+        s["rc_avg"]
+        for s in scores
+        if s["alpha"] < 0.5 and s["reached_goal"] and s["rc_avg"] is not None
     )
     if not reference:
         raise TriageError("quantile mode needs demo or low-dial reference scores")
@@ -258,31 +241,36 @@ def percentile(values: list[float], q: float) -> float:
     return float(b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
 
 
-def filter_theta(scores: list[TrajectoryScore], epsilon: float) -> list[int]:
+def filter_theta(scores: list[dict], epsilon: float) -> list[int]:
     """Kept ids: dial >= 0.5, goal reached, average curiosity above epsilon."""
     return [
-        s.traj_id
+        s["traj_id"]
         for s in scores
-        if s.alpha >= 0.5 and s.reached_goal and s.rc_avg is not None and s.rc_avg > epsilon
+        if s["alpha"] >= 0.5
+        and s["reached_goal"]
+        and s["rc_avg"] is not None
+        and s["rc_avg"] > epsilon
     ]
 
 
 def evaluate_bugs(
-    scores: list[TrajectoryScore],
+    scores: list[dict],
     theta: list[int],
     vmap: VoxelMap,
     epsilon: float,
     mode: str,
     total_coverage: int,
     demo_scores: list[float] | None = None,
-) -> TriageReport:
+) -> dict:
+    """The report: its threshold, kept ids and scores, and the planted bug
+    regions entered by any scored trajectory and by a kept one."""
     theta_set = set(theta)
     found: set[int] = set()
     highlighted: set[int] = set()
     for s in scores:
-        found.update(s.bug_regions)
-        if s.traj_id in theta_set:
-            highlighted.update(s.bug_regions)
+        found.update(s["bug_regions"])
+        if s["traj_id"] in theta_set:
+            highlighted.update(s["bug_regions"])
     per_kind_found: dict[str, int] = {}
     per_kind_high: dict[str, int] = {}
     for i, bug in enumerate(vmap.bugs):
@@ -290,20 +278,21 @@ def evaluate_bugs(
             per_kind_found[bug.kind] = per_kind_found.get(bug.kind, 0) + 1
         if i in highlighted:
             per_kind_high[bug.kind] = per_kind_high.get(bug.kind, 0) + 1
-    return TriageReport(
-        epsilon=epsilon,
-        mode=mode,
-        theta=sorted(theta_set),
-        scores=scores,
-        bugs_found=len(found),
-        bugs_highlighted=len(highlighted),
-        bugs_found_regions=sorted(found),
-        bugs_highlighted_regions=sorted(highlighted),
-        per_kind_found=per_kind_found,
-        per_kind_highlighted=per_kind_high,
-        coverage=total_coverage,
-        demo_scores=list(demo_scores or []),
-    )
+    return {
+        "format_version": REPORT_FORMAT_VERSION,
+        "epsilon": epsilon,
+        "mode": mode,
+        "theta": sorted(theta_set),
+        "scores": scores,
+        "bugs_found": len(found),
+        "bugs_highlighted": len(highlighted),
+        "bugs_found_regions": sorted(found),
+        "bugs_highlighted_regions": sorted(highlighted),
+        "per_kind_found": per_kind_found,
+        "per_kind_highlighted": per_kind_high,
+        "coverage": total_coverage,
+        "demo_scores": list(demo_scores or []),
+    }
 
 
 def run_triage(
@@ -311,8 +300,8 @@ def run_triage(
     mode: str = "quantile",
     epsilon: float | None = None,
     quantile: float = 0.90,
-) -> TriageReport:
-    """Pure post-process over a finished run directory."""
+) -> dict:
+    """Pure post-process over a finished run directory; returns the report."""
     run_dir = Path(run_dir)
     cfg_path = run_dir / "config.json"
     data_path = run_dir / "dataset.jsonl"
@@ -350,9 +339,18 @@ def run_triage(
     return evaluate_bugs(scores, theta, vmap, eps, mode, total_cov, demo_scores)
 
 
+def write_report(run_dir: str | Path, report: dict) -> Path:
+    """Write ``report`` as the run's ``triage_report.json``; returns its path."""
+    path = Path(run_dir) / "triage_report.json"
+    nn.write_atomic(path, json.dumps(report, indent=1, sort_keys=True) + "\n")
+    return path
+
+
 def read_report(run_dir: str | Path) -> dict:
-    """A finished run's ``triage_report.json``; TriageError names the path if
-    the file is missing or torn."""
+    """A finished run's ``triage_report.json``, in the shape ``run_triage``
+    returns; TriageError names the path if the file is missing or torn, if
+    its scores are not a list of objects, and the first key of REPORT_KEYS or
+    SCORE_KEYS that it lacks."""
     path = Path(run_dir) / "triage_report.json"
     try:
         doc = json.loads(path.read_text())
@@ -362,6 +360,15 @@ def read_report(run_dir: str | Path) -> dict:
         raise TriageError(f"{path}: torn or malformed report ({e.msg})") from e
     if not isinstance(doc, dict) or doc.get("format_version") != REPORT_FORMAT_VERSION:
         raise TriageError(f"{path}: not a format {REPORT_FORMAT_VERSION} triage report")
+    missing = next((k for k in REPORT_KEYS if k not in doc), None)
+    if missing:
+        raise TriageError(f"{path}: missing key {missing}")
+    if type(doc["scores"]) is not list or not all(type(s) is dict for s in doc["scores"]):
+        raise TriageError(f"{path}: scores is not a list of objects")
+    for i, score in enumerate(doc["scores"]):
+        missing = next((k for k in SCORE_KEYS if k not in score), None)
+        if missing:
+            raise TriageError(f"{path}: score {i}: missing key {missing}")
     return doc
 
 
@@ -374,30 +381,27 @@ def export_trajectories(
 ) -> int:
     """Columnar text export: a metadata header line per trajectory followed by
     one `id t x y z` row per position. ``rc_by_id`` maps trajectory ids to
-    their triage score."""
+    their triage score. The file is replaced whole (``nn.write_atomic``)."""
+    lines = [f"# format_version {EXPORT_FORMAT_VERSION}\n", "# columns: id t x y z\n"]
     n = 0
-    with open(path, "w") as fh:
-        fh.write(f"# format_version {EXPORT_FORMAT_VERSION}\n")
-        fh.write("# columns: id t x y z\n")
-        for rec in records:
-            tid = int(rec["id"])
-            if only_ids is not None and tid not in only_ids:
-                continue
-            score = rc_by_id.get(tid)
-            bugs = ",".join(str(b) for b in rec.get("bug_regions", [])) or "-"
-            fh.write(
-                f"# trajectory id={tid} alpha={rec['alpha']} "
-                f"score={'' if score is None else score} reached_goal={int(bool(rec['reached_goal']))} bugs={bugs} demo=0\n"
-            )
-            for t, p in enumerate(rec["positions"]):
-                fh.write(f"{tid} {t} {p[0]} {p[1]} {p[2]}\n")
-            n += 1
-        for name, traj, score in demos or []:
-            fh.write(
-                f"# trajectory id={name} alpha= score={'' if score is None else score} "
-                f"reached_goal={int(traj.reached_goal)} bugs=- demo=1\n"
-            )
-            for t, p in enumerate(traj.positions):
-                fh.write(f"{name} {t} {p[0]} {p[1]} {p[2]}\n")
-            n += 1
+    for rec in records:
+        tid = int(rec["id"])
+        if only_ids is not None and tid not in only_ids:
+            continue
+        score = rc_by_id.get(tid)
+        bugs = ",".join(str(b) for b in rec.get("bug_regions", [])) or "-"
+        lines.append(
+            f"# trajectory id={tid} alpha={rec['alpha']} "
+            f"score={'' if score is None else score} reached_goal={int(bool(rec['reached_goal']))} bugs={bugs} demo=0\n"
+        )
+        lines.extend(f"{tid} {t} {p[0]} {p[1]} {p[2]}\n" for t, p in enumerate(rec["positions"]))
+        n += 1
+    for name, traj, score in demos or []:
+        lines.append(
+            f"# trajectory id={name} alpha= score={'' if score is None else score} "
+            f"reached_goal={int(traj.reached_goal)} bugs=- demo=1\n"
+        )
+        lines.extend(f"{name} {t} {p[0]} {p[1]} {p[2]}\n" for t, p in enumerate(traj.positions))
+        n += 1
+    nn.write_atomic(path, "".join(lines))
     return n

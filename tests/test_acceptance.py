@@ -34,7 +34,6 @@ from voxhunt.mapio import fixture_path, load_fixture_map
 from voxhunt.policy import make_critic_net, make_policy_net, act
 from voxhunt.trainer import TrajectoryLog, run_training
 from voxhunt.triage import (
-    TrajectoryScore,
     compute_epsilon,
     filter_theta,
     read_report,
@@ -313,19 +312,21 @@ def test_criterion_02_formula_oracles(tmp_path):
         scores = []
         for i in range(200):
             scores.append(
-                TrajectoryScore(
-                    traj_id=i,
-                    alpha=float(rng.random()),
-                    reached_goal=bool(rng.random() < 0.7),
-                    first_goal=10,
-                    rc_avg=float(rng.random() * 2.0),
-                )
+                {
+                    "traj_id": i,
+                    "alpha": float(rng.random()),
+                    "reached_goal": bool(rng.random() < 0.7),
+                    "first_goal": 10,
+                    "rc_avg": float(rng.random() * 2.0),
+                    "bug_regions": [],
+                    "demo": False,
+                }
             )
         for eps in (-1.0, 0.3, 0.9, 2.5):
             expected = sorted(
-                s.traj_id
+                s["traj_id"]
                 for s in scores
-                if s.alpha >= 0.5 and s.reached_goal and s.rc_avg > eps
+                if s["alpha"] >= 0.5 and s["reached_goal"] and s["rc_avg"] > eps
             )
             assert sorted(filter_theta(scores, eps)) == expected
 

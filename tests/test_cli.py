@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -333,6 +334,75 @@ class TestBadRecords:
             if line.startswith("# trajectory")
         ]
         assert headers and all(" bugs=- " in line for line in headers)
+
+
+@pytest.fixture(scope="module")
+def triaged_run(tmp_path_factory, area1_demo_paths):
+    """A trained and triaged quick run; tests damage copies of it."""
+    root = tmp_path_factory.mktemp("triaged")
+    config = root / "config.json"
+    config.write_text(json.dumps({
+        "map_path": str(fixture_path("testmap_area1.json")),
+        "demo_paths": list(area1_demo_paths),
+        "iterations": 1,
+        "episodes_per_iter": 2,
+        "episode_length": 16,
+        "seed": 5,
+    }))
+    run = root / "run"
+    assert main(["train", "--config", str(config), "--out", str(run)]) == 0
+    assert main(["triage", str(run)]) == 0
+    return run
+
+
+class TestRunFilesChecked:
+    """A report that lacks a key, or a run config with a bad field, ends in one
+    error line naming it, exit 1, and no traceback."""
+
+    def _edit(self, triaged_run, tmp_path, name, edit):
+        """A copy of the run whose JSON file ``name`` is rewritten by ``edit``."""
+        run = tmp_path / "run"
+        shutil.copytree(triaged_run, run)
+        doc = json.loads((run / name).read_text())
+        edit(doc)
+        (run / name).write_text(json.dumps(doc))
+        return run
+
+    @pytest.mark.parametrize(
+        "key, where",
+        [("coverage", None), ("theta", None), ("scores", None), ("demo_scores", None),
+         ("traj_id", 0), ("rc_avg", 0), ("bug_regions", 1)],
+    )
+    @pytest.mark.parametrize("argv", [["report"], ["export"], ["export", "--theta-only"]])
+    def test_report_missing_a_key_is_named(
+        self, triaged_run, tmp_path, key, where, argv, capsys
+    ):
+        def drop(doc):
+            (doc if where is None else doc["scores"][where]).pop(key)
+
+        run = self._edit(triaged_run, tmp_path, "triage_report.json", drop)
+        capsys.readouterr()
+        assert main([argv[0], str(run), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        score = "" if where is None else f"score {where}: "
+        assert f"error: {run / 'triage_report.json'}: {score}missing key {key}\n" in err
+        assert "Traceback" not in err
+        assert not (run / "trajectories.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "field, value", [("profile", "huge"), ("map_path", 123), ("episode_length", "x")]
+    )
+    @pytest.mark.parametrize("argv", [["triage"], ["export", "--demos"]])
+    def test_bad_config_field_is_named(self, triaged_run, tmp_path, field, value, argv, capsys):
+        run = self._edit(triaged_run, tmp_path, "config.json", lambda d: d.update({field: value}))
+        report = (run / "triage_report.json").read_bytes()
+        capsys.readouterr()
+        assert main([argv[0], str(run), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {run / 'config.json'}: {field} must be " in err
+        assert "Traceback" not in err
+        assert (run / "triage_report.json").read_bytes() == report
+        assert not (run / "trajectories.tsv").exists()
 
 
 class TestThresholdFlags:

@@ -1,6 +1,7 @@
 """Trajectory filtering: scores, threshold modes, bug tallies, export."""
 
 import json
+import os
 import re
 import shutil
 import tracemalloc
@@ -20,16 +21,19 @@ from voxhunt.trainer import TrajectoryLog, run_training
 from voxhunt.triage import (
     EXPORT_FIELDS,
     EXPORT_OPTIONAL,
+    REPORT_KEYS,
+    SCORE_KEYS,
     TRIAGE_FIELDS,
-    TrajectoryScore,
     TriageError,
     compute_epsilon,
     evaluate_bugs,
     export_trajectories,
     filter_theta,
     percentile,
+    read_report,
     run_triage,
     score_records,
+    write_report,
 )
 from voxhunt.world import Action, play_script
 
@@ -37,11 +41,11 @@ from .oracles import parse_export, score_trajectory, state_curiosity
 
 
 def synth_score(i, alpha, reached=True, rc=0.5, bugs=()):
-    return TrajectoryScore(
-        traj_id=i, alpha=alpha, reached_goal=reached,
-        first_goal=10 if reached else None,
-        rc_avg=rc if reached else None, bug_regions=tuple(bugs),
-    )
+    return {
+        "traj_id": i, "alpha": alpha, "reached_goal": reached,
+        "first_goal": 10 if reached else None,
+        "rc_avg": rc if reached else None, "bug_regions": list(bugs), "demo": False,
+    }
 
 
 class TestScoreTrajectory:
@@ -60,7 +64,7 @@ class TestScoreTrajectory:
                "positions": [list(p) for p in traj.positions]}
         enc = ObservationEncoder(vmap, L=7)
         [score], _, _ = score_records([rec], vmap, rnd, enc, [], max_rows=len(actions) + 1)
-        return score.rc_avg, score.first_goal
+        return score["rc_avg"], score["first_goal"]
 
     def test_identical_networks_score_zero(self, area1, area1_demo_paths):
         from voxhunt.mapio import load_demo_script
@@ -103,9 +107,9 @@ class TestFilter:
         ]
         eps = 0.4
         expected = sorted(
-            s.traj_id
+            s["traj_id"]
             for s in scores
-            if s.alpha >= 0.5 and s.reached_goal and s.rc_avg > eps
+            if s["alpha"] >= 0.5 and s["reached_goal"] and s["rc_avg"] > eps
         )
         assert sorted(filter_theta(scores, eps)) == expected == [1, 2]
 
@@ -174,14 +178,15 @@ class TestEvaluateBugs:
     def test_empty_theta_zero_highlighted(self, area1):
         scores = [synth_score(0, 0.9, bugs=(0,))]
         report = evaluate_bugs(scores, [], area1, 0.5, "absolute", total_coverage=10)
-        assert report.bugs_found == 1
-        assert report.bugs_highlighted == 0
+        assert set(report) == set(REPORT_KEYS)
+        assert report["bugs_found"] == 1
+        assert report["bugs_highlighted"] == 0
 
     def test_all_bugs_in_theta_found_equals_highlighted(self, area1):
         scores = [synth_score(0, 0.9, bugs=(0,)), synth_score(1, 0.7, bugs=(1,))]
         report = evaluate_bugs(scores, [0, 1], area1, 0.0, "absolute", total_coverage=5)
-        assert report.bugs_found == report.bugs_highlighted == 2
-        assert report.per_kind_highlighted == {
+        assert report["bugs_found"] == report["bugs_highlighted"] == 2
+        assert report["per_kind_highlighted"] == {
             "missing_collision": 1,
             "infinite_jump_glitch": 1,
         }
@@ -192,15 +197,15 @@ class TestEvaluateBugs:
         for i in range(30):
             bugs = tuple(sorted(set(rng.integers(0, 2, size=rng.integers(0, 3)).tolist())))
             scores.append(synth_score(i, float(rng.random()), bugs=bugs))
-        theta = [s.traj_id for s in scores if s.alpha >= 0.5][:10]
+        theta = [s["traj_id"] for s in scores if s["alpha"] >= 0.5][:10]
         report = evaluate_bugs(scores, theta, area1, 0.0, "absolute", total_coverage=1)
-        expected_found = set().union(*[set(s.bug_regions) for s in scores])
+        expected_found = set().union(*[set(s["bug_regions"]) for s in scores])
         expected_high = set().union(
-            *[set(s.bug_regions) for s in scores if s.traj_id in set(theta)]
+            *[set(s["bug_regions"]) for s in scores if s["traj_id"] in set(theta)]
         ) if theta else set()
-        assert report.bugs_found == len(expected_found)
-        assert report.bugs_highlighted == len(expected_high)
-        assert report.bugs_highlighted <= report.bugs_found
+        assert report["bugs_found"] == len(expected_found)
+        assert report["bugs_highlighted"] == len(expected_high)
+        assert report["bugs_highlighted"] <= report["bugs_found"]
 
 
 @pytest.fixture(scope="module")
@@ -222,15 +227,32 @@ class TestRunTriage:
     def test_report_reproducible(self, tiny_run):
         r1 = run_triage(tiny_run)
         r2 = run_triage(tiny_run)
-        assert r1.to_json() == r2.to_json()
+        assert r1 == r2
+
+    def test_written_report_reads_back_as_returned(self, tiny_run, tmp_path):
+        report = run_triage(tiny_run)
+        assert set(report) == set(REPORT_KEYS)
+        assert report["scores"] and all(set(s) == set(SCORE_KEYS) for s in report["scores"])
+        path = write_report(tmp_path, report)
+        assert path == tmp_path / "triage_report.json"
+        assert path.read_text() == json.dumps(report, indent=1, sort_keys=True) + "\n"
+        assert read_report(tmp_path) == report
+
+    @pytest.mark.parametrize("scores", [5, [5], {"0": {}}])
+    def test_report_scores_must_be_objects(self, tiny_run, tmp_path, scores):
+        write_report(tmp_path, {**run_triage(tiny_run), "scores": scores})
+        path = tmp_path / "triage_report.json"
+        want = re.escape(f"{path}: scores is not a list of objects")
+        with pytest.raises(TriageError, match=want):
+            read_report(tmp_path)
 
     def test_absolute_vacuous_threshold_superset_of_quantile(self, tiny_run):
         vacuous = run_triage(tiny_run, mode="absolute", epsilon=-1.0)
         quant = run_triage(tiny_run)
-        assert set(quant.theta) <= set(vacuous.theta)
-        for tid in vacuous.theta:
-            s = next(x for x in vacuous.scores if x.traj_id == tid)
-            assert s.alpha >= 0.5 and s.reached_goal
+        assert set(quant["theta"]) <= set(vacuous["theta"])
+        for tid in vacuous["theta"]:
+            s = next(x for x in vacuous["scores"] if x["traj_id"] == tid)
+            assert s["alpha"] >= 0.5 and s["reached_goal"]
 
     def test_missing_artifacts_reported(self, tmp_path):
         from voxhunt.triage import TriageError
@@ -240,8 +262,8 @@ class TestRunTriage:
 
     def test_demo_scores_present(self, tiny_run):
         report = run_triage(tiny_run)
-        assert len(report.demo_scores) == 6
-        assert all(s >= 0 for s in report.demo_scores)
+        assert len(report["demo_scores"]) == 6
+        assert all(s >= 0 for s in report["demo_scores"])
 
     def test_scores_match_per_trajectory_reference_bit_for_bit(
         self, tiny_run, tmp_path, monkeypatch
@@ -280,9 +302,9 @@ class TestRunTriage:
 
         monkeypatch.setattr(RNDPair, "raw_reward", spy)
         report = run_triage(run)
-        assert [(s.rc_avg, s.first_goal) for s in report.scores] == want
-        assert sum(s.rc_avg is not None for s in report.scores) >= len(demos)
-        assert report.demo_scores == want_demo
+        assert [(s["rc_avg"], s["first_goal"]) for s in report["scores"]] == want
+        assert sum(s["rc_avg"] is not None for s in report["scores"]) >= len(demos)
+        assert report["demo_scores"] == want_demo
         # each distinct state once, in calls no larger than one episode
         assert len(rows) > 1 and max(rows) <= cfg.episode_length + 1
         prefix_rows = sum(T + 1 for _, T in want if T is not None)
@@ -291,7 +313,7 @@ class TestRunTriage:
     def test_coverage_counts_distinct_stored_positions(self, tiny_run):
         records = TrajectoryLog.read(tiny_run / "dataset.jsonl")
         visited = {tuple(p) for r in records for p in r["positions"]}
-        assert run_triage(tiny_run).coverage == len(visited)
+        assert run_triage(tiny_run)["coverage"] == len(visited)
 
 
 @pytest.fixture(scope="module")
@@ -441,3 +463,18 @@ class TestExport:
         assert "demo=1" in text
         back = parse_export(path)
         assert set(back) == {"1", "2", "demo1"}
+
+    def test_failed_replace_keeps_the_earlier_export(self, tmp_path, monkeypatch):
+        records = [{"id": 0, "alpha": 0.6, "reached_goal": True, "positions": [[0, 1, 0]]}]
+        path = tmp_path / "trajectories.tsv"
+        export_trajectories(records, {0: 0.5}, path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            export_trajectories(records * 2, {}, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectories.tsv"]
