@@ -16,14 +16,13 @@ from pathlib import Path
 
 from . import nn
 from .config import PROFILES, ConfigError, TrainConfig, resolve_path
-from .imitation import DemoError, check_demos, load_demos
+from .imitation import check_demos, load_demos
 from .mapio import load_map, read_script, save_demo_script
 from .trainer import TrainingDiverged, TrajectoryLog, fresh_dir, run_training
 from .triage import (
     EXPORT_FIELDS,
     EXPORT_OPTIONAL,
     TriageError,
-    check_fields,
     export_trajectories,
     read_report,
     run_triage,
@@ -144,11 +143,7 @@ def cmd_report(args) -> int:
 
 def cmd_export(args) -> int:
     run_dir = Path(args.run_dir)
-    data_path = run_dir / "dataset.jsonl"
-    if not data_path.exists():
-        raise TriageError(f"missing dataset: {data_path}")
-    records = TrajectoryLog.read(data_path, fields=EXPORT_FIELDS + EXPORT_OPTIONAL)
-    check_fields(records, EXPORT_FIELDS, data_path)
+    records = TrajectoryLog.read(run_dir / "dataset.jsonl", EXPORT_FIELDS, EXPORT_OPTIONAL)
     report = None
     if args.theta_only or (run_dir / "triage_report.json").exists():
         report = read_report(run_dir)
@@ -159,10 +154,8 @@ def cmd_export(args) -> int:
         cfg = TrainConfig.from_run_dir(run_dir)
         vmap = load_map(resolve_path(cfg.map_path))
         if cfg.demo_paths:  # map name and goal checked as training and triage check them
-            demoset = load_demos([resolve_path(p) for p in cfg.demo_paths], vmap)
-            demos = [
-                (Path(p).stem, d.trajectory, None) for p, d in zip(cfg.demo_paths, demoset.demos)
-            ]
+            loaded = load_demos([resolve_path(p) for p in cfg.demo_paths], vmap).demos
+            demos = [(Path(p).stem, d.trajectory.positions) for p, d in zip(cfg.demo_paths, loaded)]
     out = Path(args.out) if args.out else run_dir / "trajectories.tsv"
     n = export_trajectories(records, rc_by_id, out, only_ids=only_ids, demos=demos)
     print(json.dumps({"file": str(out), "trajectories": n}, sort_keys=True))
@@ -259,8 +252,7 @@ def cmd_ablate_encoding(args) -> int:
     lines = ["series\tsteps\tcoverage"]
     finals = {}
     for name, _ in ENCODING_VARIANTS:
-        for line in (out_dir / name / "metrics.jsonl").read_text().splitlines():
-            rec = json.loads(line)
+        for rec in TrajectoryLog.read(out_dir / name / "metrics.jsonl", ("env_steps", "coverage")):
             lines.append(f"{name}\t{rec['env_steps']}\t{rec['coverage']}")
             finals[name] = rec["coverage"]
     if finals.get("full", 0) < finals.get("normalized", 0):
@@ -347,7 +339,7 @@ def main(argv=None) -> int:
         for problem in e.problems:
             print(f"error: {problem}", file=sys.stderr)
         return VALIDATION_EXIT
-    except (ConfigError, TriageError, WorldError, DemoError, FileExistsError) as e:
+    except (ConfigError, TriageError, WorldError, FileExistsError, nn.ParamsFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return RUNTIME_EXIT
     except TrainingDiverged as e:

@@ -199,21 +199,14 @@ class ReplayBuffer:
 
 @dataclass
 class Demo:
-    map_name: str
-    goal_id: int
     actions: list[Action]
     trajectory: Trajectory
-    source: str = ""
 
 
 @dataclass
 class DemoSet:
-    map_name: str
     demos: list[Demo]
     replay: Replay  # every demo's script, one column each
-
-    def __len__(self) -> int:
-        return len(self.demos)
 
 
 def check_demos(scripts: list[tuple[str, str, int, list[Action]]], vmap: VoxelMap) -> DemoSet:
@@ -235,12 +228,12 @@ def check_demos(scripts: list[tuple[str, str, int, list[Action]]], vmap: VoxelMa
     except PhysicsError as e:
         raise DemoReplayError(f"{scripts[e.agent][0]}: {e}") from e
     demos = []
-    for i, (source, _, goal_id, actions) in enumerate(scripts):
+    for i, (source, *_, actions) in enumerate(scripts):
         traj = replay.trajectory(i)
         if not traj.reached_goal:
             raise DemoReplayError(f"{source}: script never reaches a goal on map {vmap.name}")
-        demos.append(Demo(vmap.name, goal_id, list(actions), traj, source))
-    return DemoSet(vmap.name, demos, replay)
+        demos.append(Demo(list(actions), traj))
+    return DemoSet(demos, replay)
 
 
 def load_demos(paths: list[str | Path], vmap: VoxelMap) -> DemoSet:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .policy import (
     make_critic_net,
     make_policy_net,
 )
-from .world import GOAL_REWARD, Physics, Replay, VoxelMap, first_seen
+from .world import GOAL_REWARD, Action, Physics, Replay, VoxelMap, first_seen
 
 FORMAT_VERSION = 1
 
@@ -105,6 +106,55 @@ class Rollout:
         return {"pos": _rows(f["pos_pe"][:, states]), "info": _rows(f["info"][:, states])}
 
 
+def _ints(values) -> bool:
+    return set(map(type, values)) <= {int}  # a bool is not an int here
+
+
+INT = ("an int", lambda v: type(v) is int)
+REAL = ("a real number", lambda v: type(v) in (int, float))
+INTS = ("a list of ints", lambda v: type(v) is list and _ints(v))
+
+# What each dataset field a reader keeps must hold, and the test for it.
+FIELD_TYPES = {
+    "id": INT,
+    "alpha": REAL,
+    "reached_goal": ("a bool", lambda v: type(v) is bool),
+    "positions": (
+        "a list of [x, y, z] int lists",
+        lambda v: type(v) is list
+        and set(map(type, v)) <= {list}
+        and set(map(len, v)) <= {3}
+        and _ints(chain.from_iterable(v)),
+    ),
+    "bug_regions": INTS,
+    "actions": (
+        f"a list of action ids 0..{len(Action) - 1}",
+        lambda v: type(v) is list and _ints(v) and (not v or 0 <= min(v) <= max(v) < len(Action)),
+    ),
+}
+
+
+def key_problem(doc: dict, required, types: dict, noun: str) -> str | None:
+    """What is wrong with ``doc``, if anything: the ``required`` keys it
+    lacks, else the first of its keys in ``types`` whose value fails the test."""
+    missing = [k for k in required if k not in doc]
+    if missing:
+        return f"missing {noun} {', '.join(missing)}"
+    bad = next((k for k in doc if k in types and not types[k][1](doc[k])), None)
+    return bad and f"{noun} {bad} is not {types[bad][0]}"
+
+
+def _record_problem(record: dict, fields: tuple[str, ...], index: int) -> str | None:
+    """key_problem of a kept dataset record, or positions that are not one
+    more than its actions, named by its id (or ``index`` if the id is bad)."""
+    problem = key_problem(record, fields, FIELD_TYPES, "field")
+    if not problem and {"actions", "positions"} <= record.keys():
+        n, m = len(record["positions"]), len(record["actions"])
+        problem = f"{n} positions for {m} actions" if n != m + 1 else None
+    name = f"trajectory {record['id']}" if type(record.get("id")) is int else f"record {index}"
+    return problem and f"{name}: {problem}"
+
+
 class TrajectoryLog:
     """Append-only JSONL store of every collected trajectory."""
 
@@ -124,14 +174,17 @@ class TrajectoryLog:
         self._fh.close()
 
     @staticmethod
-    def read(path: str | Path, fields: tuple[str, ...] | None = None) -> list[dict]:
-        """Every record in the file, in order. With ``fields``, each record
-        keeps only those of its keys (a missing key stays missing), so the
-        per-step reward lists of a line are freed as soon as it is decoded.
-
-        Each line is decoded and checked whole either way: a torn line, or
-        one that is not a JSON object, is a TriageError naming path and line.
-        """
+    def read(
+        path: str | Path, fields: tuple[str, ...] | None = None, optional: tuple[str, ...] = ()
+    ) -> list[dict]:
+        """Every record in the file, in order; a missing file, a torn line, or
+        a line that is not a JSON object is a TriageError naming the path.
+        With ``fields``, each record keeps only ``fields`` and whichever of
+        ``optional`` it has, as soon as it is decoded, and a _record_problem
+        is a TriageError."""
+        if not Path(path).exists():
+            raise TriageError(f"missing dataset: {path}")
+        keep = None if fields is None else (*fields, *optional)
         records = []
         with open(path) as fh:
             for number, line in enumerate(fh, start=1):
@@ -146,8 +199,10 @@ class TrajectoryLog:
                     ) from e
                 if not isinstance(record, dict):
                     raise TriageError(f"{path}: line {number}: record is not a JSON object")
-                if fields is not None:
-                    record = {k: record[k] for k in fields if k in record}
+                if keep is not None:
+                    record = {k: record[k] for k in keep if k in record}
+                    if problem := _record_problem(record, fields, len(records) + 1):
+                        raise TriageError(f"{path}: {problem}")
                 records.append(record)
         return records
 

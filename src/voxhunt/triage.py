@@ -14,13 +14,12 @@ simulator, so triage needs only the run directory, never the training
 process.
 
 Triage reads only the dataset fields ``id``, ``alpha``, ``actions`` and
-``positions`` (TRIAGE_FIELDS); the reader drops every other field, the
-per-step reward lists among them, line by line. A record that lacks one of
-the four, holds a value of the wrong type (an action that is not an int in
-0..9, say), or does not hold one more position than actions is a
-TriageError naming the dataset and the record. Triage then replays all
-records and the demos in one lockstep simulator call and checks each record
-against its stored positions.
+``positions`` (TRIAGE_FIELDS) through ``TrajectoryLog.read``, which drops
+every other field and checks each record as it reads it: one that lacks one
+of the four, holds a value of the wrong type, or does not hold one more
+position than actions is a TriageError naming the dataset and the record.
+Triage then replays all records and the demos in one lockstep simulator
+call and checks each record against its stored positions.
 
 A state's novelty depends on the state alone, and goal prefixes share most
 of their states. The replay's goal-prefix states are numbered in one
@@ -32,14 +31,14 @@ it equals scoring each trajectory on its own, state by state; the tests
 check this bit for bit.
 
 The report is built as the plain JSON object that ``write_report`` writes,
-and ``read_report`` returns that same shape after checking its keys.
+and ``read_report`` returns that same shape after checking its keys and the
+types of the values that ``report`` and ``export`` read.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -50,15 +49,15 @@ from .curiosity import RNDPair
 from .encode import ObservationEncoder, agent_info
 from .imitation import load_demos
 from .mapio import load_map
-from .trainer import TrajectoryLog, TriageError
-from .world import Action, Physics, PhysicsError, Trajectory, VoxelMap
+from .trainer import INT, INTS, REAL, TrajectoryLog, TriageError, key_problem
+from .world import Physics, PhysicsError, VoxelMap
 
 REPORT_FORMAT_VERSION = 1
 EXPORT_FORMAT_VERSION = 1
 
-# The dataset fields each pass reads (TrajectoryLog.read drops the rest,
-# the per-step reward lists among them, line by line). A record missing one is
-# an error, except export's optional bug_regions.
+# The dataset fields each pass reads (TrajectoryLog.read drops the rest and
+# checks what it keeps). A record missing one is an error, except export's
+# optional bug_regions.
 TRIAGE_FIELDS = ("id", "alpha", "actions", "positions")
 EXPORT_FIELDS = ("id", "alpha", "reached_goal", "positions")
 EXPORT_OPTIONAL = ("bug_regions",)
@@ -72,55 +71,12 @@ REPORT_KEYS = (
     "coverage", "demo_scores",
 )
 SCORE_KEYS = ("traj_id", "alpha", "reached_goal", "first_goal", "rc_avg", "bug_regions", "demo")
-
-
-def _ints(values) -> bool:
-    return set(map(type, values)) <= {int}  # a bool is not an int here
-
-
-# What each dataset field a pass reads must hold, and the test for it.
-FIELD_TYPES = {
-    "id": ("an int", lambda v: type(v) is int),
-    "alpha": ("a real number", lambda v: type(v) in (int, float)),
-    "reached_goal": ("a bool", lambda v: type(v) is bool),
-    "positions": (
-        "a list of [x, y, z] int lists",
-        lambda v: type(v) is list
-        and set(map(type, v)) <= {list}
-        and set(map(len, v)) <= {3}
-        and _ints(chain.from_iterable(v)),
-    ),
-    "bug_regions": ("a list of ints", lambda v: type(v) is list and _ints(v)),
-    "actions": (
-        f"a list of action ids 0..{len(Action) - 1}",
-        lambda v: type(v) is list and _ints(v) and (not v or 0 <= min(v) <= max(v) < len(Action)),
-    ),
+# What the values that report and export read must hold, and the test for it.
+REPORT_TYPES = {
+    "theta": INTS, "epsilon": REAL, "coverage": INT, "bugs_found": INT, "bugs_highlighted": INT,
 }
-
-
-def check_fields(records: list[dict], fields: tuple[str, ...], path: str | Path) -> None:
-    """TriageError naming the first record that lacks one of ``fields``, or
-    holds a value of the wrong type in a field of FIELD_TYPES: by its id, or
-    by its place among the file's records when the id is missing or bad."""
-    for i, rec in enumerate(records, start=1):
-        name = f"trajectory {rec['id']}" if type(rec.get("id")) is int else f"record {i}"
-        missing = [k for k in fields if k not in rec]
-        if missing:
-            raise TriageError(f"{path}: {name}: missing field {', '.join(missing)}")
-        for key, value in rec.items():
-            if key in FIELD_TYPES and not FIELD_TYPES[key][1](value):
-                raise TriageError(f"{path}: {name}: field {key} is not {FIELD_TYPES[key][0]}")
-
-
-def record_actions(record: dict) -> list[int]:
-    """A stored record's action ids; TriageError names the record if it does
-    not hold exactly one more position than actions."""
-    actions, positions = record["actions"], record["positions"]
-    if len(positions) != len(actions) + 1:
-        raise TriageError(
-            f"trajectory {record['id']}: {len(positions)} positions for {len(actions)} actions"
-        )
-    return actions
+REAL_OR_NULL = ("a real number or null", lambda v: v is None or REAL[1](v))
+SCORE_TYPES = {"traj_id": INT, "alpha": REAL, "rc_avg": REAL_OR_NULL, "bug_regions": INTS}
 
 
 def score_records(
@@ -139,7 +95,7 @@ def score_records(
     rows. Returns (record scores, demo scores, distinct replayed positions).
     """
     physics = Physics(vmap)
-    scripts = [record_actions(rec) for rec in records]
+    scripts = [rec["actions"] for rec in records]
     try:
         replay = physics.replay(scripts + demo_scripts)
     except PhysicsError as e:
@@ -322,7 +278,6 @@ def run_triage(
     records = TrajectoryLog.read(data_path, fields=TRIAGE_FIELDS)
     if not records:
         raise TriageError(f"{data_path} holds no trajectories")
-    check_fields(records, TRIAGE_FIELDS, data_path)
     demos = []
     if cfg.demo_paths:
         demos = load_demos([resolve_path(p) for p in cfg.demo_paths], vmap).demos
@@ -348,9 +303,10 @@ def write_report(run_dir: str | Path, report: dict) -> Path:
 
 def read_report(run_dir: str | Path) -> dict:
     """A finished run's ``triage_report.json``, in the shape ``run_triage``
-    returns; TriageError names the path if the file is missing or torn, if
-    its scores are not a list of objects, and the first key of REPORT_KEYS or
-    SCORE_KEYS that it lacks."""
+    returns; TriageError names the path and the first problem: a missing or
+    torn file, missing REPORT_KEYS, scores that are not a list of objects, a
+    score's missing SCORE_KEYS, a value failing REPORT_TYPES or SCORE_TYPES,
+    or a theta id whose score has no real rc_avg."""
     path = Path(run_dir) / "triage_report.json"
     try:
         doc = json.loads(path.read_text())
@@ -360,15 +316,17 @@ def read_report(run_dir: str | Path) -> dict:
         raise TriageError(f"{path}: torn or malformed report ({e.msg})") from e
     if not isinstance(doc, dict) or doc.get("format_version") != REPORT_FORMAT_VERSION:
         raise TriageError(f"{path}: not a format {REPORT_FORMAT_VERSION} triage report")
-    missing = next((k for k in REPORT_KEYS if k not in doc), None)
-    if missing:
-        raise TriageError(f"{path}: missing key {missing}")
+    if problem := key_problem(doc, REPORT_KEYS, REPORT_TYPES, "key"):
+        raise TriageError(f"{path}: {problem}")
     if type(doc["scores"]) is not list or not all(type(s) is dict for s in doc["scores"]):
         raise TriageError(f"{path}: scores is not a list of objects")
     for i, score in enumerate(doc["scores"]):
-        missing = next((k for k in SCORE_KEYS if k not in score), None)
-        if missing:
-            raise TriageError(f"{path}: score {i}: missing key {missing}")
+        if problem := key_problem(score, SCORE_KEYS, SCORE_TYPES, "key"):
+            raise TriageError(f"{path}: score {i}: {problem}")
+    scored = {s["traj_id"] for s in doc["scores"] if s["rc_avg"] is not None}
+    unscored = next((t for t in doc["theta"] if t not in scored), None)
+    if unscored is not None:
+        raise TriageError(f"{path}: theta id {unscored} has no score with a real rc_avg")
     return doc
 
 
@@ -377,11 +335,13 @@ def export_trajectories(
     rc_by_id: dict[int, float | None],
     path: str | Path,
     only_ids: set[int] | None = None,
-    demos: list[tuple[str, Trajectory, float | None]] | None = None,
+    demos: list[tuple[str, list]] | None = None,
 ) -> int:
     """Columnar text export: a metadata header line per trajectory followed by
     one `id t x y z` row per position. ``rc_by_id`` maps trajectory ids to
-    their triage score. The file is replaced whole (``nn.write_atomic``)."""
+    their triage score. ``demos`` are (name, positions) pairs of replayed
+    demos, each of which reaches a goal. The file is replaced whole
+    (``nn.write_atomic``)."""
     lines = [f"# format_version {EXPORT_FORMAT_VERSION}\n", "# columns: id t x y z\n"]
     n = 0
     for rec in records:
@@ -396,12 +356,9 @@ def export_trajectories(
         )
         lines.extend(f"{tid} {t} {p[0]} {p[1]} {p[2]}\n" for t, p in enumerate(rec["positions"]))
         n += 1
-    for name, traj, score in demos or []:
-        lines.append(
-            f"# trajectory id={name} alpha= score={'' if score is None else score} "
-            f"reached_goal={int(traj.reached_goal)} bugs=- demo=1\n"
-        )
-        lines.extend(f"{name} {t} {p[0]} {p[1]} {p[2]}\n" for t, p in enumerate(traj.positions))
+    for name, positions in demos or []:
+        lines.append(f"# trajectory id={name} alpha= score= reached_goal=1 bugs=- demo=1\n")
+        lines.extend(f"{name} {t} {p[0]} {p[1]} {p[2]}\n" for t, p in enumerate(positions))
         n += 1
     nn.write_atomic(path, "".join(lines))
     return n

@@ -12,6 +12,8 @@ import pytest
 import voxhunt
 from voxhunt.cli import main
 from voxhunt.mapio import fixture_path
+from voxhunt.trainer import TrajectoryLog, TriageError
+from voxhunt.triage import TRIAGE_FIELDS
 
 
 @pytest.fixture
@@ -285,14 +287,26 @@ class TestBadRecords:
     @pytest.mark.parametrize(
         "command, key",
         [("triage", k) for k in ("id", "alpha", "actions", "positions")]
-        + [("export", k) for k in ("id", "alpha", "reached_goal", "positions")],
+        + [("export", k) for k in ("id", "alpha", "reached_goal", "positions")]
+        + [("read", k) for k in TRIAGE_FIELDS],
     )
     def test_record_missing_a_field_is_named(self, run, command, key, capsys):
+        """Through the CLI, and through the reader alone ("read")."""
         record = self._drop(run, key)
         name = "record 2" if key == "id" else f"trajectory {record['id']}"
-        want = f"error: {run / 'dataset.jsonl'}: {name}: missing field {key}"
-        self._fails(run, command, capsys, want)
+        want = f"{run / 'dataset.jsonl'}: {name}: missing field {key}"
+        if command == "read":
+            with pytest.raises(TriageError) as e:
+                TrajectoryLog.read(run / "dataset.jsonl", TRIAGE_FIELDS)
+            assert str(e.value) == want
+        else:
+            self._fails(run, command, capsys, f"error: {want}")
         assert not (run / "triage_report.json").exists()
+        assert not (run / "trajectories.tsv").exists()
+
+    def test_export_without_dataset_names_it(self, run, capsys):
+        (run / "dataset.jsonl").unlink()
+        self._fails(run, "export", capsys, f"error: missing dataset: {run / 'dataset.jsonl'}")
         assert not (run / "trajectories.tsv").exists()
 
     @pytest.mark.parametrize(
@@ -356,8 +370,9 @@ def triaged_run(tmp_path_factory, area1_demo_paths):
 
 
 class TestRunFilesChecked:
-    """A report that lacks a key, or a run config with a bad field, ends in one
-    error line naming it, exit 1, and no traceback."""
+    """A report that lacks a key or holds a value of the wrong type, a run
+    config with a bad field, or a damaged checkpoint ends in one error line
+    naming it, exit 1, and no traceback."""
 
     def _edit(self, triaged_run, tmp_path, name, edit):
         """A copy of the run whose JSON file ``name`` is rewritten by ``edit``."""
@@ -388,6 +403,45 @@ class TestRunFilesChecked:
         assert f"error: {run / 'triage_report.json'}: {score}missing key {key}\n" in err
         assert "Traceback" not in err
         assert not (run / "trajectories.tsv").exists()
+
+    @pytest.mark.parametrize("edit", ["theta", "rc_avg"])
+    @pytest.mark.parametrize("argv", [["report"], ["export", "--theta-only"]])
+    def test_report_value_of_wrong_type_is_named(self, triaged_run, tmp_path, edit, argv, capsys):
+        def damage(doc):
+            if edit == "theta":
+                doc["theta"] = 5
+            else:  # highlight the first score, and take its rc_avg away
+                doc["theta"] = [doc["scores"][0]["traj_id"]]
+                doc["scores"][0]["rc_avg"] = None
+
+        run = self._edit(triaged_run, tmp_path, "triage_report.json", damage)
+        capsys.readouterr()
+        assert main([argv[0], str(run), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        want = {
+            "theta": "key theta is not a list of ints",
+            "rc_avg": "theta id 0 has no score with a real rc_avg",
+        }[edit]
+        assert f"error: {run / 'triage_report.json'}: {want}\n" in err
+        assert "Traceback" not in err
+        assert not (run / "trajectories.tsv").exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "paper_profile"])
+    def test_damaged_checkpoint_is_named(self, triaged_run, tmp_path, damage, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(triaged_run, run)
+        target = run / "checkpoints" / "rnd_target.vxnp"
+        if damage == "truncated":
+            target.write_bytes(target.read_bytes()[:100])
+        else:  # a desk checkpoint read as the paper profile's network
+            cfg = json.loads((run / "config.json").read_text())
+            (run / "config.json").write_text(json.dumps({**cfg, "profile": "paper"}))
+        report = (run / "triage_report.json").read_bytes()
+        capsys.readouterr()
+        assert main(["triage", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target}: ") and "Traceback" not in err
+        assert (run / "triage_report.json").read_bytes() == report
 
     @pytest.mark.parametrize(
         "field, value", [("profile", "huge"), ("map_path", 123), ("episode_length", "x")]

@@ -240,7 +240,7 @@ class TestReplayBuffer:
 class TestDemos:
     def test_bundled_area1_pack_loads_and_reaches_goal(self, area1, area1_demo_paths):
         demos = load_demos(area1_demo_paths, area1)
-        assert len(demos) == 6
+        assert len(demos.demos) == 6
         assert all(d.trajectory.reached_goal for d in demos.demos)
 
     def test_wrong_map_reference_rejected(self, area2, area1_demo_paths):

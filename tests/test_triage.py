@@ -327,14 +327,23 @@ def quickstart_run(tmp_path_factory):
 
 class TestProjectedRead:
     @pytest.mark.parametrize(
-        "fields", [TRIAGE_FIELDS, EXPORT_FIELDS + EXPORT_OPTIONAL, ("id", "absent")]
+        "fields",  # (fields, optional)
+        [(TRIAGE_FIELDS, ()), (EXPORT_FIELDS, EXPORT_OPTIONAL), (("id",), ("absent",))],
     )
     def test_projection_keeps_only_the_named_fields(self, quickstart_run, fields):
+        fields, optional = fields
         path = quickstart_run / "dataset.jsonl"
         full = TrajectoryLog.read(path)
         assert len(full) == 20
-        projected = TrajectoryLog.read(path, fields=fields)
-        assert projected == [{k: rec[k] for k in fields if k in rec} for rec in full]
+        projected = TrajectoryLog.read(path, fields=fields, optional=optional)
+        keep = fields + optional
+        assert projected == [{k: rec[k] for k in keep if k in rec} for rec in full]
+
+    def test_projection_without_a_named_field_is_an_error(self, quickstart_run):
+        path = quickstart_run / "dataset.jsonl"
+        want = re.escape(f"{path}: trajectory 0: missing field absent")
+        with pytest.raises(TriageError, match=want):
+            TrajectoryLog.read(path, fields=("id", "absent"))
 
     def test_projected_read_peaks_under_half_the_full_read(self, quickstart_run):
         path = quickstart_run / "dataset.jsonl"
@@ -375,9 +384,15 @@ class TestProjectedRead:
 
 class TestStoredRecordsChecked:
     @pytest.mark.parametrize(
-        "problem", ["action_12", "action_minus_3", "action_float", "action_bool", "positions"]
+        "problem, via",  # through the CLI, and through the reader alone
+        [
+            pytest.param(problem, via, id=problem if via == "cli" else f"reader-{problem}")
+            for via in ("cli", "reader")
+            for problem in
+            ["action_12", "action_minus_3", "action_float", "action_bool", "positions"]
+        ],
     )
-    def test_cli_names_the_record(self, tiny_run, tmp_path, problem, capsys):
+    def test_cli_names_the_record(self, tiny_run, tmp_path, problem, via, capsys):
         run = tmp_path / "run"
         shutil.copytree(tiny_run, run)
         records = TrajectoryLog.read(run / "dataset.jsonl")
@@ -395,11 +410,16 @@ class TestStoredRecordsChecked:
             bad["actions"][bad["actions"].index(replaced)] = value
             want = "field actions is not a list of action ids 0..9"
         (run / "dataset.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        want = f"{run / 'dataset.jsonl'}: trajectory {bad['id']}: {want}"
+        if via == "reader":
+            with pytest.raises(TriageError) as e:
+                TrajectoryLog.read(run / "dataset.jsonl", TRIAGE_FIELDS)
+            assert str(e.value) == want
+            return
         capsys.readouterr()
         assert main(["triage", str(run)]) == 1
         err = capsys.readouterr().err
-        want = f"error: {run / 'dataset.jsonl'}: trajectory {bad['id']}: {want}"
-        assert want in err and "Traceback" not in err
+        assert f"error: {want}" in err and "Traceback" not in err
         assert not (run / "triage_report.json").exists()
 
 
@@ -456,11 +476,11 @@ class TestExport:
         demo_traj = play_script(area1, actions)
         path = tmp_path / "out.tsv"
         export_trajectories(
-            records, {}, path, only_ids={1, 2}, demos=[("demo1", demo_traj, 0.01)]
+            records, {}, path, only_ids={1, 2}, demos=[("demo1", demo_traj.positions)]
         )
         text = path.read_text()
         assert "id=1 " in text and "id=3 " not in text
-        assert "demo=1" in text
+        assert "# trajectory id=demo1 alpha= score= reached_goal=1 bugs=- demo=1\n" in text
         back = parse_export(path)
         assert set(back) == {"1", "2", "demo1"}
 
