@@ -84,8 +84,8 @@ class RNDPair:
 
     def raw_reward(self, inputs: dict[str, np.ndarray]) -> np.ndarray:
         """Per-state mean squared feature error, always >= 0."""
-        t, _ = self.target.forward(inputs)
-        p, _ = self.predictor.forward(inputs)
+        t = self.target.infer(inputs)
+        p = self.predictor.infer(inputs)
         return ((t - p) ** 2).mean(axis=-1)
 
     def normalized_reward(self, raw: np.ndarray) -> np.ndarray:
@@ -96,7 +96,7 @@ class RNDPair:
 
     def train_step(self, inputs: dict[str, np.ndarray]) -> float:
         """One Adam step on the predictor; the target never moves."""
-        t, _ = self.target.forward(inputs)
+        t = self.target.infer(inputs)
         p, caches = self.predictor.forward(inputs)
         err = p - t
         n, k = err.shape

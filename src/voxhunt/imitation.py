@@ -96,7 +96,7 @@ class Discriminator(nn.Net):
         return super().backward(caches, dout[:, None])
 
     def score(self, occ_codes, act_onehot: np.ndarray) -> np.ndarray:
-        return self.forward(occ_codes, act_onehot)[0]
+        return self.infer({"occ": occ_codes, "act": act_onehot})[:, 0]
 
 
 def one_hot_actions(actions: np.ndarray) -> np.ndarray:

@@ -26,6 +26,9 @@ outputs are joined. The policy, critic, discriminator and novelty nets are all
 branches -> concat -> trunk -> head; ``Net.run`` / ``Net.run_backward`` run any
 such graph, and ``run_backward`` also returns the input gradients a
 ``Concat`` receives (the discriminator's penalty entry reads them).
+``Net.infer`` is the forward pass of a caller that only scores: the same
+output bit for bit, with no cache kept, so each layer's cache is freed
+before the next layer runs.
 
 A ``Concat`` branch that starts with a stem may read ``Rows``: ids into a
 table of distinct rows, such as the occupancy cubes of a rollout. The branch
@@ -501,11 +504,19 @@ class Net:
     def forward(self, inputs):
         return self.run(self.graph, inputs)
 
+    def infer(self, inputs) -> np.ndarray:
+        """``forward(inputs)[0]``, bit for bit, without keeping any cache."""
+        return self.run(self.graph, inputs, keep=False)[0]
+
     def backward(self, caches, dout: np.ndarray) -> dict[str, np.ndarray]:
         return self.run_backward(self.graph, caches, dout)[0]
 
-    def run(self, stages: list, x):
-        """Forward ``x`` through ``stages``; returns (output, caches)."""
+    def run(self, stages: list, x, keep: bool = True):
+        """Forward ``x`` through ``stages``; returns (output, caches).
+
+        With ``keep`` false no cache is kept: each stage's cache is freed
+        before the next stage runs, and the cache list is empty.
+        """
         caches = []
         for stage in stages:
             if isinstance(stage, str):
@@ -518,19 +529,24 @@ class Net:
                 else:
                     x, cache = embed_conv_forward(embed, conv, x.reshape(-1, *stage.cube))
             else:
-                outs, cache = [], []
-                for key, sub in stage.branches:
-                    xb, inverse = x[key], None
-                    if isinstance(xb, Rows):  # run once per distinct row, then gather
-                        uniq, inverse = np.unique(xb.ids, return_inverse=True)
-                        xb = Rows(xb.table, uniq, xb.stem_index)
-                    y, c = self.run(sub, xb)
-                    cache.append((c, y.shape, inverse))
-                    y = y.reshape(len(y), -1)
-                    outs.append(y if inverse is None else y[inverse])
-                x = np.concatenate(outs, axis=-1)
-            caches.append(cache)
+                x, cache = self._run_concat(stage, x, keep)
+            if keep:
+                caches.append(cache)
+            del cache  # unkept, it is freed before the next stage runs
         return x, caches
+
+    def _run_concat(self, stage: Concat, x, keep: bool):
+        outs, cache = [], []
+        for key, sub in stage.branches:
+            xb, inverse = x[key], None
+            if isinstance(xb, Rows):  # run once per distinct row, then gather
+                uniq, inverse = np.unique(xb.ids, return_inverse=True)
+                xb = Rows(xb.table, uniq, xb.stem_index)
+            y, c = self.run(sub, xb, keep)
+            cache.append((c, y.shape, inverse))
+            y = y.reshape(len(y), -1)
+            outs.append(y if inverse is None else y[inverse])
+        return np.concatenate(outs, axis=-1), cache
 
     def run_backward(self, stages: list, caches, dy: np.ndarray, grads=None):
         """Back-propagate ``dy`` through ``stages``; returns (param grads, input grad).

@@ -128,7 +128,7 @@ def act(
 
     Returns (actions, log_probs, probs).
     """
-    logits, _ = net.forward(inputs)
+    logits = net.infer(inputs)
     nn.check_finite("policy logits", logits)
     probs = nn.softmax(logits)
     n = probs.shape[0]

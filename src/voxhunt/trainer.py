@@ -313,8 +313,7 @@ class Trainer:
 
         # Critic values for every state (bootstraps the truncated tail).
         alpha = np.repeat(ro.alphas[:, None], T + 1, axis=1)
-        values, _ = self.critic.forward(self._net_inputs(ro.features, alpha))
-        values = values[:, 0].reshape(m, T + 1)
+        values = self.critic.infer(self._net_inputs(ro.features, alpha))[:, 0].reshape(m, T + 1)
 
         advs, rets = compute_gae(R, values, cfg.ppo.gamma, cfg.ppo.gae_lambda)
 

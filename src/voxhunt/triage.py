@@ -117,9 +117,11 @@ def score_records(
         inputs = {"pos": encoder.position_code(pos), "info": agent_info(pos - prev, *flags)}
         return rnd.raw_reward(inputs)
 
-    # Calls of near-equal size, so none has one row unless the table does:
-    # numpy hands a one-row product to gemv, which rounds differently from
-    # the gemm that a multi-row call runs.
+    # Calls of near-equal size, so none has one row unless the table does.
+    # Rows are not independent in floating point: BLAS may round a row
+    # differently with the row count of the call (a one-row product even
+    # goes to gemv). These call sizes are what the bit-equality tests pin,
+    # so a different split changes the scores.
     rc = np.zeros(0)
     if len(t):
         calls = -(-len(t) // max_rows)

@@ -2,13 +2,16 @@
 optimizer behavior, parameter file round trips."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from voxhunt import nn
 from voxhunt.config import Profile, TrainConfig
-from voxhunt.imitation import Discriminator, one_hot_actions
+from voxhunt.curiosity import CuriosityConfig, RNDPair
+from voxhunt.encode import RAY_DIM
+from voxhunt.imitation import AMPModule, Discriminator, ImitationConfig, one_hot_actions
 from voxhunt.mapio import fixture_path
 from voxhunt.policy import N_ACTIONS, make_critic_net, make_policy_net
 from voxhunt.trainer import Trainer
@@ -400,23 +403,29 @@ class TestStemWindowIndex:
         assert np.array_equal(nn.segment_sum(ids, values, 40), want)
 
 
-def desk_net_and_inputs(kind, occ, rng):
-    """A desk-profile policy, critic or discriminator and inputs around ``occ``."""
+def desk_net_and_inputs(kind, occ, rng, position_mode="sinusoidal", perception="occupancy"):
+    """A desk-profile policy, critic or discriminator and ``len(occ)`` rows of
+    inputs around ``occ`` (which a raycast net does not read)."""
     n = len(occ)
     if kind == "discriminator":
         net = Discriminator(Profile(), rng)
         return net, {"occ": occ, "act": one_hot_actions(rng.integers(0, N_ACTIONS, size=n))}
     make = make_policy_net if kind == "policy" else make_critic_net
-    net = make(Profile(), rng, position_mode="sinusoidal", perception="occupancy", dims=(1, 1, 1))
+    net = make(Profile(), rng, position_mode=position_mode, perception=perception, dims=(6, 6, 6))
     for layer in net.layers.values():  # nonzero biases, so no gradient is trivially zero
         if hasattr(layer, "b"):
             layer.b[:] = rng.normal(scale=0.1, size=layer.b.shape)
-    return net, {
-        "pos": rng.uniform(-1, 1, size=(n, 96)),
-        "info": rng.normal(size=(n, 9)),
-        "occ": occ,
-        "alpha": rng.random(size=(n, 1)),
-    }
+    if position_mode == "learned":
+        inputs = {"pos_idx": rng.integers(0, 6, size=(n, 3))}
+    else:
+        inputs = {"pos": rng.uniform(-1, 1, size=(n, 96))}
+    inputs["info"] = rng.normal(size=(n, 9))
+    if perception == "raycast":
+        inputs["rays"] = rng.random(size=(n, RAY_DIM))
+    else:
+        inputs["occ"] = occ
+    inputs["alpha"] = rng.random(size=(n, 1))
+    return net, inputs
 
 
 class TestRowsBranch:
@@ -463,6 +472,85 @@ class TestRowsBranch:
         sub = rows[np.array([2, 0])]
         assert isinstance(sub, nn.Rows) and sub.table is table and len(sub) == 2
         assert np.array_equal(np.asarray(sub), table[[1, 3]])
+
+
+class TestInfer:
+    """``Net.infer`` is ``forward(x)[0]`` bit for bit, and keeps no cache."""
+
+    @staticmethod
+    def check(net, inputs):
+        out = net.infer(inputs)
+        assert np.array_equal(out, nn.Net.forward(net, inputs)[0])
+        unkept, caches = net.run(net.graph, inputs, keep=False)
+        assert np.array_equal(unkept, out) and caches == []
+
+    @staticmethod
+    def occupancy(rng, variant):
+        """96 rows of 40 distinct cubes, as ``Rows`` or as raw codes."""
+        table = rng.integers(0, 4, size=(40, 343)).astype(np.uint8)
+        ids = rng.integers(0, 40, size=96)
+        return nn.Rows(table, ids) if variant == "rows" else table[ids]
+
+    @pytest.mark.parametrize("kind", ["policy", "critic"])
+    @pytest.mark.parametrize("variant", ["rows", "codes", "raycast", "learned"])
+    def test_policy_and_critic(self, kind, variant):
+        rng = np.random.default_rng(30)
+        occ = self.occupancy(rng, variant)
+        branches = {"raycast": {"perception": "raycast"}, "learned": {"position_mode": "learned"}}
+        net, inputs = desk_net_and_inputs(kind, occ, rng, **branches.get(variant, {}))
+        self.check(net, inputs)
+
+    @pytest.mark.parametrize("variant", ["rows", "codes"])
+    def test_discriminator(self, variant):
+        rng = np.random.default_rng(31)
+        occ = self.occupancy(rng, variant)
+        net, inputs = desk_net_and_inputs("discriminator", occ, rng)
+        self.check(net, inputs)
+        assert np.array_equal(net.score(occ, inputs["act"]), net.forward(occ, inputs["act"])[0])
+
+    def test_both_rnd_nets(self):
+        rng = np.random.default_rng(32)
+        pair = RNDPair(Profile(), CuriosityConfig(), rng, np.random.default_rng(33))
+        inputs = {"pos": rng.uniform(-1, 1, size=(96, 96)), "info": rng.normal(size=(96, 9))}
+        self.check(pair.target, inputs)
+        self.check(pair.predictor, inputs)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes numpy and Python allocate during ``fn()``, after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScoringMemory:
+    """A scoring pass of a training iteration's 1280 steps keeps no layer
+    caches, so it peaks at well under half of a cached forward pass."""
+
+    def test_rnd_raw_reward(self):
+        rng = np.random.default_rng(34)
+        pair = RNDPair(Profile(), CuriosityConfig(), rng, np.random.default_rng(35))
+        inputs = {"pos": rng.uniform(-1, 1, size=(1280, 96)), "info": rng.normal(size=(1280, 9))}
+
+        def cached():
+            return pair.target.forward(inputs), pair.predictor.forward(inputs)
+
+        assert traced_peak(lambda: pair.raw_reward(inputs)) <= 0.5 * traced_peak(cached)
+
+    def test_amp_reward(self):
+        # The occupancy as the trainer passes it: Rows over a rollout's distinct cubes.
+        rng = np.random.default_rng(36)
+        table = rng.integers(0, 4, size=(400, 343)).astype(np.uint8)
+        amp = AMPModule(Profile(), ImitationConfig(), table[:50], rng.integers(0, 6, 50), rng)
+        occ = nn.Rows(table, rng.integers(0, 400, size=1280))
+        actions = rng.integers(0, N_ACTIONS, size=1280)
+        onehot = one_hot_actions(actions)
+        peak = traced_peak(lambda: amp.reward(occ, actions))
+        assert peak <= 0.5 * traced_peak(lambda: amp.disc.forward(occ, onehot))
 
 
 class TestSoftmax:
