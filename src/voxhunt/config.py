@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import nn
 from .curiosity import CuriosityConfig
 from .imitation import ImitationConfig
 from .policy import PPOConfig
@@ -202,14 +203,7 @@ class TrainConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path, retired: tuple[str, ...] = ()) -> "TrainConfig":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except OSError as e:
-            raise ConfigError(f"cannot read config {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: top level must be an object")
+        doc = nn.read_json_object(path, ConfigError)
         for dotted in retired:
             *group, key = dotted.split(".")
             node = doc.get(group[0]) if group else doc

@@ -13,12 +13,14 @@ ignored.
 from __future__ import annotations
 
 import json
+import reprlib
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import nn
 from .world import (
     Action,
     BugRegion,
@@ -35,6 +37,35 @@ MAP_FORMAT_VERSION = 1
 DEMO_FORMAT_VERSION = 1
 
 
+def _is_int(v) -> bool:
+    return type(v) is int  # a bool is not an int here
+
+
+# What a map document field must hold, and the test for it.
+_INT = ("an int", _is_int)
+_BOOL = ("a bool", lambda v: type(v) is bool)
+_STR = ("a string", lambda v: type(v) is str)
+_LIST = ("a list", lambda v: type(v) is list)
+_OBJECT = ("an object", lambda v: type(v) is dict)
+_VEC3 = ("[x, y, z] ints", lambda v: type(v) is list and len(v) == 3 and all(map(_is_int, v)))
+_RUN = (
+    "[count, code] ints, count >= 1 and code 0..255",
+    lambda v: type(v) is list and len(v) == 2 and all(map(_is_int, v))
+    and v[0] >= 1 and 0 <= v[1] <= 255,
+)
+
+
+def _equal(value) -> tuple:
+    return (repr(value), lambda v: type(v) is type(value) and v == value)
+
+
+def _typed(value, kind: tuple, where: str):
+    """``value``, if it passes ``kind``'s test; else a MapFormatError naming ``where``."""
+    if not kind[1](value):
+        raise MapFormatError(f"{where}: expected {kind[0]}, got {reprlib.repr(value)}")
+    return value
+
+
 def rle_encode_layer(layer: np.ndarray) -> list[list[int]]:
     """Encode one (nx, nz) layer as [count, code] runs, z rows then x columns."""
     flat = layer.T.reshape(-1)  # z outer, x inner
@@ -49,19 +80,12 @@ def rle_encode_layer(layer: np.ndarray) -> list[list[int]]:
 
 
 def rle_decode_layer(runs: Iterable[Sequence[int]], nx: int, nz: int, y: int) -> np.ndarray:
-    cells: list[int] = []
-    for i, run in enumerate(runs):
-        if len(run) != 2:
-            raise MapFormatError(f"layer {y} run {i} must be [count, code], got {run!r}")
-        count, code = int(run[0]), int(run[1])
-        if count < 1:
-            raise MapFormatError(f"layer {y} run {i} has count {count} < 1")
-        cells.extend([code] * count)
-    if len(cells) != nx * nz:
-        raise MapFormatError(
-            f"layer {y} decodes to {len(cells)} cells, expected {nx * nz}"
-        )
-    return np.array(cells, dtype=np.uint8).reshape(nz, nx).T
+    runs = [_typed(run, _RUN, f"voxels.layers[{y}][{i}]") for i, run in enumerate(runs)]
+    cells = sum(count for count, _ in runs)  # summed first: a huge count allocates nothing
+    if cells != nx * nz:
+        raise MapFormatError(f"voxels.layers[{y}]: {cells} cells, expected {nx * nz}")
+    counts, codes = zip(*runs)
+    return np.repeat(np.array(codes, dtype=np.uint8), counts).reshape(nz, nx).T
 
 
 def map_to_dict(vmap: VoxelMap) -> dict:
@@ -94,73 +118,76 @@ def map_to_dict(vmap: VoxelMap) -> dict:
     }
 
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise MapFormatError(f"{where}: missing field {key!r}")
-    return doc[key]
+_REQUIRED = object()
 
 
-def _vec3(raw, where: str) -> tuple[int, int, int]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise MapFormatError(f"{where}: expected [x, y, z], got {raw!r}")
-    return (int(raw[0]), int(raw[1]), int(raw[2]))
+def _require(doc: dict, key: str, where: str, kind: tuple, default=_REQUIRED):
+    """``doc[key]`` (or ``default`` where ``doc`` has no ``key``) checked by
+    _typed, with ``where`` the path of ``doc`` ("" for the document)."""
+    if key not in doc and default is _REQUIRED:
+        raise MapFormatError(f"{where or 'map document'}: missing field {key!r}")
+    return _typed(doc.get(key, default), kind, f"{where}.{key}" if where else key)
+
+
+def _entries(doc: dict, key: str, where: str, kind: tuple, default=_REQUIRED) -> list:
+    """The list ``doc[key]`` (see _require), each entry checked by _typed."""
+    name = f"{where}.{key}" if where else key
+    values = _require(doc, key, where, _LIST, default)
+    return [_typed(v, kind, f"{name}[{i}]") for i, v in enumerate(values)]
+
+
+def _voxels(doc: dict, key: str, where: str) -> list[tuple[int, int, int]]:
+    return [tuple(v) for v in _entries(doc, key, where, _VEC3)]
 
 
 def map_from_dict(doc: dict) -> VoxelMap:
-    version = _require(doc, "format_version", "map document")
-    if version != MAP_FORMAT_VERSION:
-        raise MapFormatError(
-            f"map document: unsupported format_version {version}, "
-            f"expected {MAP_FORMAT_VERSION}"
-        )
-    dims = _vec3(_require(doc, "dims", "map document"), "dims")
-    nx, ny, nz = dims
+    """A map from its JSON object, validated; a missing or wrongly typed
+    field is a MapFormatError naming the field."""
+    _require(doc, "format_version", "", _equal(MAP_FORMAT_VERSION))
+    dims = nx, ny, nz = tuple(_require(doc, "dims", "", _VEC3))
     if min(dims) < 1:
         raise MapFormatError(f"dims: all entries must be >= 1, got {dims}")
-    voxdoc = _require(doc, "voxels", "map document")
-    if voxdoc.get("encoding") != "rle-y-layers":
-        raise MapFormatError(
-            f"voxels.encoding: unsupported {voxdoc.get('encoding')!r}"
-        )
-    layers = _require(voxdoc, "layers", "voxels")
+    voxdoc = _require(doc, "voxels", "", _OBJECT)
+    _require(voxdoc, "encoding", "voxels", _equal("rle-y-layers"))
+    layers = _entries(voxdoc, "layers", "voxels", _LIST)
     if len(layers) != ny:
         raise MapFormatError(f"voxels.layers: got {len(layers)} layers, expected {ny}")
     voxels = np.zeros(dims, dtype=np.uint8)
     for y, runs in enumerate(layers):
         voxels[:, y, :] = rle_decode_layer(runs, nx, nz, y)
 
+    def objects(key: str) -> list[tuple[str, dict]]:
+        return [(f"{key}[{i}]", o) for i, o in enumerate(_entries(doc, key, "", _OBJECT, []))]
+
     goals = [
         GoalRegion(
-            id=int(_require(g, "id", f"goals[{i}]")),
-            voxels=frozenset(_vec3(v, f"goals[{i}].voxels[{j}]") for j, v in enumerate(_require(g, "voxels", f"goals[{i}]"))),
-            active=bool(g.get("active", True)),
+            id=_require(g, "id", where, _INT),
+            voxels=frozenset(_voxels(g, "voxels", where)),
+            active=_require(g, "active", where, _BOOL, True),
         )
-        for i, g in enumerate(doc.get("goals", []))
+        for where, g in objects("goals")
     ]
     bugs = [
         BugRegion(
-            kind=str(_require(b, "kind", f"bugs[{i}]")),
-            voxels=frozenset(_vec3(v, f"bugs[{i}].voxels[{j}]") for j, v in enumerate(_require(b, "voxels", f"bugs[{i}]"))),
+            kind=_require(b, "kind", where, _STR),
+            voxels=frozenset(_voxels(b, "voxels", where)),
         )
-        for i, b in enumerate(doc.get("bugs", []))
+        for where, b in objects("bugs")
     ]
     platforms = [
         MovingPlatform(
-            footprint=tuple(
-                _vec3(v, f"platforms[{i}].footprint[{j}]")
-                for j, v in enumerate(_require(p, "footprint", f"platforms[{i}]"))
-            ),
-            axis=str(_require(p, "axis", f"platforms[{i}]")),
-            amplitude=int(_require(p, "amplitude", f"platforms[{i}]")),
-            period=int(_require(p, "period", f"platforms[{i}]")),
+            footprint=tuple(_voxels(p, "footprint", where)),
+            axis=_require(p, "axis", where, _STR),
+            amplitude=_require(p, "amplitude", where, _INT),
+            period=_require(p, "period", where, _INT),
         )
-        for i, p in enumerate(doc.get("platforms", []))
+        for where, p in objects("platforms")
     ]
     vmap = VoxelMap(
-        name=str(doc.get("name", "unnamed")),
+        name=_require(doc, "name", "", _STR, "unnamed"),
         dims=dims,
         voxels=voxels,
-        spawn=_vec3(_require(doc, "spawn", "map document"), "spawn"),
+        spawn=tuple(_require(doc, "spawn", "", _VEC3)),
         goals=goals,
         bugs=bugs,
         platforms=platforms,
@@ -170,24 +197,11 @@ def map_from_dict(doc: dict) -> VoxelMap:
 
 
 def load_map(path: str | Path) -> VoxelMap:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise MapFormatError(f"cannot read map {path}: {e}") from e
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise MapFormatError(
-            f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
-        ) from e
-    if not isinstance(doc, dict):
-        raise MapFormatError(f"{path}: top level must be an object")
-    return map_from_dict(doc)
+    return map_from_dict(nn.read_json_object(path, MapFormatError))
 
 
 def save_map(vmap: VoxelMap, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(map_to_dict(vmap), indent=1, sort_keys=True) + "\n")
+    nn.write_atomic(path, json.dumps(map_to_dict(vmap), indent=1, sort_keys=True) + "\n")
 
 
 def save_demo_script(
@@ -199,7 +213,7 @@ def save_demo_script(
         f"goal: {goal_id}",
     ]
     lines.extend(ACTION_NAMES[a] for a in actions)
-    Path(path).write_text("\n".join(lines) + "\n")
+    nn.write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_script(path: str | Path) -> tuple[dict[str, str], list[Action]]:
@@ -208,7 +222,7 @@ def read_script(path: str | Path) -> tuple[dict[str, str], list[Action]]:
     path = Path(path)
     try:
         raw = path.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise MapFormatError(f"cannot read {path}: {e}") from e
     header: dict[str, str] = {}
     actions: list[Action] = []

@@ -666,6 +666,20 @@ def write_atomic(path: str | Path, data: bytes | str) -> None:
         raise
 
 
+def read_json_object(path: str | Path, error: type[Exception]) -> dict:
+    """The JSON object in the file at ``path``; ``error`` names the path if
+    the file cannot be read, is not JSON or holds another value."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as e:
+        raise error(f"cannot read {path}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise error(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    if not isinstance(doc, dict):
+        raise error(f"{path}: top level must be an object")
+    return doc
+
+
 def load_params(
     path: str | Path, expected_descriptor: dict | None = None
 ) -> tuple[dict, dict[str, np.ndarray]]:

@@ -156,7 +156,7 @@ def _record_problem(record: dict, fields: tuple[str, ...], index: int) -> str | 
 
 
 class TrajectoryLog:
-    """Append-only JSONL store of every collected trajectory."""
+    """Append-only JSONL file, one sorted-key object per line: a run's dataset or metrics."""
 
     def __init__(self, path: Path):
         self.path = Path(path)
@@ -219,14 +219,11 @@ class Trainer:
         self.profile = profile = cfg.net_profile()
         self.encoder = ObservationEncoder(self.map, L=profile.L, pe_d=profile.pe_d)
 
-        self._net_rng = lambda k: np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, k))
-        )
         branches = dict(
             position_mode=cfg.position_mode, perception=cfg.perception, dims=self.map.dims
         )
-        self.policy = make_policy_net(profile, self._net_rng(0), **branches)
-        self.critic = make_critic_net(profile, self._net_rng(1), **branches)
+        self.policy = make_policy_net(profile, self._rng(0, 0), **branches)
+        self.critic = make_critic_net(profile, self._rng(0, 1), **branches)
         self.ppo = PPOTrainer(self.policy, self.critic, cfg.ppo)
 
         self.amp: AMPModule | None = None
@@ -236,20 +233,23 @@ class Trainer:
                 load_demos([resolve_path(p) for p in cfg.demo_paths], self.map), self.encoder
             )
             self.amp = AMPModule(
-                profile, cfg.imitation, expert_occ, expert_act, self._net_rng(2)
+                profile, cfg.imitation, expert_occ, expert_act, self._rng(0, 2)
             )
-            self.rnd = RNDPair(profile, cfg.curiosity, self._net_rng(3), self._net_rng(4))
+            self.rnd = RNDPair(profile, cfg.curiosity, self._rng(0, 3), self._rng(0, 4))
 
         self.visited = np.zeros(self.physics.size, dtype=bool)  # cells entered
         self.total_env_steps = 0
         self.traj_count = 0
 
-    # ------------------------------------------------------------- rollouts
+    def _rng(self, *key: int) -> np.random.Generator:
+        """The random stream of ``key``, a function of the seed and the key
+        alone. Keys: (0, net) initial weights of net 0-4: policy, critic,
+        discriminator, RND target, RND predictor; (1, iteration, episode) an
+        episode's dial and actions; (2, iteration) the iteration's module
+        updates; (3, round) the dials of evaluation round ``round``."""
+        return np.random.default_rng(np.random.SeedSequence(entropy=self.cfg.seed, spawn_key=key))
 
-    def _episode_rng(self, iteration: int, episode: int) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.cfg.seed, spawn_key=(1, iteration, episode))
-        )
+    # ------------------------------------------------------------- rollouts
 
     def _net_inputs(self, features: dict, alpha: np.ndarray) -> dict:
         """Policy/critic inputs: the features the nets read and the dial, each
@@ -329,7 +329,7 @@ class Trainer:
 
     def train_iteration(self, iteration: int, log: TrajectoryLog | None) -> dict:
         cfg = self.cfg
-        rngs = [self._episode_rng(iteration, e) for e in range(cfg.episodes_per_iter)]
+        rngs = [self._rng(1, iteration, e) for e in range(cfg.episodes_per_iter)]
         alphas = np.array([sample_alpha(r) for r in rngs])
         if cfg.alpha_mode == "fixed":  # drawn anyway: both modes consume the same streams
             alphas = np.full_like(alphas, cfg.alpha_value)
@@ -339,9 +339,7 @@ class Trainer:
         r_i, rc_raw, rc_norm = self._reward_components(ro)
         batch, R = self._build_batch(ro, r_i, rc_norm)
 
-        update_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(2, iteration))
-        )
+        update_rng = self._rng(2, iteration)
         stats: dict[str, float] = {}
         if self.amp is not None:
             self.amp.observe_policy_pairs(np.asarray(ro.occ_steps()), batch.actions)
@@ -357,7 +355,7 @@ class Trainer:
             for i, (alpha, actions, entered) in enumerate(
                 zip(ro.alphas, rec.actions.T.tolist(), rec.entered().tolist())
             ):
-                regions, kinds = physics.bug_hits(entered, 0)
+                regions, kinds = physics.bug_hits(entered)
                 log.append(
                     {
                         "id": self.traj_count,
@@ -398,11 +396,8 @@ class Trainer:
 
     def evaluate(self, round_id: int) -> float:
         """Share of greedy lockstep episodes that ever enter a goal."""
-        cfg = self.cfg
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(3, round_id))
-        )
-        alphas = np.array([sample_alpha(rng) for _ in range(cfg.eval_episodes)])
+        rng = self._rng(3, round_id)
+        alphas = np.array([sample_alpha(rng) for _ in range(self.cfg.eval_episodes)])
         return float(np.mean(self.collect_group(alphas).reached_goal))
 
     # ------------------------------------------------------------------ run
@@ -436,7 +431,7 @@ class Trainer:
         started = time.time()
 
         log = TrajectoryLog(run_dir / "dataset.jsonl")
-        metrics_fh = open(run_dir / "metrics.jsonl", "a")
+        metrics_log = TrajectoryLog(run_dir / "metrics.jsonl")
         eval_rate = None
         stopped_early = False
         try:
@@ -451,8 +446,8 @@ class Trainer:
                 if cfg.eval_every and (it + 1) % cfg.eval_every == 0:
                     eval_rate = self.evaluate(it)
                     metrics["eval_goal_rate"] = eval_rate
-                metrics_fh.write(json.dumps(metrics, sort_keys=True) + "\n")
-                metrics_fh.flush()
+                metrics_log.append(metrics)
+                metrics_log.flush()
                 if (
                     cfg.stop_at_goal_rate > 0.0
                     and eval_rate is not None
@@ -462,7 +457,7 @@ class Trainer:
                     break
         finally:
             log.close()
-            metrics_fh.close()
+            metrics_log.close()
         self.save_checkpoints(run_dir / "checkpoints")
         # Wall-clock info lives outside the manifest so reruns stay bit-identical.
         nn.write_atomic(

@@ -141,7 +141,7 @@ def score_records(
             "reached_goal": end >= 0,
             "first_goal": end if end >= 0 else None,
             "rc_avg": rc_avg,
-            "bug_regions": list(physics.bug_hits(mask, 0)[0]),
+            "bug_regions": list(physics.bug_hits(mask)[0]),
             "demo": False,
         }
         for rec, end, rc_avg, mask in zip(records, ends.tolist(), averages, entered.tolist())

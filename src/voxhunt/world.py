@@ -21,10 +21,13 @@ padded with collision, plus its jump ticks and flags. ``Physics.start`` makes
 a Replay with every agent at spawn as s_0, and ``Physics.step``, the only
 implementation of the step rules, reads row t's states and actions and
 writes s_{t+1} into row t + 1 in place, every rule a lookup in per-phase
-tables built once per map. ``Physics.replay`` plays any number of scripts of
-any lengths at once (triage replays a whole dataset in one call), and
-training steps its m lockstep episodes in the same way, choosing row t's
-actions before each step. ``play_script`` is a one-script replay.
+tables built once per map. It also writes row t of ``Replay.bugs``, one bit
+mask per agent: bit i is set when s_{t+1} is inside bug region i or, for an
+unintended-climbable region, climbs on it. ``Physics.replay`` plays any
+number of scripts of any lengths at once (triage replays a whole dataset in
+one call), and training steps its m lockstep episodes in the same way,
+choosing row t's actions before each step. ``play_script`` is a one-script
+replay.
 """
 
 from __future__ import annotations
@@ -278,11 +281,6 @@ class VoxelMap:
             raise MapInvariantError(f"spawn {self.spawn} has no support below at tick 0")
 
 
-def _bits(value: int) -> tuple[int, ...]:
-    """Positions of the set bits of ``value``, lowest first."""
-    return tuple(i for i in range(value.bit_length()) if value >> i & 1)
-
-
 def first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct values of ``keys`` in first-seen order. Returns the
     index of each number's first occurrence, and every key's number."""
@@ -312,7 +310,6 @@ class Physics:
     def __init__(self, vmap: VoxelMap, bugs_enabled: bool = True):
         vmap.validate()
         self.map = vmap
-        self.bugs_enabled = bugs_enabled
         self.dims = nx, ny, nz = vmap.dims
 
         self.phase_period = lcm(*(p.period for p in vmap.platforms))
@@ -362,9 +359,9 @@ class Physics:
 
         self._goal = np.zeros(self.size, dtype=bool)
         self._goal[self._cells([v for g in vmap.goals if g.active for v in g.voxels])] = True
-        # Bit i of a bug mask is bug region i. A climbable bug is "used",
+        # Bit i of a bug mask is bug region i. A climbable bug is climbed on,
         # never occupied: its mask marks the voxels beside it (any of their 8
-        # neighbours).
+        # neighbours), and a step sets its bit only while climbing.
         self._bugs_in = self._masks(
             [() if b.kind == UNINTENDED_CLIMBABLE else b.voxels for b in vmap.bugs]
         )
@@ -446,7 +443,6 @@ class Physics:
             np.empty(states, dtype=np.int8),
             *(np.empty(states, dtype=bool) for _ in range(4)),
             np.zeros(masks, dtype=self._bugs_in.dtype),
-            np.zeros(masks, dtype=self._bugs_in.dtype),
         )
         spawn = self.cell(self.map.spawn)
         rec.cell[0], rec.jump_ticks[0], rec.climbing[0], rec.double_jump[0] = spawn, 0, False, True
@@ -458,8 +454,8 @@ class Physics:
         """Advance the agents in columns ``live`` of ``rec`` (all of them by
         default) by one tick, in place: read their states s_t and action ids
         a_t (0..9) from row t, write s_{t+1} and its goal flag into row
-        t + 1, and the step's bug masks into row t of ``bugs_in`` and
-        ``bugs_used``. Other columns and rows are left as they are.
+        t + 1, and the step's bug mask into row t of ``bugs``. Other columns
+        and rows are left as they are.
 
         Phase order: platform resolve, horizontal intent, climb attach,
         vertical (jump / climb hold / gravity), platform carry, state
@@ -525,8 +521,7 @@ class Physics:
         after_step = (cell, jump_ticks, grounded, climbing, double_jump, self._goal[cell])
         for a, value in zip(rec.states(), after_step):
             a[t + 1][live] = value
-        rec.bugs_in[t][live] = self._bugs_in[cell]
-        rec.bugs_used[t][live] = self._bugs_beside[cell] * climbing
+        rec.bugs[t][live] = self._bugs_in[cell] | self._bugs_beside[cell] * climbing
 
     def _push(self, pos: Vec3, tick: int) -> int | None:
         """The cell a platform entering ``pos`` at ``tick + 1`` pushes the
@@ -543,12 +538,9 @@ class Physics:
                 return None
         return None
 
-    def bug_hits(self, inside: int, used: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
-        """(regions, kinds) of a step's bug masks: regions entered, then
-        climbable bugs used, each in map order."""
-        if not inside | used:
-            return (), ()
-        regions = _bits(inside) + _bits(used)
+    def bug_hits(self, mask: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+        """(regions, kinds) of a bug mask: its set bits, in map order."""
+        regions = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
         return regions, tuple(self.map.bugs[i].kind for i in regions)
 
     def replay(self, scripts: Sequence[Sequence[int]]) -> Replay:
@@ -590,8 +582,7 @@ class Replay:
     climbing: np.ndarray  # (T+1, N) bool
     double_jump: np.ndarray  # (T+1, N) bool
     goal: np.ndarray  # (T+1, N) bool: the state is in an active goal
-    bugs_in: np.ndarray  # (T, N) bit i: s_{t+1} is inside bug region i
-    bugs_used: np.ndarray  # (T, N) bit i: s_{t+1} climbs on climbable bug i
+    bugs: np.ndarray  # (T, N) bit i: s_{t+1} is inside bug region i, or climbs on it
 
     def states(self) -> tuple[np.ndarray, ...]:
         """The arrays with a row per state: the five state arrays and ``goal``."""
@@ -615,8 +606,8 @@ class Replay:
         return np.where(self.goal.any(axis=0), self.goal.argmax(axis=0), -1)
 
     def entered(self) -> np.ndarray:
-        """Each script's bug regions entered or used, as one bit mask."""
-        return np.bitwise_or.reduce(self.bugs_in | self.bugs_used, axis=0)
+        """Each script's bug regions entered or climbed on, as one bit mask."""
+        return np.bitwise_or.reduce(self.bugs, axis=0)
 
     def state_table(self, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Number the distinct states s_0..s_{ends[i]} of every script (none
@@ -648,7 +639,7 @@ class Replay:
             for p, q, jt, *f in zip(pos, prev, self.jump_ticks[: n + 1, i].tolist(), *flags)
         ]
         goal_flags = self.goal[: n + 1, i].tolist()
-        regions, kinds = self.physics.bug_hits(int(self.entered()[i]), 0)
+        regions, kinds = self.physics.bug_hits(int(self.entered()[i]))
         return Trajectory(
             states,
             self.actions[:n, i].tolist(),

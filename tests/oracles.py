@@ -261,12 +261,12 @@ class ScanPhysics:
         new_state = AgentState(pos, jt, grounded, climbing, dj, (x - x0, y - y0, z - z0))
 
         goal_ids = tuple(g.id for g in self.map.goals if g.active and pos in g.voxels)
-        # bugs entered first, then climbable bugs used while attached
-        hits = [i for i, b in enumerate(self.map.bugs)
-                if b.kind != UNINTENDED_CLIMBABLE and pos in b.voxels]
-        hits += [i for i, b in enumerate(self.map.bugs)
-                 if b.kind == UNINTENDED_CLIMBABLE and climbing
-                 and any((x + dx, y, z + dz) in b.voxels for dx, dz in ADJACENT_8)]
+        # in map order: bugs entered, and climbable bugs climbed on
+        beside = {(x + dx, y, z + dz) for dx, dz in ADJACENT_8} if climbing else set()
+        hits = [
+            i for i, b in enumerate(self.map.bugs)
+            if (beside & b.voxels if b.kind == UNINTENDED_CLIMBABLE else pos in b.voxels)
+        ]
         regions, kinds = tuple(hits), tuple(self.map.bugs[i].kind for i in hits)
         r_e = GOAL_REWARD if goal_ids else 0.0
         return new_state, goal_ids, regions, kinds, r_e
@@ -321,7 +321,7 @@ def outcomes(physics, before, rec, tick):
     """Each agent's (state', goal_ids, bug_regions, bug_kinds, r_e) after
     ``step_states`` stepped it from its state ``before``: the tuple
     ``ScanPhysics.step`` returns, read from row ``tick + 1`` of the Replay
-    and the step's bug masks. Goal ids are those of the active goals whose
+    and the step's bug mask. Goal ids are those of the active goals whose
     voxels hold the agent, where the Replay flags the state as in a goal."""
     out, t = [], tick + 1
     for i, s in enumerate(before):
@@ -335,7 +335,7 @@ def outcomes(physics, before, rec, tick):
         goal_ids = tuple(
             g.id for g in physics.map.goals if in_goal and g.active and pos in g.voxels
         )
-        regions, kinds = physics.bug_hits(int(rec.bugs_in[tick, i]), int(rec.bugs_used[tick, i]))
+        regions, kinds = physics.bug_hits(int(rec.bugs[tick, i]))
         out.append((state, goal_ids, regions, kinds, GOAL_REWARD if in_goal else 0.0))
     return out
 

@@ -10,6 +10,7 @@ states one.
 import json
 import time
 from contextlib import contextmanager
+from pathlib import Path
 import numpy as np
 import pytest
 
@@ -73,6 +74,7 @@ def criterion(number: int, name: str):
 
 
 DEMO_PATHS = [str(fixture_path(f"demo_area1_{i}.txt")) for i in range(1, 7)]
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def sweep_config(**patch) -> TrainConfig:
@@ -504,18 +506,8 @@ def test_criterion_05_amp_separation():
 
 @pytest.fixture(scope="session")
 def corridor_run(tmp_path_factory):
-    cfg = TrainConfig(
-        map_path=str(fixture_path("corridor.json")),
-        demo_paths=[],
-        reward_mode="extrinsic_only",
-        iterations=416,  # 416 * 10 * 48 < 200k env steps
-        episodes_per_iter=10,
-        episode_length=48,
-        seed=0,
-        eval_every=10,
-        eval_episodes=20,
-        stop_at_goal_rate=0.9,
-    )
+    """The shipped corridor config: 416 iterations * 10 * 48 < 200k env steps."""
+    cfg = TrainConfig.from_json_file(CONFIGS / "corridor_sanity.json")
     run_dir = tmp_path_factory.mktemp("corridor") / "run"
     started = time.time()
     result = run_training(cfg, run_dir)

@@ -540,6 +540,22 @@ class TestDemoTools:
         assert "goal 7 not in map testmap_area1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mistyped_map_exits_1_naming_the_field(self, tmp_path, quick_config, capsys):
+        """A map whose dims hold a string ends demo-verify and train with exit
+        1 and the field's name, before train makes its run directory."""
+        doc = json.loads(fixture_path("testmap_area1.json").read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, "dims": ["a", 4, 3]}))
+        named = "error: dims: expected [x, y, z] ints, got ['a', 4, 3]"
+        assert main(["demo-verify", "--map", str(bad), str(fixture_path("demo_area1_1.txt"))]) == 1
+        assert named in capsys.readouterr().err
+        config = tmp_path / "bad-map.json"
+        config.write_text(json.dumps({**json.loads(quick_config.read_text()), "map_path": str(bad)}))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_demo_verify_flags_bug_entering_script(self, tmp_path, capsys):
         # walking straight east crosses the hidden hole in the dividing wall
         actions = ["MoveE"] * 10 + ["Wait"] * 4

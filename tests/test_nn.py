@@ -310,7 +310,7 @@ def rollout_cubes(demo_paths, tmp_path):
         seed=41,
     )
     trainer = Trainer(cfg, tmp_path / "run")
-    rngs = [trainer._episode_rng(0, e) for e in range(4)]
+    rngs = [trainer._rng(1, 0, e) for e in range(4)]
     ro = trainer.collect_group(np.array([0.1, 0.4, 0.7, 0.9]), rngs)
     return ro.features["occ"].table.reshape(-1, 7, 7, 7)
 

@@ -164,7 +164,7 @@ class TestTrainingRuns:
     ):
         cfg = tiny_cfg(area1_demo_paths, episodes_per_iter=4)
         trainer = Trainer(cfg, tmp_path / "run")
-        rngs = [trainer._episode_rng(0, e) for e in range(4)]
+        rngs = [trainer._rng(1, 0, e) for e in range(4)]
         ro = trainer.collect_group(np.array([0.1, 0.9, 0.5, 0.3]), rngs)
         occ = ro.features["occ"]
         assert isinstance(occ, nn.Rows)
@@ -199,13 +199,13 @@ class TestTrainingRuns:
         def assert_recorded(trainer, ro):
             want = trainer.physics.replay(ro.actions.tolist())
             for name in ("actions", "lengths", "cell", "jump_ticks", "grounded", "climbing",
-                         "double_jump", "goal", "bugs_in", "bugs_used"):
+                         "double_jump", "goal", "bugs"):
                 a, b = getattr(ro.replay, name), getattr(want, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
             return ro.replay
 
         trainer = Trainer(tiny_cfg(area1_demo_paths, episodes_per_iter=5), tmp_path / "run")
-        rngs = [trainer._episode_rng(0, e) for e in range(5)]
+        rngs = [trainer._rng(1, 0, e) for e in range(5)]
         assert_recorded(trainer, trainer.collect_group(np.linspace(0.0, 1.0, 5), rngs))
 
         # Scripted episodes into every goal and bug region (area2 has a
@@ -227,7 +227,11 @@ class TestTrainingRuns:
             rec = assert_recorded(trainer, trainer.collect_group(np.full(len(scripts), 0.5)))
             assert rec.goal.any()
             assert np.bitwise_or.reduce(rec.entered()) == (1 << len(trainer.map.bugs)) - 1
-            assert rec.bugs_used.any() == (name == "testmap_area2")
+            climbable = [i for i, b in enumerate(trainer.map.bugs)
+                         if b.kind == world.UNINTENDED_CLIMBABLE]
+            assert bool(climbable) == (name == "testmap_area2")
+            for i in climbable:  # its bit is set only while climbing
+                assert rec.climbing[1:][rec.bugs >> i & 1 == 1].all()
 
     def test_existing_run_dir_refused(self, tmp_path, area1_demo_paths):
         cfg = tiny_cfg(area1_demo_paths, iterations=0)

@@ -496,7 +496,7 @@ class TestReplay:
             for a in replay.states():
                 assert (a[n + 1 :, i] == a[n, i]).all()
             assert (replay.actions[n:, i] == int(Action.WAIT)).all()
-            assert not replay.bugs_in[n:, i].any() and not replay.bugs_used[n:, i].any()
+            assert not replay.bugs[n:, i].any()
 
     def test_script_ending_under_the_squeezing_lift_is_frozen(self):
         m = two_platform_map()
