@@ -14,10 +14,14 @@ simulator, so triage needs only the run directory, never the training
 process.
 
 Triage reads only the dataset fields ``id``, ``alpha``, ``actions`` and
-``positions`` (TRIAGE_FIELDS) through ``TrajectoryLog.read``, which drops
-every other field and checks each record as it reads it: one that lacks one
-of the four, holds a value of the wrong type, or does not hold one more
-position than actions is a TriageError naming the dataset and the record.
+``positions`` (TRIAGE_FIELDS) through ``TrajectoryLog.read``. When the run's
+``dataset.index`` is intact and was written for the dataset's bytes, the
+read takes those columns from it, and the records were checked as training
+appended them. Otherwise it decodes ``dataset.jsonl``, drops every other
+field and checks each record as it reads it: one that lacks one of the four,
+holds a value of the wrong type, or does not hold one more position than
+actions is a TriageError naming the dataset and the record. Both paths give
+the same records, and export reads EXPORT_FIELDS the same way.
 Triage then replays all records and the demos in one lockstep simulator
 call and checks each record against its stored positions.
 

@@ -605,6 +605,7 @@ def test_criterion_09_bit_exact_reproduction(tmp_path):
             blob = {}
             for rel in (
                 "dataset.jsonl",
+                "dataset.index",
                 "triage_report.json",
                 "manifest.json",
                 "checkpoints/policy.vxnp",

@@ -17,7 +17,7 @@ from voxhunt.curiosity import CuriosityConfig, RNDPair
 from voxhunt.encode import ObservationEncoder
 from voxhunt.imitation import load_demos
 from voxhunt.mapio import fixture_path, load_map, save_demo_script
-from voxhunt.trainer import TrajectoryLog, run_training
+from voxhunt.trainer import INDEX_FORMAT, TrajectoryLog, _read_index, index_path, run_training
 from voxhunt.triage import (
     EXPORT_FIELDS,
     EXPORT_OPTIONAL,
@@ -380,6 +380,228 @@ class TestProjectedRead:
                 TrajectoryLog.read(path, fields=fields)
             errors.append(str(e.value))
         assert errors[0] == errors[1]
+
+
+def write_log(path, records):
+    """Append ``records`` through a TrajectoryLog and close it, as a run does."""
+    log = TrajectoryLog(path)
+    for record in records:
+        log.append(record)
+    log.close()
+
+
+def synthetic_records(n, seed=0, length=128):
+    """Records with every field a run's dataset line has, as
+    benchmark/gen_triage.py writes them (positions are not replayed)."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(n):
+        steps = int(rng.integers(0, length + 1))
+        floats = lambda: rng.normal(size=steps).tolist()  # noqa: E731
+        records.append({
+            "id": i, "iter": i // 10, "ep": i % 10, "alpha": float(rng.random()),
+            "reached_goal": bool(rng.random() < 0.5), "first_goal": None,
+            "positions": rng.integers(-5, 300, size=(steps + 1, 3)).tolist(),
+            "actions": rng.integers(0, len(Action), size=steps).tolist(),
+            "re": floats(), "ri": floats(), "rc_raw": floats(), "rc_norm": floats(), "R": floats(),
+            "bug_regions": sorted(set(rng.integers(0, 4, size=int(rng.integers(0, 3))).tolist())),
+            "bug_kinds": [],
+        })
+    return records
+
+
+def jsonl_read(path, *args):
+    """TrajectoryLog.read with the index out of the way: the JSONL path."""
+    index = index_path(path)
+    saved = index.read_bytes() if index.exists() else None
+    index.unlink(missing_ok=True)
+    try:
+        return TrajectoryLog.read(path, *args)
+    finally:
+        if saved is not None:
+            index.write_bytes(saved)
+
+
+PROJECTIONS = [(TRIAGE_FIELDS, ()), (EXPORT_FIELDS, EXPORT_OPTIONAL)]
+
+
+class TestDatasetIndex:
+    """The index beside dataset.jsonl serves projected reads, and a read
+    with a missing, stale or damaged index decodes the JSONL instead."""
+
+    @pytest.fixture(scope="class")
+    def big_dataset(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("index") / "dataset.jsonl"
+        write_log(path, synthetic_records(600))
+        return path
+
+    @pytest.mark.parametrize("fields", PROJECTIONS)
+    @pytest.mark.parametrize("dataset", ["quickstart", "synthetic"])
+    def test_indexed_read_equals_the_jsonl_read(
+        self, quickstart_run, big_dataset, dataset, fields
+    ):
+        path = quickstart_run / "dataset.jsonl" if dataset == "quickstart" else big_dataset
+        indexed = _read_index(path, (*fields[0], *fields[1]))
+        assert indexed is not None
+        want = jsonl_read(path, *fields)
+        assert len(want) == (20 if dataset == "quickstart" else 600)
+        # repr tells 1 from 1.0 and True, and shows the key order
+        assert repr(indexed) == repr(want)
+        assert repr(TrajectoryLog.read(path, *fields)) == repr(want)
+
+    def test_outputs_byte_identical_without_the_index(self, quickstart_run, tmp_path, capsys):
+        outputs = []
+        for name in ("indexed", "plain"):
+            run = tmp_path / name
+            shutil.copytree(quickstart_run, run)
+            if name == "plain":
+                index_path(run / "dataset.jsonl").unlink()
+            assert main(["triage", str(run)]) == 0
+            for flags in ([], ["--theta-only"], ["--demos"]):
+                assert main(["export", str(run), *flags, "--out", str(run / "x.tsv")]) == 0
+                outputs.append((run / "x.tsv").read_bytes())
+            outputs.append((run / "triage_report.json").read_bytes())
+        assert index_path(tmp_path / "indexed" / "dataset.jsonl").exists()
+        assert outputs[:4] == outputs[4:]
+        assert b"demo=1" in outputs[2] and outputs[1] != outputs[0]
+
+    @pytest.mark.parametrize(
+        "case, indexed",
+        [
+            ("int_alpha", False),
+            ("no_bug_regions", False),
+            ("empty_bug_regions", True),
+            ("position_beyond_int16", False),
+            ("id_beyond_int64", False),
+            ("bad_action", False),
+            ("zero_records", False),
+        ],
+    )
+    def test_record_held_exactly_or_no_index(self, tmp_path, case, indexed):
+        records = synthetic_records(5, seed=1)
+        rec = records[2]
+        if case == "int_alpha":
+            rec["alpha"] = 1
+        elif case == "no_bug_regions":
+            del rec["bug_regions"]
+        elif case == "empty_bug_regions":
+            for r in records:
+                r["bug_regions"] = []
+        elif case == "position_beyond_int16":
+            rec["positions"][0][1] = 2**15
+        elif case == "id_beyond_int64":
+            rec["id"] = 2**63
+        elif case == "bad_action":
+            rec["actions"] = [len(Action)] * (len(rec["positions"]) - 1)
+        elif case == "zero_records":
+            records = []
+        path = tmp_path / "dataset.jsonl"
+        write_log(path, records)
+        assert index_path(path).exists() == indexed
+        for fields in PROJECTIONS:
+            try:
+                want = repr(jsonl_read(path, *fields))
+            except TriageError as e:  # the bad action, read either way
+                with pytest.raises(TriageError, match=re.escape(str(e))):
+                    TrajectoryLog.read(path, *fields)
+                continue
+            assert repr(TrajectoryLog.read(path, *fields)) == want
+
+    def test_jsonl_projected_read_still_peaks_under_half_the_full_read(
+        self, quickstart_run, tmp_path
+    ):
+        path = tmp_path / "dataset.jsonl"  # a copy with no index beside it
+        shutil.copy(quickstart_run / "dataset.jsonl", path)
+        peaks = []
+        for fields in (None, TRIAGE_FIELDS):
+            tracemalloc.start()
+            try:
+                assert len(TrajectoryLog.read(path, fields)) == 20
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 0.5 * peaks[0]
+
+    def test_metrics_log_gets_no_index(self, quickstart_run):
+        assert index_path(quickstart_run / "dataset.jsonl").exists()
+        assert not index_path(quickstart_run / "metrics.jsonl").exists()
+
+    def test_log_reopened_on_a_nonempty_file_removes_the_index(self, tmp_path):
+        path = tmp_path / "dataset.jsonl"
+        records = synthetic_records(4)
+        write_log(path, records[:3])
+        assert index_path(path).exists()
+        log = TrajectoryLog(path)
+        assert not index_path(path).exists()
+        log.append(records[3])
+        log.close()
+        assert not index_path(path).exists()
+        assert [r["id"] for r in TrajectoryLog.read(path, TRIAGE_FIELDS)] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("damage", ["truncated", "bit_flip", "layout", "empty"])
+    def test_damaged_index_takes_the_jsonl_path(self, quickstart_run, tmp_path, damage):
+        path = tmp_path / "dataset.jsonl"
+        shutil.copy(quickstart_run / "dataset.jsonl", path)
+        blob = bytearray(index_path(quickstart_run / "dataset.jsonl").read_bytes())
+        if damage == "truncated":
+            blob = blob[:-10]
+        elif damage == "bit_flip":
+            blob[len(blob) // 2] ^= 0x10
+        elif damage == "layout":  # written for int32 positions
+            blob[: len(INDEX_FORMAT)] = INDEX_FORMAT.replace(b"<i2", b"<i4")
+        else:
+            blob = b""
+        index_path(path).write_bytes(bytes(blob))
+        for fields in PROJECTIONS:
+            assert _read_index(path, (*fields[0], *fields[1])) is None
+            assert TrajectoryLog.read(path, *fields) == jsonl_read(path, *fields)
+
+    def test_changed_float_byte_takes_the_jsonl_path(self, quickstart_run, tmp_path):
+        path = tmp_path / "dataset.jsonl"
+        shutil.copy(quickstart_run / "dataset.jsonl", path)
+        shutil.copy(index_path(quickstart_run / "dataset.jsonl"), index_path(path))
+        before = TrajectoryLog.read(path, TRIAGE_FIELDS)
+        data = path.read_bytes()
+        at = data.index(b'"alpha": ') + len(b'"alpha": 0.1')  # a digit of record 0's alpha
+        digit = b"7" if data[at : at + 1] != b"7" else b"3"
+        path.write_bytes(data[:at] + digit + data[at + 1 :])
+        after = TrajectoryLog.read(path, TRIAGE_FIELDS)
+        assert after[0]["alpha"] != before[0]["alpha"] and after[1:] == before[1:]
+        assert _read_index(path, TRIAGE_FIELDS) is None
+
+    @pytest.mark.parametrize("command", ["triage", "export"])
+    def test_dataset_torn_after_close_still_names_the_line(
+        self, quickstart_run, tmp_path, command, capsys
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(quickstart_run, run)
+        assert index_path(run / "dataset.jsonl").exists()
+        with open(run / "dataset.jsonl", "r+b") as fh:
+            fh.truncate(fh.seek(0, os.SEEK_END) - 10)
+        capsys.readouterr()
+        assert main([command, str(run)]) == 1
+        err = capsys.readouterr().err
+        want = f"error: {run / 'dataset.jsonl'}: line 20: torn or malformed record"
+        assert want in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("via", ["reader", "reader-projected", "triage", "export"])
+    def test_bytes_not_utf8_name_the_line(self, quickstart_run, tmp_path, via, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(quickstart_run, run)
+        path = run / "dataset.jsonl"
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        want = f"{path}: line 21: torn or malformed record (not UTF-8: invalid start byte)"
+        if via.startswith("reader"):
+            fields = TRIAGE_FIELDS if via == "reader-projected" else None
+            with pytest.raises(TriageError) as e:
+                TrajectoryLog.read(path, fields)
+            assert str(e.value) == want
+            return
+        capsys.readouterr()
+        assert main([via, str(run)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {want}" in err and "Traceback" not in err
 
 
 class TestStoredRecordsChecked:
