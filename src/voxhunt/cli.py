@@ -252,7 +252,7 @@ def cmd_ablate_encoding(args) -> int:
     lines = ["series\tsteps\tcoverage"]
     finals = {}
     for name, _ in ENCODING_VARIANTS:
-        for rec in TrajectoryLog.read(out_dir / name / "metrics.jsonl", ("env_steps", "coverage")):
+        for rec in TrajectoryLog.read(out_dir / name / "metrics.jsonl"):
             lines.append(f"{name}\t{rec['env_steps']}\t{rec['coverage']}")
             finals[name] = rec["coverage"]
     if finals.get("full", 0) < finals.get("normalized", 0):

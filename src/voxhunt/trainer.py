@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -211,12 +212,66 @@ def _index_row(record: dict) -> list[bytes] | None:
     return parts
 
 
-def _read_index(path: Path, keep: tuple[str, ...]) -> list[dict] | None:
-    """Every record of the log at ``path``, each holding the fields ``keep``,
-    from its index; None when the index is absent, damaged (its checksum),
-    stale (it was not written for these bytes) or lacks one of ``keep``."""
-    if not keep or not set(keep) <= INDEX_COLUMNS.keys():
-        return None
+@dataclass(frozen=True)
+class Columns:
+    """Dataset fields of ``n`` records, in record order, as a projected
+    ``TrajectoryLog.read`` returns them: ``values[k]`` holds a scalar field's
+    n values, or a list field's values of every record end to end (positions
+    as rows of 3), and ``lengths[k]`` a list field's count per record. A
+    column has its INDEX_COLUMNS dtype, or is an object array of the decoded
+    JSON values when one does not fit it (an id beyond int64, a position
+    beyond int16; such a dataset has no index)."""
+
+    n: int
+    values: dict[str, np.ndarray]
+    lengths: dict[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, field: str) -> np.ndarray:
+        return self.values[field]
+
+    def split(self, field: str) -> list[list]:
+        """A list field's values as one Python list per record."""
+        values, ends = self.values[field].tolist(), np.cumsum(self.lengths[field]).tolist()
+        return [values[a:b] for a, b in zip([0, *ends], ends)]
+
+    @classmethod
+    def of(cls, records: list[dict], fields: tuple[str, ...], optional=()) -> Columns:
+        """``records``, each holding ``fields`` with values that pass their
+        FIELD_TYPES test, as columns; a record lacking one of the ``optional``
+        list fields holds it empty."""
+        values, lengths = {}, {}
+        for k in (*fields, *optional):
+            dtype, item = INDEX_COLUMNS[k]
+            if item is None:
+                values[k] = _column([r[k] for r in records], dtype, ())
+                continue
+            parts = [r.get(k, ()) for r in records]
+            lengths[k] = np.array([len(p) for p in parts], "<i8")
+            values[k] = _column(list(chain.from_iterable(parts)), dtype, item)
+        return cls(len(records), values, lengths)
+
+
+def _column(values: list, dtype: str, item: tuple[int, ...]) -> np.ndarray:
+    """``values``, each of shape ``item``, as an array of ``dtype`` when
+    every number fits it (an int alpha reads as a float), else as an array
+    of the values themselves."""
+    numbers = chain.from_iterable(values) if item else values
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)  # NumPy 1.x wraps an int out of range
+            column = np.fromiter(numbers, dtype, len(values) * int(np.prod(item)))
+    except (OverflowError, DeprecationWarning):  # NumPy 2 refuses it
+        return np.array(values, object)
+    return column.reshape(-1, *item)
+
+
+def _read_index(path: Path, keep: tuple[str, ...]) -> Columns | None:
+    """The fields ``keep`` of every record of the log at ``path``, as
+    read-only column views of its index; None when the index is absent,
+    damaged (its checksum) or stale (it was not written for these bytes)."""
     try:
         blob = index_path(path).read_bytes()
     except OSError:
@@ -229,25 +284,21 @@ def _read_index(path: Path, keep: tuple[str, ...]) -> list[dict] | None:
     tie = json.loads(blob[start:end])  # the log's line count and sha256
     if tie["sha256"] != _file_sha256(path):
         return None
-    n, offset, columns = tie["lines"], end, {}
+    n, offset, values, lengths = tie["lines"], end, {}, {}
 
     def take(dtype: str, count: int) -> np.ndarray:
         nonlocal offset
-        values = np.frombuffer(blob, dtype, count, offset)
-        offset += values.nbytes
-        return values
+        column = np.frombuffer(blob, dtype, count, offset)
+        offset += column.nbytes
+        return column
 
     for k, (dtype, item) in INDEX_COLUMNS.items():
         if item is None:
-            values = take(dtype, n)
-            if k in keep:
-                columns[k] = values.tolist()
+            values[k] = take(dtype, n)
             continue
-        ends = np.cumsum(take("<i8", n)).tolist()
-        values = take(dtype, ends[-1] * int(np.prod(item))).reshape(-1, *item)
-        if k in keep:
-            columns[k] = [values[a:b].tolist() for a, b in zip([0, *ends], ends)]
-    return [dict(zip(keep, row)) for row in zip(*(columns[k] for k in keep))]
+        lengths[k] = take("<i8", n)
+        values[k] = take(dtype, int(lengths[k].sum()) * int(np.prod(item))).reshape(-1, *item)
+    return Columns(n, {k: values[k] for k in keep}, {k: lengths[k] for k in keep if k in lengths})
 
 
 class TrajectoryLog:
@@ -305,22 +356,29 @@ class TrajectoryLog:
     @staticmethod
     def read(
         path: str | Path, fields: tuple[str, ...] | None = None, optional: tuple[str, ...] = ()
-    ) -> list[dict]:
+    ) -> list[dict] | Columns:
         """Every record in the file, in order; a missing file, a line that is
         not UTF-8, a torn line, or a line that is not a JSON object is a
-        TriageError naming the path. With ``fields``, each record keeps only
-        ``fields`` and whichever of ``optional`` it has, as soon as it is
-        decoded, and a _record_problem is a TriageError.
+        TriageError naming the path.
 
-        A projected read whose fields are all INDEX_COLUMNS comes from the
-        log's index when that is intact and was written for these bytes
-        (every record then passed _record_problem as it was appended); every
-        other read decodes the JSONL, with the same records as the result."""
+        With ``fields`` (dataset fields, FIELD_TYPES keys) the read is
+        projected and returns Columns of ``fields`` and ``optional`` (list
+        fields, empty where a record lacks one). They come from the log's
+        index when that is intact and was written for these bytes (every
+        record then passed _record_problem as it was appended). Otherwise
+        each record of the JSONL keeps only those fields as soon as it is
+        decoded, a _record_problem is a TriageError, and the checked records
+        are packed into the same columns."""
+        if fields is not None:
+            keep = (*fields, *optional)
+            if unknown := [k for k in keep if k not in INDEX_COLUMNS]:
+                raise ValueError(f"not dataset fields: {', '.join(unknown)}")
+            if scalar := [k for k in optional if INDEX_COLUMNS[k][1] is None]:
+                raise ValueError(f"only a list field can be optional: {', '.join(scalar)}")
         if not Path(path).exists():
             raise TriageError(f"missing dataset: {path}")
-        keep = None if fields is None else (*fields, *optional)
-        if keep is not None and (records := _read_index(Path(path), keep)) is not None:
-            return records
+        if fields is not None and (columns := _read_index(Path(path), keep)) is not None:
+            return columns
         records = []
         with open(path, "rb") as fh:
             for number, raw in enumerate(fh, start=1):
@@ -340,12 +398,12 @@ class TrajectoryLog:
                     ) from e
                 if not isinstance(record, dict):
                     raise TriageError(f"{path}: line {number}: record is not a JSON object")
-                if keep is not None:
+                if fields is not None:
                     record = {k: record[k] for k in keep if k in record}
                     if problem := _record_problem(record, fields, len(records) + 1):
                         raise TriageError(f"{path}: {problem}")
                 records.append(record)
-        return records
+        return records if fields is None else Columns.of(records, fields, optional)
 
 
 class Trainer:

@@ -14,16 +14,19 @@ simulator, so triage needs only the run directory, never the training
 process.
 
 Triage reads only the dataset fields ``id``, ``alpha``, ``actions`` and
-``positions`` (TRIAGE_FIELDS) through ``TrajectoryLog.read``. When the run's
+``positions`` (TRIAGE_FIELDS) through ``TrajectoryLog.read``, as columns:
+one array per scalar field, and per list field one array of every record's
+values end to end with each record's count of them. When the run's
 ``dataset.index`` is intact and was written for the dataset's bytes, the
-read takes those columns from it, and the records were checked as training
-appended them. Otherwise it decodes ``dataset.jsonl``, drops every other
-field and checks each record as it reads it: one that lacks one of the four,
+columns are views of it, and the records were checked as training appended
+them. Otherwise the read decodes ``dataset.jsonl``, drops every other field
+and checks each record as it reads it: one that lacks one of the four,
 holds a value of the wrong type, or does not hold one more position than
 actions is a TriageError naming the dataset and the record. Both paths give
-the same records, and export reads EXPORT_FIELDS the same way.
-Triage then replays all records and the demos in one lockstep simulator
-call and checks each record against its stored positions.
+the same columns, and export reads EXPORT_FIELDS the same way.
+Triage then replays the action column and the demos in one lockstep
+simulator call and compares every stored position with the replay in one
+array comparison; a divergence names the first diverging record.
 
 A state's novelty depends on the state alone, and goal prefixes share most
 of their states. The replay's goal-prefix states are numbered in one
@@ -53,8 +56,8 @@ from .curiosity import RNDPair
 from .encode import ObservationEncoder, agent_info
 from .imitation import load_demos
 from .mapio import load_map
-from .trainer import INT, INTS, REAL, TrajectoryLog, TriageError, key_problem
-from .world import Physics, PhysicsError, VoxelMap
+from .trainer import INT, INTS, REAL, Columns, TrajectoryLog, TriageError, key_problem
+from .world import Action, Physics, PhysicsError, VoxelMap
 
 REPORT_FORMAT_VERSION = 1
 EXPORT_FORMAT_VERSION = 1
@@ -84,33 +87,42 @@ SCORE_TYPES = {"traj_id": INT, "alpha": REAL, "rc_avg": REAL_OR_NULL, "bug_regio
 
 
 def score_records(
-    records: list[dict],
+    records: Columns,
     vmap: VoxelMap,
     rnd: RNDPair,
     encoder: ObservationEncoder,
     demo_scripts: list[list[int]],
     max_rows: int,
 ) -> tuple[list[dict], list[float], int]:
-    """Replay every record and demo script in one lockstep batch, check each
-    record against its stored positions, then score the records and the
-    demos from one table of their distinct goal-prefix states.
+    """Replay every record (TRIAGE_FIELDS columns, as a projected read
+    returns them) and demo script in one lockstep batch, check every stored
+    position against the replay, then score the records and the demos from
+    one table of their distinct goal-prefix states.
 
     Each distinct state is scored once, in RND calls of at most ``max_rows``
     rows. Returns (record scores, demo scores, distinct replayed positions).
     """
     physics = Physics(vmap)
-    scripts = [rec["actions"] for rec in records]
+    n, traj_ids = len(records), records["id"]
+    demo_lengths = np.array([len(s) for s in demo_scripts], np.int64)
+    lengths = np.concatenate([records.lengths["actions"], demo_lengths])
+    played = np.arange(lengths.max(initial=0))[:, None] < lengths  # (T, N)
+    actions = np.full(played.shape, Action.WAIT, np.uint8)
+    actions.T[played.T] = np.concatenate([records["actions"], *demo_scripts])
     try:
-        replay = physics.replay(scripts + demo_scripts)
+        replay = physics.replay(actions, lengths)
     except PhysicsError as e:
-        if e.agent is not None and e.agent < len(records):
-            raise TriageError(f"trajectory {records[e.agent].get('id')}: {e}") from e
+        if e.agent is not None and e.agent < n:
+            raise TriageError(f"trajectory {traj_ids[e.agent]}: {e}") from e
         raise
-    n = len(records)
-    for i, rec in enumerate(records):
-        replayed = physics.positions(replay.cell[: len(scripts[i]) + 1, i])
-        if replayed.tolist() != rec["positions"]:
-            raise TriageError(f"trajectory {rec.get('id')}: replay diverged from stored positions")
+    # Every stored position at once, in dataset order: s_0..s_T of each record.
+    stored = np.arange(len(replay.cell))[:, None] <= lengths[:n]
+    replayed = physics.positions(replay.cell[:, :n].T[stored.T])
+    diverged = (replayed != records["positions"]).any(axis=1)
+    if diverged.any():
+        ends = np.cumsum(records.lengths["positions"])
+        first = np.searchsorted(ends, diverged.argmax(), side="right")
+        raise TriageError(f"trajectory {traj_ids[first]}: replay diverged from stored positions")
 
     ends = replay.first_goal()
     t, script, ids = replay.state_table(ends)
@@ -140,15 +152,17 @@ def score_records(
     entered = replay.entered()[:n]
     scores = [
         {
-            "traj_id": int(rec["id"]),
-            "alpha": float(rec["alpha"]),
+            "traj_id": tid,
+            "alpha": float(alpha),
             "reached_goal": end >= 0,
             "first_goal": end if end >= 0 else None,
             "rc_avg": rc_avg,
             "bug_regions": list(physics.bug_hits(mask)[0]),
             "demo": False,
         }
-        for rec, end, rc_avg, mask in zip(records, ends.tolist(), averages, entered.tolist())
+        for tid, alpha, end, rc_avg, mask in zip(
+            traj_ids.tolist(), records["alpha"].tolist(), ends.tolist(), averages, entered.tolist()
+        )
     ]
     demo_scores = [v for v in averages[n:] if v is not None]
     # A mask, not np.unique: numpy 2.4's plain np.unique imports numpy.ma.
@@ -337,30 +351,34 @@ def read_report(run_dir: str | Path) -> dict:
 
 
 def export_trajectories(
-    records: list[dict],
+    records: Columns,
     rc_by_id: dict[int, float | None],
     path: str | Path,
     only_ids: set[int] | None = None,
     demos: list[tuple[str, list]] | None = None,
 ) -> int:
     """Columnar text export: a metadata header line per trajectory followed by
-    one `id t x y z` row per position. ``rc_by_id`` maps trajectory ids to
-    their triage score. ``demos`` are (name, positions) pairs of replayed
-    demos, each of which reaches a goal. The file is replaced whole
-    (``nn.write_atomic``)."""
+    one `id t x y z` row per position. ``records`` holds the EXPORT_FIELDS and
+    EXPORT_OPTIONAL columns, as a projected read returns them. ``rc_by_id``
+    maps trajectory ids to their triage score. ``demos`` are (name,
+    positions) pairs of replayed demos, each of which reaches a goal. The
+    file is replaced whole (``nn.write_atomic``)."""
     lines = [f"# format_version {EXPORT_FORMAT_VERSION}\n", "# columns: id t x y z\n"]
     n = 0
-    for rec in records:
-        tid = int(rec["id"])
+    rows = zip(
+        records["id"].tolist(), records["alpha"].tolist(), records["reached_goal"].tolist(),
+        records.split("bug_regions"), records.split("positions"),
+    )
+    for tid, alpha, reached_goal, bug_regions, positions in rows:
         if only_ids is not None and tid not in only_ids:
             continue
         score = rc_by_id.get(tid)
-        bugs = ",".join(str(b) for b in rec.get("bug_regions", [])) or "-"
+        bugs = ",".join(str(b) for b in bug_regions) or "-"
         lines.append(
-            f"# trajectory id={tid} alpha={rec['alpha']} "
-            f"score={'' if score is None else score} reached_goal={int(bool(rec['reached_goal']))} bugs={bugs} demo=0\n"
+            f"# trajectory id={tid} alpha={alpha} "
+            f"score={'' if score is None else score} reached_goal={int(reached_goal)} bugs={bugs} demo=0\n"
         )
-        lines.extend(f"{tid} {t} {p[0]} {p[1]} {p[2]}\n" for t, p in enumerate(rec["positions"]))
+        lines.extend(f"{tid} {t} {p[0]} {p[1]} {p[2]}\n" for t, p in enumerate(positions))
         n += 1
     for name, positions in demos or []:
         lines.append(f"# trajectory id={name} alpha= score= reached_goal=1 bugs=- demo=1\n")

@@ -543,19 +543,40 @@ class Physics:
         regions = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
         return regions, tuple(self.map.bugs[i].kind for i in regions)
 
-    def replay(self, scripts: Sequence[Sequence[int]]) -> Replay:
+    def replay(self, scripts, lengths: Sequence[int] | None = None) -> Replay:
         """Play every script from spawn in one lockstep batch.
 
-        Scripts may differ in length. An agent past the end of its script is
-        frozen: it is not stepped again, so it can never be squeezed, and
-        each later row repeats its last state.
+        ``scripts`` is a sequence of action-id sequences or, with ``lengths``,
+        one (T, N) integer matrix whose column i holds script i's first
+        ``lengths[i]`` actions (the rows below them are not played). An id
+        that is not an int in 0..9 (200, -1, 2.7, True) is a ValueError,
+        checked before any cast. Scripts may differ in length. An agent past
+        the end of its script is frozen: it is not stepped again, so it can
+        never be squeezed, and each later row repeats its last state.
         """
-        lengths = np.array([len(s) for s in scripts], dtype=np.intp)
+        bad = ValueError(f"action ids must be ints in 0..{len(Action) - 1}")
+        if lengths is None:
+            ids = [a for script in scripts for a in script]
+            if not all(isinstance(a, (int, np.integer)) and type(a) is not bool for a in ids):
+                raise bad
+            if ids and not 0 <= min(ids) <= max(ids) < len(Action):
+                raise bad
+            lengths = [len(s) for s in scripts]
+            matrix = np.full((max(lengths, default=0), len(scripts)), Action.WAIT, np.int8)
+            for i, script in enumerate(scripts):
+                matrix[: len(script), i] = script
+        else:
+            matrix = np.asarray(scripts)
+            if matrix.dtype.kind not in "iu":
+                raise bad
+            if matrix.size and not 0 <= matrix.min() <= matrix.max() < len(Action):
+                raise bad
+            if matrix.shape[1:] != (len(lengths),) or len(matrix) < max(lengths, default=0):
+                raise ValueError(f"the action matrix must be (T, {len(lengths)}), T >= each length")
+        lengths = np.asarray(lengths, dtype=np.intp)
         rec = self.start(lengths)
-        for i, script in enumerate(scripts):
-            rec.actions[: len(script), i] = script
-        if rec.actions.size and not 0 <= rec.actions.min() <= rec.actions.max() < len(Action):
-            raise ValueError(f"action ids must lie in 0..{len(Action) - 1}")
+        played = np.arange(len(rec.actions))[:, None] < lengths
+        rec.actions[:] = np.where(played, matrix[: len(rec.actions)], Action.WAIT)
         shortest = int(lengths.min()) if len(lengths) else 0
         for t in range(shortest):
             self.step(rec, t)

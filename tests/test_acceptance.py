@@ -33,8 +33,9 @@ from voxhunt.imitation import (
 )
 from voxhunt.mapio import fixture_path, load_fixture_map
 from voxhunt.policy import make_critic_net, make_policy_net, act
-from voxhunt.trainer import TrajectoryLog, run_training
+from voxhunt.trainer import Columns, TrajectoryLog, run_training
 from voxhunt.triage import (
+    TRIAGE_FIELDS,
     compute_epsilon,
     filter_theta,
     read_report,
@@ -340,7 +341,8 @@ def test_criterion_02_formula_oracles(tmp_path):
         _, _, actions = load_demo_script(DEMO_PATHS[0])
         traj = play_script(vmap, actions)
         T = traj.first_goal_state_index
-        _, [got], _ = score_records([], vmap, pair, enc, [actions], max_rows=T + 1)
+        no_records = Columns.of([], TRIAGE_FIELDS)
+        _, [got], _ = score_records(no_records, vmap, pair, enc, [actions], max_rows=T + 1)
         hand = 0.0
         for t in range(T + 1):
             s = traj.states[t]

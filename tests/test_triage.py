@@ -17,7 +17,14 @@ from voxhunt.curiosity import CuriosityConfig, RNDPair
 from voxhunt.encode import ObservationEncoder
 from voxhunt.imitation import load_demos
 from voxhunt.mapio import fixture_path, load_map, save_demo_script
-from voxhunt.trainer import INDEX_FORMAT, TrajectoryLog, _read_index, index_path, run_training
+from voxhunt.trainer import (
+    INDEX_FORMAT,
+    Columns,
+    TrajectoryLog,
+    _read_index,
+    index_path,
+    run_training,
+)
 from voxhunt.triage import (
     EXPORT_FIELDS,
     EXPORT_OPTIONAL,
@@ -63,7 +70,8 @@ class TestScoreTrajectory:
         rec = {"id": 0, "alpha": 0.5, "actions": [int(a) for a in actions],
                "positions": [list(p) for p in traj.positions]}
         enc = ObservationEncoder(vmap, L=7)
-        [score], _, _ = score_records([rec], vmap, rnd, enc, [], max_rows=len(actions) + 1)
+        records = Columns.of([rec], TRIAGE_FIELDS)
+        [score], _, _ = score_records(records, vmap, rnd, enc, [], max_rows=len(actions) + 1)
         return score["rc_avg"], score["first_goal"]
 
     def test_identical_networks_score_zero(self, area1, area1_demo_paths):
@@ -328,7 +336,7 @@ def quickstart_run(tmp_path_factory):
 class TestProjectedRead:
     @pytest.mark.parametrize(
         "fields",  # (fields, optional)
-        [(TRIAGE_FIELDS, ()), (EXPORT_FIELDS, EXPORT_OPTIONAL), (("id",), ("absent",))],
+        [(TRIAGE_FIELDS, ()), (EXPORT_FIELDS, EXPORT_OPTIONAL), (("id",), ("bug_regions",))],
     )
     def test_projection_keeps_only_the_named_fields(self, quickstart_run, fields):
         fields, optional = fields
@@ -336,14 +344,16 @@ class TestProjectedRead:
         full = TrajectoryLog.read(path)
         assert len(full) == 20
         projected = TrajectoryLog.read(path, fields=fields, optional=optional)
-        keep = fields + optional
-        assert projected == [{k: rec[k] for k in keep if k in rec} for rec in full]
+        assert projected.values.keys() == {*fields, *optional}
+        assert_same_columns(projected, Columns.of(full, fields, optional))
+        assert_holds_records(projected, full)
 
     def test_projection_without_a_named_field_is_an_error(self, quickstart_run):
         path = quickstart_run / "dataset.jsonl"
-        want = re.escape(f"{path}: trajectory 0: missing field absent")
-        with pytest.raises(TriageError, match=want):
+        with pytest.raises(ValueError, match="^not dataset fields: absent$"):
             TrajectoryLog.read(path, fields=("id", "absent"))
+        with pytest.raises(ValueError, match="^only a list field can be optional: alpha$"):
+            TrajectoryLog.read(path, fields=("id",), optional=("alpha",))
 
     def test_projected_read_peaks_under_half_the_full_read(self, quickstart_run):
         path = quickstart_run / "dataset.jsonl"
@@ -380,6 +390,26 @@ class TestProjectedRead:
                 TrajectoryLog.read(path, fields=fields)
             errors.append(str(e.value))
         assert errors[0] == errors[1]
+
+
+def assert_same_columns(got, want):
+    """Two projected reads hold the same fields, as arrays equal in dtype,
+    shape and values."""
+    assert len(got) == len(want)
+    for name in ("values", "lengths"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.keys() == b.keys()
+        for k in a:
+            assert (a[k].dtype, a[k].shape) == (b[k].dtype, b[k].shape), (name, k)
+            assert np.array_equal(a[k], b[k]), (name, k)
+
+
+def assert_holds_records(columns, records):
+    """``columns`` hold each record's values of its fields (a list field
+    that a record lacks is empty)."""
+    for k in columns.values:
+        got = columns.split(k) if k in columns.lengths else columns[k].tolist()
+        assert got == [rec.get(k, []) for rec in records], k
 
 
 def write_log(path, records):
@@ -445,9 +475,9 @@ class TestDatasetIndex:
         assert indexed is not None
         want = jsonl_read(path, *fields)
         assert len(want) == (20 if dataset == "quickstart" else 600)
-        # repr tells 1 from 1.0 and True, and shows the key order
-        assert repr(indexed) == repr(want)
-        assert repr(TrajectoryLog.read(path, *fields)) == repr(want)
+        assert_same_columns(indexed, want)
+        assert_same_columns(TrajectoryLog.read(path, *fields), want)
+        assert not indexed["id"].flags.writeable  # views of the index, not copies
 
     def test_outputs_byte_identical_without_the_index(self, quickstart_run, tmp_path, capsys):
         outputs = []
@@ -500,12 +530,13 @@ class TestDatasetIndex:
         assert index_path(path).exists() == indexed
         for fields in PROJECTIONS:
             try:
-                want = repr(jsonl_read(path, *fields))
+                want = jsonl_read(path, *fields)
             except TriageError as e:  # the bad action, read either way
                 with pytest.raises(TriageError, match=re.escape(str(e))):
                     TrajectoryLog.read(path, *fields)
                 continue
-            assert repr(TrajectoryLog.read(path, *fields)) == want
+            assert_same_columns(TrajectoryLog.read(path, *fields), want)
+            assert_holds_records(want, records)
 
     def test_jsonl_projected_read_still_peaks_under_half_the_full_read(
         self, quickstart_run, tmp_path
@@ -536,7 +567,7 @@ class TestDatasetIndex:
         log.append(records[3])
         log.close()
         assert not index_path(path).exists()
-        assert [r["id"] for r in TrajectoryLog.read(path, TRIAGE_FIELDS)] == [0, 1, 2, 3]
+        assert TrajectoryLog.read(path, TRIAGE_FIELDS)["id"].tolist() == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("damage", ["truncated", "bit_flip", "layout", "empty"])
     def test_damaged_index_takes_the_jsonl_path(self, quickstart_run, tmp_path, damage):
@@ -554,7 +585,7 @@ class TestDatasetIndex:
         index_path(path).write_bytes(bytes(blob))
         for fields in PROJECTIONS:
             assert _read_index(path, (*fields[0], *fields[1])) is None
-            assert TrajectoryLog.read(path, *fields) == jsonl_read(path, *fields)
+            assert_same_columns(TrajectoryLog.read(path, *fields), jsonl_read(path, *fields))
 
     def test_changed_float_byte_takes_the_jsonl_path(self, quickstart_run, tmp_path):
         path = tmp_path / "dataset.jsonl"
@@ -566,7 +597,9 @@ class TestDatasetIndex:
         digit = b"7" if data[at : at + 1] != b"7" else b"3"
         path.write_bytes(data[:at] + digit + data[at + 1 :])
         after = TrajectoryLog.read(path, TRIAGE_FIELDS)
-        assert after[0]["alpha"] != before[0]["alpha"] and after[1:] == before[1:]
+        assert after["alpha"][0] != before["alpha"][0]
+        after.values["alpha"] = np.concatenate([before["alpha"][:1], after["alpha"][1:]])
+        assert_same_columns(after, before)
         assert _read_index(path, TRIAGE_FIELDS) is None
 
     @pytest.mark.parametrize("command", ["triage", "export"])
@@ -645,6 +678,32 @@ class TestStoredRecordsChecked:
         assert not (run / "triage_report.json").exists()
 
 
+class TestDivergence:
+    @pytest.mark.parametrize("indexed", [True, False], ids=["index", "jsonl"])
+    @pytest.mark.parametrize(
+        "edited",  # (record, stored position) pairs, in the order they are edited
+        [[(10, 64)], [(19, -1)], [(12, 64), (7, 0)]], ids=["middle", "last", "two"],
+    )
+    def test_first_diverging_record_is_named(self, quickstart_run, tmp_path, indexed, edited):
+        run = tmp_path / "run"
+        shutil.copytree(quickstart_run, run)
+        path = run / "dataset.jsonl"
+        records = TrajectoryLog.read(path)
+        assert len(records) == 20 and {len(r["positions"]) for r in records} == {129}
+        for i, t in edited:
+            x, y, z = records[i]["positions"][t]
+            records[i]["positions"][t] = [x, y + 1, z]
+        path.unlink()
+        write_log(path, records)
+        assert index_path(path).exists()
+        if not indexed:
+            index_path(path).unlink()
+        with pytest.raises(TriageError) as e:
+            run_triage(run)
+        first = records[min(edited)[0]]["id"]
+        assert str(e.value) == f"{path}: trajectory {first}: replay diverged from stored positions"
+
+
 class TestExport:
     @pytest.mark.parametrize("problem", ["wrong_map", "goal_missed"])
     def test_cli_demos_checked_as_triage_checks_them(self, tiny_run, tmp_path, problem, capsys):
@@ -676,7 +735,7 @@ class TestExport:
             }
         ]
         path = tmp_path / "out.tsv"
-        n = export_trajectories(records, {}, path)
+        n = export_trajectories(Columns.of(records, EXPORT_FIELDS, EXPORT_OPTIONAL), {}, path)
         assert n == 1
         text = path.read_text().splitlines()
         data_rows = [l for l in text if not l.startswith("#")]
@@ -698,7 +757,8 @@ class TestExport:
         demo_traj = play_script(area1, actions)
         path = tmp_path / "out.tsv"
         export_trajectories(
-            records, {}, path, only_ids={1, 2}, demos=[("demo1", demo_traj.positions)]
+            Columns.of(records, EXPORT_FIELDS, EXPORT_OPTIONAL), {}, path, only_ids={1, 2},
+            demos=[("demo1", demo_traj.positions)],
         )
         text = path.read_text()
         assert "id=1 " in text and "id=3 " not in text
@@ -709,7 +769,7 @@ class TestExport:
     def test_failed_replace_keeps_the_earlier_export(self, tmp_path, monkeypatch):
         records = [{"id": 0, "alpha": 0.6, "reached_goal": True, "positions": [[0, 1, 0]]}]
         path = tmp_path / "trajectories.tsv"
-        export_trajectories(records, {0: 0.5}, path)
+        export_trajectories(Columns.of(records, EXPORT_FIELDS, EXPORT_OPTIONAL), {0: 0.5}, path)
         before = path.read_bytes()
 
         def refuse(src, dst):
@@ -717,6 +777,6 @@ class TestExport:
 
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError, match="replace refused"):
-            export_trajectories(records * 2, {}, path)
+            export_trajectories(Columns.of(records * 2, EXPORT_FIELDS, EXPORT_OPTIONAL), {}, path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectories.tsv"]

@@ -498,6 +498,31 @@ class TestReplay:
             assert (replay.actions[n:, i] == int(Action.WAIT)).all()
             assert not replay.bugs[n:, i].any()
 
+    def test_matrix_with_lengths_plays_as_the_scripts_do(self, area1):
+        rng = np.random.default_rng(5)
+        scripts = [[int(a) for a in rng.integers(0, 10, size=n)] for n in (5, 0, 60, 17)]
+        matrix = rng.integers(0, 10, size=(64, len(scripts))).astype(np.uint8)
+        for i, script in enumerate(scripts):
+            matrix[: len(script), i] = script
+        got = Physics(area1).replay(matrix, [len(s) for s in scripts])
+        want = Physics(area1).replay(scripts)
+        arrays = lambda r: (r.actions, r.bugs, *r.states())  # noqa: E731
+        for a, b in zip(arrays(got), arrays(want)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("form", ["lists", "matrix"])
+    @pytest.mark.parametrize(
+        "action, dtype",  # 258 as int64 and 200 as uint8 would wrap in an int8 cast
+        [(200, None), (-1, None), (2.7, None), (True, None), (258, np.int64), (200, np.uint8)],
+    )
+    def test_action_ids_checked_before_the_cast(self, area1, form, action, dtype):
+        physics = Physics(area1)
+        with pytest.raises(ValueError, match=r"^action ids must be ints in 0\.\.9$"):
+            if form == "lists":
+                physics.replay([[int(Action.WAIT), action if dtype is None else dtype(action)]])
+            else:
+                physics.replay(np.array([[action]], dtype=dtype), [1])
+
     def test_script_ending_under_the_squeezing_lift_is_frozen(self):
         m = two_platform_map()
         script = squeeze_script(m)
