@@ -155,7 +155,7 @@ def cmd_export(args) -> int:
         vmap = load_map(resolve_path(cfg.map_path))
         if cfg.demo_paths:  # map name and goal checked as training and triage check them
             loaded = load_demos([resolve_path(p) for p in cfg.demo_paths], vmap).demos
-            demos = [(Path(p).stem, d.trajectory.positions) for p, d in zip(cfg.demo_paths, loaded)]
+            demos = [(Path(p).stem, d.positions().tolist()) for p, d in zip(cfg.demo_paths, loaded)]
     out = Path(args.out) if args.out else run_dir / "trajectories.tsv"
     n = export_trajectories(records, rc_by_id, out, only_ids=only_ids, demos=demos)
     print(json.dumps({"file": str(out), "trajectories": n}, sort_keys=True))
@@ -184,7 +184,7 @@ def cmd_demo_record(args) -> int:
                 "file": args.out,
                 "map": vmap.name,
                 "steps": len(actions),
-                "bug_regions_entered": sorted(demo.trajectory.bug_regions_entered),
+                "bug_regions_entered": list(demo.bug_hits()[0]),
             },
             sort_keys=True,
         )
@@ -204,7 +204,7 @@ def cmd_demo_verify(args) -> int:
             print(f"FAIL {e}")
             failures += 1
             continue
-        bugs = sorted(demo.trajectory.bug_kinds_entered)
+        bugs = sorted(set(demo.bug_hits()[1]))
         print(f"{demo_path}: ok, {len(demo.actions)} actions, bug_kinds={bugs}")
     return 0 if failures == 0 else RUNTIME_EXIT
 

@@ -189,7 +189,7 @@ class TrainConfig:
         return dataclasses.asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
+        return nn.json_text(self.to_dict())
 
     def config_hash(self) -> str:
         return hashlib.sha256(

@@ -197,10 +197,31 @@ class ReplayBuffer:
         return self.occ[idx], self.act[idx]
 
 
-@dataclass
+# (source, map name, goal id, actions): a demo script as read, not yet replayed.
+DemoScript = tuple[str, str, int, list[Action]]
+
+
+@dataclass(eq=False)
 class Demo:
+    """A checked demo: its actions and its column in the demos' replay."""
+
     actions: list[Action]
-    trajectory: Trajectory
+    replay: Replay
+    column: int
+
+    @property
+    def trajectory(self) -> Trajectory:
+        """The demo as per-state objects, built each time it is read."""
+        return self.replay.trajectory(self.column)
+
+    def positions(self) -> np.ndarray:
+        """The voxels of states s_0..s_T, one (x, y, z) row each."""
+        replay = self.replay
+        return replay.physics.positions(replay.cell[: len(self.actions) + 1, self.column])
+
+    def bug_hits(self) -> tuple[tuple[int, ...], tuple[str, ...]]:
+        """(regions, kinds) of the bug regions the demo entered or climbed on."""
+        return self.replay.physics.bug_hits(int(self.replay.entered()[self.column]))
 
 
 @dataclass
@@ -209,10 +230,17 @@ class DemoSet:
     replay: Replay  # every demo's script, one column each
 
 
-def check_demos(scripts: list[tuple[str, str, int, list[Action]]], vmap: VoxelMap) -> DemoSet:
-    """Replay (source, map name, goal id, actions) scripts on ``vmap`` in one
-    lockstep batch. Each must name ``vmap`` and one of its goals, and reach a
-    goal; the error names the source of the first that does not."""
+def read_demos(paths: list[str | Path], vmap: VoxelMap) -> list[DemoScript]:
+    """Parse demo scripts and check that each names ``vmap`` and one of its
+    goals; nothing is replayed (``check_demos`` does that)."""
+    scripts = [(str(p), *load_demo_script(p)) for p in paths]
+    check_references(scripts, vmap)
+    return scripts
+
+
+def check_references(scripts: list[DemoScript], vmap: VoxelMap) -> None:
+    """There is a script, and each names ``vmap`` and one of its goals; the
+    error names the source of the first that does not."""
     if not scripts:
         raise DemoError("no demo files given")
     goal_ids = {g.id for g in vmap.goals}
@@ -223,22 +251,34 @@ def check_demos(scripts: list[tuple[str, str, int, list[Action]]], vmap: VoxelMa
             raise DemoReferenceError(
                 f"{source}: goal {goal_id} not in map {vmap.name} (has {sorted(goal_ids)})"
             )
+
+
+def check_replayed(scripts: list[DemoScript], replay: Replay, first: int = 0) -> None:
+    """Each script, played in column ``first + i`` of ``replay``, reaches a
+    goal; the error names the source of the first that does not."""
+    ends = replay.first_goal()[first : first + len(scripts)]
+    for (source, *_), end in zip(scripts, ends.tolist()):
+        if end < 0:
+            name = replay.physics.map.name
+            raise DemoReplayError(f"{source}: script never reaches a goal on map {name}")
+
+
+def check_demos(scripts: list[DemoScript], vmap: VoxelMap) -> DemoSet:
+    """Check the references of ``scripts`` and replay them on ``vmap`` in one
+    lockstep batch. Each must reach a goal without being squeezed by a
+    platform; the error names the source of the first that does not."""
+    check_references(scripts, vmap)
     try:
         replay = Physics(vmap).replay([actions for *_, actions in scripts])
     except PhysicsError as e:
         raise DemoReplayError(f"{scripts[e.agent][0]}: {e}") from e
-    demos = []
-    for i, (source, *_, actions) in enumerate(scripts):
-        traj = replay.trajectory(i)
-        if not traj.reached_goal:
-            raise DemoReplayError(f"{source}: script never reaches a goal on map {vmap.name}")
-        demos.append(Demo(list(actions), traj))
-    return DemoSet(demos, replay)
+    check_replayed(scripts, replay)
+    return DemoSet([Demo(list(s[-1]), replay, i) for i, s in enumerate(scripts)], replay)
 
 
 def load_demos(paths: list[str | Path], vmap: VoxelMap) -> DemoSet:
     """Load demo scripts for ``vmap`` and check them all in one lockstep replay."""
-    return check_demos([(str(p), *load_demo_script(p)) for p in paths], vmap)
+    return check_demos(read_demos(paths, vmap), vmap)
 
 
 def demo_pairs(

@@ -12,7 +12,6 @@ ignored.
 
 from __future__ import annotations
 
-import json
 import reprlib
 from importlib import resources
 from pathlib import Path
@@ -201,7 +200,7 @@ def load_map(path: str | Path) -> VoxelMap:
 
 
 def save_map(vmap: VoxelMap, path: str | Path) -> None:
-    nn.write_atomic(path, json.dumps(map_to_dict(vmap), indent=1, sort_keys=True) + "\n")
+    nn.write_atomic(path, nn.json_text(map_to_dict(vmap)) + "\n")
 
 
 def save_demo_script(

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -664,6 +665,80 @@ def write_atomic(path: str | Path, data: bytes | str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+_json_str = json.encoder.encode_basestring_ascii  # the C encoder where CPython has it
+
+
+def _json_float(v: float) -> str:
+    if math.isfinite(v):
+        return float.__repr__(v)
+    return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+
+
+# The text of a scalar by its exact type. A subclass (IntEnum, np.float64) is
+# written as its base type, as json does.
+_JSON_SCALARS = {
+    str: _json_str,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_json_scalar = _JSON_SCALARS.get
+
+
+def _json_text(v, newline: str) -> str:
+    """The JSON text of ``v``, which is not of an exact scalar type, as a
+    value that starts on a line indented by ``newline``."""
+    inner = newline + " "
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        parts = [
+            e(item) if (e := _json_scalar(type(item))) else _json_text(item, inner) for item in v
+        ]
+        return f"[{inner}{(',' + inner).join(parts)}{newline}]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        parts = [
+            f"{_json_str(key) if type(key) is str else _json_key(key)}: "
+            f"{e(item) if (e := _json_scalar(type(item))) else _json_text(item, inner)}"
+            for key, item in sorted(v.items())
+        ]
+        return f"{{{inner}{(',' + inner).join(parts)}{newline}}}"
+    if (text := _json_base(v)) is not None:
+        return text
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _json_base(v) -> str | None:
+    """The text of an instance of a str, int or float subclass, else None."""
+    for base in (str, int, float):
+        if isinstance(v, base):
+            return _JSON_SCALARS[base](v)
+    return None
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _json_str(key)
+    e = _json_scalar(type(key))
+    if (text := e(key) if e else _json_base(key)) is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return _json_str(text)
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, indent=1, sort_keys=True)``, character for
+    character, and a TypeError wherever that raises one. An ``indent`` turns
+    json's C encoder off, and its pure-Python encoder takes about twice as
+    long; this one walk joins each container's items and encodes strings
+    with the C string encoder. Unlike json.dumps it does not look for
+    reference cycles (a cycle recurses until RecursionError)."""
+    e = _json_scalar(type(value))
+    return e(value) if e else _json_text(value, "\n")
 
 
 def read_json_object(path: str | Path, error: type[Exception]) -> dict:

@@ -624,9 +624,7 @@ class Trainer:
             "profile": cfg.profile,
             "map": self.map.name,
         }
-        nn.write_atomic(
-            run_dir / "manifest.json", json.dumps(manifest, indent=1, sort_keys=True) + "\n"
-        )
+        nn.write_atomic(run_dir / "manifest.json", nn.json_text(manifest) + "\n")
         started = time.time()
 
         log = TrajectoryLog(run_dir / "dataset.jsonl")

@@ -25,8 +25,11 @@ holds a value of the wrong type, or does not hold one more position than
 actions is a TriageError naming the dataset and the record. Both paths give
 the same columns, and export reads EXPORT_FIELDS the same way.
 Triage then replays the action column and the demos in one lockstep
-simulator call and compares every stored position with the replay in one
-array comparison; a divergence names the first diverging record.
+simulator call. The demos are parsed and their map and goal checked first,
+but not replayed on their own: the lockstep call's demo columns get the
+replay checks that ``check_demos`` makes, with its errors. Every stored
+position is compared with the replay in one array comparison; a divergence
+names the first diverging record.
 
 A state's novelty depends on the state alone, and goal prefixes share most
 of their states. The replay's goal-prefix states are numbered in one
@@ -37,9 +40,10 @@ episode. Each score sums its prefix's per-state values in prefix order, so
 it equals scoring each trajectory on its own, state by state; the tests
 check this bit for bit.
 
-The report is built as the plain JSON object that ``write_report`` writes,
-and ``read_report`` returns that same shape after checking its keys and the
-types of the values that ``report`` and ``export`` read.
+The report is built as the plain JSON object that ``write_report`` writes
+with ``nn.json_text``, and ``read_report`` returns that same shape after
+checking its keys and the types of the values that ``report`` and
+``export`` read.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from . import nn
 from .config import TrainConfig, resolve_path
 from .curiosity import RNDPair
 from .encode import ObservationEncoder, agent_info
-from .imitation import load_demos
+from .imitation import DemoScript, check_demos, check_replayed, read_demos
 from .mapio import load_map
 from .trainer import INT, INTS, REAL, Columns, TrajectoryLog, TriageError, key_problem
 from .world import Action, Physics, PhysicsError, VoxelMap
@@ -91,30 +95,37 @@ def score_records(
     vmap: VoxelMap,
     rnd: RNDPair,
     encoder: ObservationEncoder,
-    demo_scripts: list[list[int]],
+    demos: list[DemoScript],
     max_rows: int,
 ) -> tuple[list[dict], list[float], int]:
     """Replay every record (TRIAGE_FIELDS columns, as a projected read
-    returns them) and demo script in one lockstep batch, check every stored
-    position against the replay, then score the records and the demos from
-    one table of their distinct goal-prefix states.
+    returns them) and demo script (as ``read_demos`` returns them) in one
+    lockstep batch. Check the demos as ``check_demos`` checks them and every
+    stored position against the replay, then score the records and the
+    demos from one table of their distinct goal-prefix states.
 
     Each distinct state is scored once, in RND calls of at most ``max_rows``
     rows. Returns (record scores, demo scores, distinct replayed positions).
     """
     physics = Physics(vmap)
     n, traj_ids = len(records), records["id"]
-    demo_lengths = np.array([len(s) for s in demo_scripts], np.int64)
+    demo_lengths = np.array([len(s[-1]) for s in demos], np.int64)
     lengths = np.concatenate([records.lengths["actions"], demo_lengths])
     played = np.arange(lengths.max(initial=0))[:, None] < lengths  # (T, N)
     actions = np.full(played.shape, Action.WAIT, np.uint8)
-    actions.T[played.T] = np.concatenate([records["actions"], *demo_scripts])
+    actions.T[played.T] = np.concatenate([records["actions"], *(s[-1] for s in demos)])
     try:
         replay = physics.replay(actions, lengths)
     except PhysicsError as e:
+        # The call stops at its first squeezed column, which may be a
+        # record's. A bad demo is still named first, and as training names
+        # it: by the demos' own replay, made only on this error path.
+        if demos:
+            check_demos(demos, vmap)
         if e.agent is not None and e.agent < n:
             raise TriageError(f"trajectory {traj_ids[e.agent]}: {e}") from e
         raise
+    check_replayed(demos, replay, first=n)
     # Every stored position at once, in dataset order: s_0..s_T of each record.
     stored = np.arange(len(replay.cell))[:, None] <= lengths[:n]
     replayed = physics.positions(replay.cell[:, :n].T[stored.T])
@@ -149,7 +160,8 @@ def score_records(
         for a, b, end in zip(starts, starts[1:], ends.tolist())
     ]
 
-    entered = replay.entered()[:n]
+    entered = replay.entered()[:n].tolist()
+    hits = {mask: physics.bug_hits(mask)[0] for mask in set(entered)}
     scores = [
         {
             "traj_id": tid,
@@ -157,11 +169,11 @@ def score_records(
             "reached_goal": end >= 0,
             "first_goal": end if end >= 0 else None,
             "rc_avg": rc_avg,
-            "bug_regions": list(physics.bug_hits(mask)[0]),
+            "bug_regions": list(hits[mask]),
             "demo": False,
         }
         for tid, alpha, end, rc_avg, mask in zip(
-            traj_ids.tolist(), records["alpha"].tolist(), ends.tolist(), averages, entered.tolist()
+            traj_ids.tolist(), records["alpha"].tolist(), ends.tolist(), averages, entered
         )
     ]
     demo_scores = [v for v in averages[n:] if v is not None]
@@ -299,12 +311,11 @@ def run_triage(
     if not records:
         raise TriageError(f"{data_path} holds no trajectories")
     demos = []
-    if cfg.demo_paths:
-        demos = load_demos([resolve_path(p) for p in cfg.demo_paths], vmap).demos
+    if cfg.demo_paths:  # replayed and checked in score_records' lockstep call
+        demos = read_demos([resolve_path(p) for p in cfg.demo_paths], vmap)
     try:
         scores, demo_scores, total_cov = score_records(
-            records, vmap, rnd, encoder,
-            [demo.actions for demo in demos], max_rows=cfg.episode_length + 1,
+            records, vmap, rnd, encoder, demos, max_rows=cfg.episode_length + 1
         )
     except TriageError as e:  # each names a record of the dataset
         raise TriageError(f"{data_path}: {e}") from e
@@ -317,7 +328,7 @@ def run_triage(
 def write_report(run_dir: str | Path, report: dict) -> Path:
     """Write ``report`` as the run's ``triage_report.json``; returns its path."""
     path = Path(run_dir) / "triage_report.json"
-    nn.write_atomic(path, json.dumps(report, indent=1, sort_keys=True) + "\n")
+    nn.write_atomic(path, nn.json_text(report) + "\n")
     return path
 
 

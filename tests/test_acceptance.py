@@ -338,11 +338,11 @@ def test_criterion_02_formula_oracles(tmp_path):
         enc = ObservationEncoder(vmap, L=7)
         from voxhunt.mapio import load_demo_script
 
-        _, _, actions = load_demo_script(DEMO_PATHS[0])
-        traj = play_script(vmap, actions)
+        script = (DEMO_PATHS[0], *load_demo_script(DEMO_PATHS[0]))
+        traj = play_script(vmap, script[-1])
         T = traj.first_goal_state_index
         no_records = Columns.of([], TRIAGE_FIELDS)
-        _, [got], _ = score_records(no_records, vmap, pair, enc, [actions], max_rows=T + 1)
+        _, [got], _ = score_records(no_records, vmap, pair, enc, [script], max_rows=T + 1)
         hand = 0.0
         for t in range(T + 1):
             s = traj.states[t]

@@ -11,9 +11,10 @@ import pytest
 
 import voxhunt
 from voxhunt.cli import main
-from voxhunt.mapio import fixture_path
+from voxhunt.mapio import fixture_path, save_demo_script
 from voxhunt.trainer import TrajectoryLog, TriageError
 from voxhunt.triage import TRIAGE_FIELDS
+from voxhunt.world import Action, Physics, Replay
 
 
 @pytest.fixture
@@ -457,6 +458,60 @@ class TestRunFilesChecked:
         assert "Traceback" not in err
         assert (run / "triage_report.json").read_bytes() == report
         assert not (run / "trajectories.tsv").exists()
+
+
+class TestTriageDemoChecks:
+    """Triage checks the demos on the one lockstep replay of the records, and
+    a bad demo fails as training fails on it: exit 1, one error line naming
+    the demo file, no traceback and no report."""
+
+    def _naming(self, triaged_run, tmp_path, demo):
+        """A copy of the run, without its report, whose config names ``demo``."""
+        run = tmp_path / "run"
+        shutil.copytree(triaged_run, run)
+        (run / "triage_report.json").unlink()
+        cfg = json.loads((run / "config.json").read_text())
+        (run / "config.json").write_text(json.dumps({**cfg, "demo_paths": [str(demo)]}))
+        return run
+
+    def _fails(self, run, want, capsys):
+        capsys.readouterr()
+        assert main(["triage", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {want}\n" in err
+        assert "Traceback" not in err
+        assert not (run / "triage_report.json").exists()
+
+    def test_demo_missing_its_goal(self, triaged_run, tmp_path, capsys):
+        demo = tmp_path / "waits.txt"
+        save_demo_script(demo, "testmap_area1", 0, [Action.WAIT] * 5)
+        run = self._naming(triaged_run, tmp_path, demo)
+        self._fails(run, f"{demo}: script never reaches a goal on map testmap_area1", capsys)
+
+    def test_demo_for_another_map(self, triaged_run, tmp_path, capsys):
+        demo = fixture_path("demo_area2_1.txt")
+        run = self._naming(triaged_run, tmp_path, demo)
+        self._fails(run, f"{demo}: demo is for map 'testmap_area2', not 'testmap_area1'", capsys)
+
+    def test_one_replay_and_no_per_state_objects(self, triaged_run, tmp_path, monkeypatch):
+        run = tmp_path / "run"
+        shutil.copytree(triaged_run, run)
+        replays = []
+        replay = Physics.replay
+
+        def counted(self, *args, **kwargs):
+            replays.append(args)
+            return replay(self, *args, **kwargs)
+
+        def refused(self, i):
+            raise AssertionError("triage built a per-state Trajectory")
+
+        monkeypatch.setattr(Physics, "replay", counted)
+        monkeypatch.setattr(Replay, "trajectory", refused)
+        assert main(["triage", str(run)]) == 0
+        assert len(replays) == 1
+        report = (run / "triage_report.json").read_bytes()
+        assert report == (triaged_run / "triage_report.json").read_bytes()
 
 
 class TestThresholdFlags:

@@ -1,11 +1,14 @@
 """Numerical core: forward oracles, analytic vs finite-difference gradients,
 optimizer behavior, parameter file round trips."""
 
+import json
+import math
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voxhunt import nn
 from voxhunt.config import Profile, TrainConfig
@@ -15,6 +18,7 @@ from voxhunt.imitation import AMPModule, Discriminator, ImitationConfig, one_hot
 from voxhunt.mapio import fixture_path
 from voxhunt.policy import N_ACTIONS, make_critic_net, make_policy_net
 from voxhunt.trainer import Trainer
+from voxhunt.world import Action
 
 from .oracles import (
     assert_grads_close,
@@ -663,3 +667,56 @@ class TestSerialization:
         path.write_bytes(b"hello world, this is not binary params")
         with pytest.raises(nn.ParamsFormatError, match="magic"):
             nn.load_params(path)
+
+
+# Strings with quotes, backslashes, control and non-ASCII characters.
+json_strings = st.one_of(
+    st.text(), st.sampled_from(["", "\x00\x1f\"\\/", "é☃😀", "\u2028\ud800"])
+)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(),  # nan, ±inf, -0.0 and subnormals included
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64),  # a float subclass
+    st.sampled_from(list(Action)),  # an int subclass
+    json_strings,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),  # dataclasses.asdict keeps tuples
+        st.dictionaries(json_strings, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonText:
+    """nn.json_text writes what json.dumps(indent=1, sort_keys=True) writes."""
+
+    @given(value=json_values)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, value):
+        assert nn.json_text(value) == json.dumps(value, indent=1, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{2: "b", -1: "a"}, {0.5: 1, float("inf"): 2, -0.0: 3}, {True: 1, False: 2}, {None: []}],
+    )
+    def test_non_str_keys_match_json_dumps(self, value):
+        assert nn.json_text(value) == json.dumps(value, indent=1, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{1, 2}, b"bytes", np.int64(3), [np.int64(3)], {"a": {"b": 1j}}, object(),
+         {(1, 2): 3}, {1: 0, "a": 1}],
+    )
+    def test_raises_type_error_where_json_dumps_does(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=1, sort_keys=True)
+        with pytest.raises(TypeError):
+            nn.json_text(value)

@@ -15,7 +15,7 @@ from voxhunt.cli import main
 from voxhunt.config import Profile, TrainConfig, resolve_path
 from voxhunt.curiosity import CuriosityConfig, RNDPair
 from voxhunt.encode import ObservationEncoder
-from voxhunt.imitation import load_demos
+from voxhunt.imitation import DemoReplayError, check_demos, load_demos
 from voxhunt.mapio import fixture_path, load_map, save_demo_script
 from voxhunt.trainer import (
     INDEX_FORMAT,
@@ -45,6 +45,7 @@ from voxhunt.triage import (
 from voxhunt.world import Action, play_script
 
 from .oracles import parse_export, score_trajectory, state_curiosity
+from .test_world import squeeze_script, two_platform_map
 
 
 def synth_score(i, alpha, reached=True, rc=0.5, bugs=()):
@@ -702,6 +703,29 @@ class TestDivergence:
             run_triage(run)
         first = records[min(edited)[0]]["id"]
         assert str(e.value) == f"{path}: trajectory {first}: replay diverged from stored positions"
+
+
+class TestSqueezedDemo:
+    def test_named_as_check_demos_names_it_before_any_record(self):
+        """A squeeze stops the lockstep replay at its first squeezed column,
+        here a record's; triage still names the demo, with check_demos' error."""
+        vmap = two_platform_map()
+        script = [int(a) for a in squeeze_script(vmap)] + [int(Action.WAIT)]
+        demo = ("squeezed.txt", vmap.name, 0, script)
+        with pytest.raises(DemoReplayError) as want:
+            check_demos([demo], vmap)
+        # The same script as a record: the lockstep call stops at its column.
+        positions = [[1, 1, 1]] * (len(script) + 1)
+        record = {"id": 7, "alpha": 0.5, "actions": script, "positions": positions}
+        records = Columns.of([record], TRIAGE_FIELDS)
+        rnd = RNDPair(Profile(), CuriosityConfig(), *map(np.random.default_rng, (0, 1)))
+        enc = ObservationEncoder(vmap, L=7)
+        with pytest.raises(DemoReplayError) as got:
+            score_records(records, vmap, rnd, enc, [demo], max_rows=len(script) + 1)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("squeezed.txt: agent at ")
+        with pytest.raises(TriageError, match="^trajectory 7: agent at .* squeezed by platform"):
+            score_records(records, vmap, rnd, enc, [], max_rows=len(script) + 1)
 
 
 class TestExport:
