@@ -8,21 +8,22 @@ files -- reported before any side effect), 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from pathlib import Path
 
-from . import nn
+from . import nn, rundir
 from .config import PROFILES, ConfigError, TrainConfig, resolve_path
 from .imitation import check_demos, load_demos
 from .mapio import load_map, read_script, save_demo_script
-from .trainer import TrainingDiverged, TrajectoryLog, fresh_dir, run_training
+from .rundir import TrajectoryLog, TriageError, fresh_dir
+from .trainer import TrainingDiverged, run_training
 from .triage import (
     EXPORT_FIELDS,
     EXPORT_OPTIONAL,
-    TriageError,
     export_trajectories,
     read_report,
     run_triage,
@@ -143,9 +144,9 @@ def cmd_report(args) -> int:
 
 def cmd_export(args) -> int:
     run_dir = Path(args.run_dir)
-    records = TrajectoryLog.read(run_dir / "dataset.jsonl", EXPORT_FIELDS, EXPORT_OPTIONAL)
+    records = TrajectoryLog.read(run_dir / rundir.DATASET, EXPORT_FIELDS, EXPORT_OPTIONAL)
     report = None
-    if args.theta_only or (run_dir / "triage_report.json").exists():
+    if args.theta_only or (run_dir / rundir.REPORT).exists():
         report = read_report(run_dir)
     only_ids = set(report["theta"]) if args.theta_only else None
     rc_by_id = {s["traj_id"]: s["rc_avg"] for s in report["scores"]} if report else {}
@@ -156,7 +157,7 @@ def cmd_export(args) -> int:
         if cfg.demo_paths:  # map name and goal checked as training and triage check them
             loaded = load_demos([resolve_path(p) for p in cfg.demo_paths], vmap).demos
             demos = [(Path(p).stem, d.positions().tolist()) for p, d in zip(cfg.demo_paths, loaded)]
-    out = Path(args.out) if args.out else run_dir / "trajectories.tsv"
+    out = Path(args.out) if args.out else run_dir / rundir.EXPORT
     n = export_trajectories(records, rc_by_id, out, only_ids=only_ids, demos=demos)
     print(json.dumps({"file": str(out), "trajectories": n}, sort_keys=True))
     return 0
@@ -178,17 +179,9 @@ def cmd_demo_record(args) -> int:
     # the checks training runs on a demo file, before the file is written
     demo = check_demos([(args.actions, vmap.name, args.goal, actions)], vmap).demos[0]
     save_demo_script(args.out, vmap.name, args.goal, actions)
-    print(
-        json.dumps(
-            {
-                "file": args.out,
-                "map": vmap.name,
-                "steps": len(actions),
-                "bug_regions_entered": list(demo.bug_hits()[0]),
-            },
-            sort_keys=True,
-        )
-    )
+    summary = {"file": args.out, "map": vmap.name, "steps": len(actions)}
+    summary["bug_regions_entered"] = list(demo.bug_hits()[0])
+    print(json.dumps(summary, sort_keys=True))
     return 0
 
 
@@ -252,7 +245,7 @@ def cmd_ablate_encoding(args) -> int:
     lines = ["series\tsteps\tcoverage"]
     finals = {}
     for name, _ in ENCODING_VARIANTS:
-        for rec in TrajectoryLog.read(out_dir / name / "metrics.jsonl"):
+        for rec in TrajectoryLog.read(out_dir / name / rundir.METRICS):
             lines.append(f"{name}\t{rec['env_steps']}\t{rec['coverage']}")
             finals[name] = rec["coverage"]
     if finals.get("full", 0) < finals.get("normalized", 0):
@@ -264,7 +257,9 @@ def cmd_ablate_encoding(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="voxhunt",
         description="Train exploring playtest agents on voxel maps and triage "

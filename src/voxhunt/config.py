@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import nn
+from . import nn, rundir
 from .curiosity import CuriosityConfig
 from .imitation import ImitationConfig
 from .policy import PPOConfig
@@ -215,7 +215,7 @@ class TrainConfig:
     def from_run_dir(cls, run_dir: str | Path) -> "TrainConfig":
         """A run directory's ``config.json``, minus fields retired since it was
         written; ConfigError names the file and each field ``validate`` rejects."""
-        path = Path(run_dir) / "config.json"
+        path = Path(run_dir) / rundir.CONFIG
         cfg = cls.from_json_file(path, retired=RETIRED)
         problems = cfg.validate()
         if problems:

@@ -611,13 +611,6 @@ class Net:
             "layers": {name: layer.descriptor() for name, layer in self.layers.items()},
         }
 
-    def param_bytes(self) -> bytes:
-        buf = io.BytesIO()
-        for name in sorted(self.params()):
-            buf.write(name.encode())
-            buf.write(np.ascontiguousarray(self.params()[name]).tobytes())
-        return buf.getvalue()
-
     def save(self, path: str | Path) -> None:
         save_params(path, self.descriptor(), self.params())
 

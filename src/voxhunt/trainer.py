@@ -1,6 +1,6 @@
 """The training loop: per-episode exploration dial, combined step rewards,
-lockstep rollout collection, module updates, and an append-only trajectory
-dataset on disk.
+lockstep rollout collection, module updates, and the records each iteration
+appends to the run's dataset (whose format, like the run directory, is ``rundir``'s).
 
 Every episode samples a dial value alpha in [0, 1] that stays fixed for the
 whole episode and is part of the observation. The step reward is
@@ -15,17 +15,14 @@ file alone.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
-import warnings
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from . import nn
+from . import nn, rundir
 from .config import TrainConfig, resolve_path
 from .curiosity import RNDPair
 from .encode import ObservationEncoder
@@ -39,13 +36,8 @@ from .policy import (
     make_critic_net,
     make_policy_net,
 )
-from .world import GOAL_REWARD, Action, Physics, Replay, VoxelMap, first_seen
-
-FORMAT_VERSION = 1
-
-
-class TriageError(Exception):
-    """A run directory cannot be read back for triage or export."""
+from .rundir import TrajectoryLog
+from .world import GOAL_REWARD, Physics, Replay, VoxelMap, first_seen
 
 
 class TrainingDiverged(Exception):
@@ -60,11 +52,6 @@ def sample_alpha(rng: np.random.Generator) -> float:
 def combine_reward(r_c, r_i, r_e, alpha):
     """Exact affine mix: alpha * r_c + (1 - alpha) * r_i + r_e."""
     return alpha * r_c + (1.0 - alpha) * r_i + r_e
-
-
-def fresh_dir(path: Path) -> bool:
-    """Whether a run can be written at ``path``: it is missing or an empty directory."""
-    return not path.exists() or (path.is_dir() and not any(path.iterdir()))
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -106,304 +93,6 @@ class Rollout:
         """RND inputs of the given states (all, or e.g. the next states), one row each."""
         f = self.features
         return {"pos": _rows(f["pos_pe"][:, states]), "info": _rows(f["info"][:, states])}
-
-
-def _ints(values) -> bool:
-    return set(map(type, values)) <= {int}  # a bool is not an int here
-
-
-INT = ("an int", lambda v: type(v) is int)
-REAL = ("a real number", lambda v: type(v) in (int, float))
-INTS = ("a list of ints", lambda v: type(v) is list and _ints(v))
-
-# What each dataset field a reader keeps must hold, and the test for it.
-FIELD_TYPES = {
-    "id": INT,
-    "alpha": REAL,
-    "reached_goal": ("a bool", lambda v: type(v) is bool),
-    "positions": (
-        "a list of [x, y, z] int lists",
-        lambda v: type(v) is list
-        and set(map(type, v)) <= {list}
-        and set(map(len, v)) <= {3}
-        and _ints(chain.from_iterable(v)),
-    ),
-    "bug_regions": INTS,
-    "actions": (
-        f"a list of action ids 0..{len(Action) - 1}",
-        lambda v: type(v) is list and _ints(v) and (not v or 0 <= min(v) <= max(v) < len(Action)),
-    ),
-}
-
-
-def key_problem(doc: dict, required, types: dict, noun: str) -> str | None:
-    """What is wrong with ``doc``, if anything: the ``required`` keys it
-    lacks, else the first of its keys in ``types`` whose value fails the test."""
-    missing = [k for k in required if k not in doc]
-    if missing:
-        return f"missing {noun} {', '.join(missing)}"
-    bad = next((k for k in doc if k in types and not types[k][1](doc[k])), None)
-    return bad and f"{noun} {bad} is not {types[bad][0]}"
-
-
-def _record_problem(record: dict, fields: tuple[str, ...], index: int) -> str | None:
-    """key_problem of a kept dataset record, or positions that are not one
-    more than its actions, named by its id (or ``index`` if the id is bad)."""
-    problem = key_problem(record, fields, FIELD_TYPES, "field")
-    if not problem and {"actions", "positions"} <= record.keys():
-        n, m = len(record["positions"]), len(record["actions"])
-        problem = f"{n} positions for {m} actions" if n != m + 1 else None
-    name = f"trajectory {record['id']}" if type(record.get("id")) is int else f"record {index}"
-    return problem and f"{name}: {problem}"
-
-
-# The dataset index: the FIELD_TYPES fields of every record as typed
-# columns, in a file beside the log (``index_path``). Per field, the dtype of
-# its values and, for a list field, the shape of one element (None: one value
-# per record).
-INDEX_COLUMNS = {
-    "id": ("<i8", None),
-    "alpha": ("<f8", None),
-    "reached_goal": ("|b1", None),
-    "actions": ("|u1", ()),
-    "positions": ("<i2", (3,)),  # a map wider than 32767 voxels gets no index
-    "bug_regions": ("<i8", ()),
-}
-# An index's first line names this layout, so one written for another
-# layout never reads as this one.
-INDEX_FORMAT = f"voxhunt dataset index {json.dumps(INDEX_COLUMNS)}\n".encode()
-
-
-def index_path(log_path: str | Path) -> Path:
-    """Where the index of the log at ``log_path`` lives: dataset.jsonl -> dataset.index."""
-    return Path(log_path).with_suffix(".index")
-
-
-def _file_sha256(path: str | Path) -> str:
-    """The sha256 of the file at ``path``, read in 256 KiB chunks so memory
-    stays flat (``hashlib.file_digest`` needs Python 3.11; 1 MiB chunks
-    raised a triage pass's peak RSS by ≈0.9 MB)."""
-    sha, buf = hashlib.sha256(), bytearray(1 << 18)
-    with open(path, "rb", buffering=0) as fh:
-        while n := fh.readinto(buf):
-            sha.update(memoryview(buf)[:n])
-    return sha.hexdigest()
-
-
-def _index_row(record: dict) -> list[bytes] | None:
-    """``record``'s part of each index column, two per INDEX_COLUMNS field
-    (a list field's length, then its values), or None when the record has a
-    _record_problem or a value would not read back as the same JSON value
-    (an int alpha, an int outside its column's dtype)."""
-    if _record_problem(record, tuple(INDEX_COLUMNS), 0):
-        return None
-    parts = []
-    for k, (dtype, item) in INDEX_COLUMNS.items():
-        value = record[k]
-        try:
-            column = np.asarray(value, dtype)
-        except OverflowError:  # NumPy 2 refuses an int out of range; 1.x wraps it
-            return None
-        back = column.tolist()
-        if type(back) is not type(value) or back != value:
-            return None
-        length = b"" if item is None else len(value).to_bytes(8, "little")
-        parts += [length, column.tobytes()]
-    return parts
-
-
-@dataclass(frozen=True)
-class Columns:
-    """Dataset fields of ``n`` records, in record order, as a projected
-    ``TrajectoryLog.read`` returns them: ``values[k]`` holds a scalar field's
-    n values, or a list field's values of every record end to end (positions
-    as rows of 3), and ``lengths[k]`` a list field's count per record. A
-    column has its INDEX_COLUMNS dtype, or is an object array of the decoded
-    JSON values when one does not fit it (an id beyond int64, a position
-    beyond int16; such a dataset has no index)."""
-
-    n: int
-    values: dict[str, np.ndarray]
-    lengths: dict[str, np.ndarray]
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, field: str) -> np.ndarray:
-        return self.values[field]
-
-    def split(self, field: str) -> list[list]:
-        """A list field's values as one Python list per record."""
-        values, ends = self.values[field].tolist(), np.cumsum(self.lengths[field]).tolist()
-        return [values[a:b] for a, b in zip([0, *ends], ends)]
-
-    @classmethod
-    def of(cls, records: list[dict], fields: tuple[str, ...], optional=()) -> Columns:
-        """``records``, each holding ``fields`` with values that pass their
-        FIELD_TYPES test, as columns; a record lacking one of the ``optional``
-        list fields holds it empty."""
-        values, lengths = {}, {}
-        for k in (*fields, *optional):
-            dtype, item = INDEX_COLUMNS[k]
-            if item is None:
-                values[k] = _column([r[k] for r in records], dtype, ())
-                continue
-            parts = [r.get(k, ()) for r in records]
-            lengths[k] = np.array([len(p) for p in parts], "<i8")
-            values[k] = _column(list(chain.from_iterable(parts)), dtype, item)
-        return cls(len(records), values, lengths)
-
-
-def _column(values: list, dtype: str, item: tuple[int, ...]) -> np.ndarray:
-    """``values``, each of shape ``item``, as an array of ``dtype`` when
-    every number fits it (an int alpha reads as a float), else as an array
-    of the values themselves."""
-    numbers = chain.from_iterable(values) if item else values
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)  # NumPy 1.x wraps an int out of range
-            column = np.fromiter(numbers, dtype, len(values) * int(np.prod(item)))
-    except (OverflowError, DeprecationWarning):  # NumPy 2 refuses it
-        return np.array(values, object)
-    return column.reshape(-1, *item)
-
-
-def _read_index(path: Path, keep: tuple[str, ...]) -> Columns | None:
-    """The fields ``keep`` of every record of the log at ``path``, as
-    read-only column views of its index; None when the index is absent,
-    damaged (its checksum) or stale (it was not written for these bytes)."""
-    try:
-        blob = index_path(path).read_bytes()
-    except OSError:
-        return None
-    start = len(INDEX_FORMAT) + 65  # the format line, then the body's sha256 line
-    body = memoryview(blob)[start:]
-    if blob[:start] != INDEX_FORMAT + hashlib.sha256(body).hexdigest().encode() + b"\n":
-        return None
-    end = blob.index(b"\n", start) + 1
-    tie = json.loads(blob[start:end])  # the log's line count and sha256
-    if tie["sha256"] != _file_sha256(path):
-        return None
-    n, offset, values, lengths = tie["lines"], end, {}, {}
-
-    def take(dtype: str, count: int) -> np.ndarray:
-        nonlocal offset
-        column = np.frombuffer(blob, dtype, count, offset)
-        offset += column.nbytes
-        return column
-
-    for k, (dtype, item) in INDEX_COLUMNS.items():
-        if item is None:
-            values[k] = take(dtype, n)
-            continue
-        lengths[k] = take("<i8", n)
-        values[k] = take(dtype, int(lengths[k].sum()) * int(np.prod(item))).reshape(-1, *item)
-    return Columns(n, {k: values[k] for k in keep}, {k: lengths[k] for k in keep if k in lengths})
-
-
-class TrajectoryLog:
-    """Append-only JSONL file, one sorted-key object per line: a run's dataset or metrics.
-
-    A log keeps the INDEX_COLUMNS fields of its records as columns while
-    every record can be held in them exactly, and ``close`` writes them to
-    ``index_path`` when the file then holds exactly the appended lines (a
-    log that began on a non-empty file gets none). The index is derived
-    data: opening a log removes any old one, and ``read`` takes it only
-    when it is intact and matches the file's bytes, and decodes the JSONL
-    in every other case, so a missing, stale or damaged index never changes
-    a result.
-    """
-
-    def __init__(self, path: Path):
-        self.path = Path(path)
-        self.count = 0
-        self._fh = open(self.path, "ab")
-        index_path(self.path).unlink(missing_ok=True)
-        # The index columns in _index_row's order (≈0.95 KB per 128-step
-        # record); None once a record cannot be held exactly in them. A log
-        # that began non-empty fails close's check that the file holds
-        # exactly the appended bytes.
-        self._columns = [bytearray() for _ in range(2 * len(INDEX_COLUMNS))]
-        self._sha = hashlib.sha256()  # of the appended bytes
-
-    def append(self, record: dict) -> None:
-        line = (json.dumps(record, sort_keys=True) + "\n").encode()
-        self._fh.write(line)
-        self.count += 1
-        if self._columns is not None:
-            parts = _index_row(record)
-            if parts is None:
-                self._columns = None
-                return
-            for column, part in zip(self._columns, parts):
-                column += part
-            self._sha.update(line)
-
-    def flush(self) -> None:
-        self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
-        if self._columns is None or not self.count:
-            return
-        tie = {"lines": self.count, "sha256": self._sha.hexdigest()}
-        if _file_sha256(self.path) != tie["sha256"]:
-            return  # the file holds more or other than the appended lines
-        body = (json.dumps(tie, sort_keys=True) + "\n").encode() + b"".join(self._columns)
-        checksum = hashlib.sha256(body).hexdigest().encode()
-        nn.write_atomic(index_path(self.path), INDEX_FORMAT + checksum + b"\n" + body)
-
-    @staticmethod
-    def read(
-        path: str | Path, fields: tuple[str, ...] | None = None, optional: tuple[str, ...] = ()
-    ) -> list[dict] | Columns:
-        """Every record in the file, in order; a missing file, a line that is
-        not UTF-8, a torn line, or a line that is not a JSON object is a
-        TriageError naming the path.
-
-        With ``fields`` (dataset fields, FIELD_TYPES keys) the read is
-        projected and returns Columns of ``fields`` and ``optional`` (list
-        fields, empty where a record lacks one). They come from the log's
-        index when that is intact and was written for these bytes (every
-        record then passed _record_problem as it was appended). Otherwise
-        each record of the JSONL keeps only those fields as soon as it is
-        decoded, a _record_problem is a TriageError, and the checked records
-        are packed into the same columns."""
-        if fields is not None:
-            keep = (*fields, *optional)
-            if unknown := [k for k in keep if k not in INDEX_COLUMNS]:
-                raise ValueError(f"not dataset fields: {', '.join(unknown)}")
-            if scalar := [k for k in optional if INDEX_COLUMNS[k][1] is None]:
-                raise ValueError(f"only a list field can be optional: {', '.join(scalar)}")
-        if not Path(path).exists():
-            raise TriageError(f"missing dataset: {path}")
-        if fields is not None and (columns := _read_index(Path(path), keep)) is not None:
-            return columns
-        records = []
-        with open(path, "rb") as fh:
-            for number, raw in enumerate(fh, start=1):
-                try:
-                    line = raw.decode().strip()
-                except UnicodeDecodeError as e:
-                    raise TriageError(
-                        f"{path}: line {number}: torn or malformed record (not UTF-8: {e.reason})"
-                    ) from e
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise TriageError(
-                        f"{path}: line {number}: torn or malformed record ({e.msg})"
-                    ) from e
-                if not isinstance(record, dict):
-                    raise TriageError(f"{path}: line {number}: record is not a JSON object")
-                if fields is not None:
-                    record = {k: record[k] for k in keep if k in record}
-                    if problem := _record_problem(record, fields, len(records) + 1):
-                        raise TriageError(f"{path}: {problem}")
-                records.append(record)
-        return records if fields is None else Columns.of(records, fields, optional)
 
 
 class Trainer:
@@ -603,32 +292,35 @@ class Trainer:
 
     def save_checkpoints(self, ckpt_dir: Path) -> None:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
-        self.policy.save(ckpt_dir / "policy.vxnp")
-        self.critic.save(ckpt_dir / "critic.vxnp")
+        nets = {"policy": self.policy, "critic": self.critic}
         if self.amp is not None:
-            self.amp.disc.save(ckpt_dir / "discriminator.vxnp")
-            self.rnd.target.save(ckpt_dir / "rnd_target.vxnp")
-            self.rnd.predictor.save(ckpt_dir / "rnd_predictor.vxnp")
+            nets.update(
+                discriminator=self.amp.disc,
+                rnd_target=self.rnd.target,
+                rnd_predictor=self.rnd.predictor,
+            )
+        for name, net in nets.items():
+            net.save(ckpt_dir / rundir.CHECKPOINT_FILES[name])
 
     def run(self) -> dict:
         cfg = self.cfg
         run_dir = self.run_dir
-        if not fresh_dir(run_dir):
+        if not rundir.fresh_dir(run_dir):
             raise FileExistsError(f"run directory exists and is not an empty directory: {run_dir}")
         run_dir.mkdir(parents=True, exist_ok=True)
-        nn.write_atomic(run_dir / "config.json", cfg.to_json() + "\n")
+        nn.write_atomic(run_dir / rundir.CONFIG, cfg.to_json() + "\n")
         manifest = {
-            "format_version": FORMAT_VERSION,
+            "format_version": rundir.FORMAT_VERSION,
             "config_hash": cfg.config_hash(),
             "seed": cfg.seed,
             "profile": cfg.profile,
             "map": self.map.name,
         }
-        nn.write_atomic(run_dir / "manifest.json", nn.json_text(manifest) + "\n")
+        nn.write_atomic(run_dir / rundir.MANIFEST, nn.json_text(manifest) + "\n")
         started = time.time()
 
-        log = TrajectoryLog(run_dir / "dataset.jsonl")
-        metrics_log = TrajectoryLog(run_dir / "metrics.jsonl")
+        log = TrajectoryLog(run_dir / rundir.DATASET)
+        metrics_log = TrajectoryLog(run_dir / rundir.METRICS)
         eval_rate = None
         stopped_early = False
         try:
@@ -636,9 +328,9 @@ class Trainer:
                 try:
                     metrics = self.train_iteration(it, log)
                 except nn.NonFiniteError as e:
-                    self.save_checkpoints(run_dir / "checkpoints")
+                    self.save_checkpoints(run_dir / rundir.CHECKPOINTS)
                     diag = {"iteration": it, "error": str(e)}
-                    nn.write_atomic(run_dir / "diagnostics.json", json.dumps(diag) + "\n")
+                    nn.write_atomic(run_dir / rundir.DIAGNOSTICS, json.dumps(diag) + "\n")
                     raise TrainingDiverged(f"iteration {it}: {e}") from e
                 if cfg.eval_every and (it + 1) % cfg.eval_every == 0:
                     eval_rate = self.evaluate(it)
@@ -655,11 +347,10 @@ class Trainer:
         finally:
             log.close()
             metrics_log.close()
-        self.save_checkpoints(run_dir / "checkpoints")
+        self.save_checkpoints(run_dir / rundir.CHECKPOINTS)
         # Wall-clock info lives outside the manifest so reruns stay bit-identical.
-        nn.write_atomic(
-            run_dir / "timing.json", json.dumps({"seconds": time.time() - started}) + "\n"
-        )
+        timing = json.dumps({"seconds": time.time() - started})
+        nn.write_atomic(run_dir / rundir.TIMING, timing + "\n")
         return {
             "run_dir": str(run_dir),
             "trajectories": log.count,

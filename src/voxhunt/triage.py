@@ -14,16 +14,12 @@ simulator, so triage needs only the run directory, never the training
 process.
 
 Triage reads only the dataset fields ``id``, ``alpha``, ``actions`` and
-``positions`` (TRIAGE_FIELDS) through ``TrajectoryLog.read``, as columns:
-one array per scalar field, and per list field one array of every record's
-values end to end with each record's count of them. When the run's
-``dataset.index`` is intact and was written for the dataset's bytes, the
-columns are views of it, and the records were checked as training appended
-them. Otherwise the read decodes ``dataset.jsonl``, drops every other field
-and checks each record as it reads it: one that lacks one of the four,
-holds a value of the wrong type, or does not hold one more position than
-actions is a TriageError naming the dataset and the record. Both paths give
-the same columns, and export reads EXPORT_FIELDS the same way.
+``positions`` (TRIAGE_FIELDS), and export its EXPORT_FIELDS, through
+``rundir.TrajectoryLog.read``: as ``rundir.Columns``, from the dataset's
+index when that matches the dataset's bytes, else from the JSONL, checked
+record by record. Both paths pack the records with ``Columns.of``, so they
+give the same columns, and a bad record is a TriageError naming the
+dataset and the record.
 Triage then replays the action column and the demos in one lockstep
 simulator call. The demos are parsed and their map and goal checked first,
 but not replayed on their own: the lockstep call's demo columns get the
@@ -48,19 +44,18 @@ checking its keys and the types of the values that ``report`` and
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
 import numpy as np
 
-from . import nn
+from . import nn, rundir
 from .config import TrainConfig, resolve_path
 from .curiosity import RNDPair
 from .encode import ObservationEncoder, agent_info
 from .imitation import DemoScript, check_demos, check_replayed, read_demos
 from .mapio import load_map
-from .trainer import INT, INTS, REAL, Columns, TrajectoryLog, TriageError, key_problem
+from .rundir import INT, INTS, REAL, Columns, TrajectoryLog, TriageError, key_problem
 from .world import Action, Physics, PhysicsError, VoxelMap
 
 REPORT_FORMAT_VERSION = 1
@@ -291,10 +286,11 @@ def run_triage(
 ) -> dict:
     """Pure post-process over a finished run directory; returns the report."""
     run_dir = Path(run_dir)
-    cfg_path = run_dir / "config.json"
-    data_path = run_dir / "dataset.jsonl"
-    ckpt_dir = run_dir / "checkpoints"
-    for p in (cfg_path, data_path, ckpt_dir / "rnd_target.vxnp", ckpt_dir / "rnd_predictor.vxnp"):
+    data_path = run_dir / rundir.DATASET
+    ckpt_dir = run_dir / rundir.CHECKPOINTS
+    target = ckpt_dir / rundir.CHECKPOINT_FILES["rnd_target"]
+    predictor = ckpt_dir / rundir.CHECKPOINT_FILES["rnd_predictor"]
+    for p in (run_dir / rundir.CONFIG, data_path, target, predictor):
         if not p.exists():
             raise TriageError(f"missing run artifact: {p}")
     cfg = TrainConfig.from_run_dir(run_dir)
@@ -304,8 +300,8 @@ def run_triage(
 
     rng = np.random.default_rng(0)
     rnd = RNDPair(profile, cfg.curiosity, rng, rng)
-    rnd.target.load(ckpt_dir / "rnd_target.vxnp")
-    rnd.predictor.load(ckpt_dir / "rnd_predictor.vxnp")
+    rnd.target.load(target)
+    rnd.predictor.load(predictor)
 
     records = TrajectoryLog.read(data_path, fields=TRIAGE_FIELDS)
     if not records:
@@ -327,25 +323,23 @@ def run_triage(
 
 def write_report(run_dir: str | Path, report: dict) -> Path:
     """Write ``report`` as the run's ``triage_report.json``; returns its path."""
-    path = Path(run_dir) / "triage_report.json"
+    path = Path(run_dir) / rundir.REPORT
     nn.write_atomic(path, nn.json_text(report) + "\n")
     return path
 
 
 def read_report(run_dir: str | Path) -> dict:
     """A finished run's ``triage_report.json``, in the shape ``run_triage``
-    returns; TriageError names the path and the first problem: a missing or
-    torn file, missing REPORT_KEYS, scores that are not a list of objects, a
-    score's missing SCORE_KEYS, a value failing REPORT_TYPES or SCORE_TYPES,
-    or a theta id whose score has no real rc_avg."""
-    path = Path(run_dir) / "triage_report.json"
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError as e:
-        raise TriageError(f"no triage report at {path}; run `voxhunt triage` first") from e
-    except json.JSONDecodeError as e:
-        raise TriageError(f"{path}: torn or malformed report ({e.msg})") from e
-    if not isinstance(doc, dict) or doc.get("format_version") != REPORT_FORMAT_VERSION:
+    returns; TriageError names the path and the first problem: a missing
+    file, one that ``nn.read_json_object`` rejects (unreadable, not UTF-8,
+    torn, not an object), missing REPORT_KEYS, scores that are not a list of
+    objects, a score's missing SCORE_KEYS, a value failing REPORT_TYPES or
+    SCORE_TYPES, or a theta id whose score has no real rc_avg."""
+    path = Path(run_dir) / rundir.REPORT
+    if not path.exists():
+        raise TriageError(f"no triage report at {path}; run `voxhunt triage` first")
+    doc = nn.read_json_object(path, TriageError)
+    if doc.get("format_version") != REPORT_FORMAT_VERSION:
         raise TriageError(f"{path}: not a format {REPORT_FORMAT_VERSION} triage report")
     if problem := key_problem(doc, REPORT_KEYS, REPORT_TYPES, "key"):
         raise TriageError(f"{path}: {problem}")

@@ -33,7 +33,8 @@ from voxhunt.imitation import (
 )
 from voxhunt.mapio import fixture_path, load_fixture_map
 from voxhunt.policy import make_critic_net, make_policy_net, act
-from voxhunt.trainer import Columns, TrajectoryLog, run_training
+from voxhunt.rundir import Columns, TrajectoryLog
+from voxhunt.trainer import run_training
 from voxhunt.triage import (
     TRIAGE_FIELDS,
     compute_epsilon,

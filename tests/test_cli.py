@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import voxhunt
+from voxhunt import cli
 from voxhunt.cli import main
 from voxhunt.mapio import fixture_path, save_demo_script
-from voxhunt.trainer import TrajectoryLog, TriageError
+from voxhunt.rundir import TrajectoryLog, TriageError
 from voxhunt.triage import TRIAGE_FIELDS
 from voxhunt.world import Action, Physics, Replay
 
@@ -427,6 +428,33 @@ class TestRunFilesChecked:
         assert "Traceback" not in err
         assert not (run / "trajectories.tsv").exists()
 
+    @pytest.mark.parametrize("damage", ["not_utf8", "directory"])
+    @pytest.mark.parametrize("argv", [["report"], ["export"]])
+    def test_unreadable_report_is_named(self, triaged_run, tmp_path, damage, argv, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(triaged_run, run)
+        report = run / "triage_report.json"
+        if damage == "not_utf8":
+            report.write_bytes(b"\xff\xfe" + report.read_bytes())
+        else:
+            report.unlink()
+            report.mkdir()
+        capsys.readouterr()
+        assert main([argv[0], str(run), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {report}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (run / "trajectories.tsv").exists()
+
+    def test_missing_report_says_to_triage(self, triaged_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(triaged_run, run)
+        (run / "triage_report.json").unlink()
+        capsys.readouterr()
+        assert main(["report", str(run)]) == 1
+        want = f"error: no triage report at {run / 'triage_report.json'}; run `voxhunt triage` first\n"
+        assert capsys.readouterr().err == want
+
     @pytest.mark.parametrize("damage", ["truncated", "paper_profile"])
     def test_damaged_checkpoint_is_named(self, triaged_run, tmp_path, damage, capsys):
         run = tmp_path / "run"
@@ -458,6 +486,34 @@ class TestRunFilesChecked:
         assert "Traceback" not in err
         assert (run / "triage_report.json").read_bytes() == report
         assert not (run / "trajectories.tsv").exists()
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, and no call's flags reach
+    the next call."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_appended_set_does_not_leak(self, quick_config, tmp_path, capsys):
+        first, second = tmp_path / "first", tmp_path / "second"
+        argv = ["train", "--config", str(quick_config), "--out"]
+        assert main([*argv, str(first), "--set", "iterations=0", "--set", "seed=9"]) == 0
+        assert main([*argv, str(second)]) == 0
+        configs = [json.loads((run / "config.json").read_text()) for run in (first, second)]
+        assert (configs[0]["iterations"], configs[0]["seed"]) == (0, 9)
+        assert (configs[1]["iterations"], configs[1]["seed"]) == (2, 5)
+
+    def test_epsilon_does_not_leak(self, triaged_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(triaged_run, run)
+        summaries = []
+        for flags in (["--mode", "absolute", "--epsilon", "1e9"], []):
+            capsys.readouterr()
+            assert main(["triage", str(run), *flags]) == 0
+            summaries.append(json.loads(capsys.readouterr().out))
+        assert (summaries[0]["mode"], summaries[0]["epsilon"]) == ("absolute", 1e9)
+        assert summaries[1]["mode"] == "quantile" and summaries[1]["epsilon"] < 1e9
 
 
 class TestTriageDemoChecks:
@@ -724,7 +780,7 @@ class TestSubprocessEntry:
             import numpy as np
             from voxhunt.config import TrainConfig, resolve_path
             from voxhunt.mapio import load_map
-            from voxhunt.trainer import TrajectoryLog
+            from voxhunt.rundir import TrajectoryLog
             from voxhunt.world import Physics
             cfg = TrainConfig.from_run_dir(sys.argv[1])
             physics = Physics(load_map(resolve_path(cfg.map_path)))

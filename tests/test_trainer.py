@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from voxhunt import nn, world
 from voxhunt.config import TrainConfig
 from voxhunt.mapio import fixture_path
+from voxhunt.rundir import TrajectoryLog
 from voxhunt.trainer import (
     Trainer,
     TrainingDiverged,
-    TrajectoryLog,
     combine_reward,
     run_training,
     sample_alpha,

@@ -17,14 +17,8 @@ from voxhunt.curiosity import CuriosityConfig, RNDPair
 from voxhunt.encode import ObservationEncoder
 from voxhunt.imitation import DemoReplayError, check_demos, load_demos
 from voxhunt.mapio import fixture_path, load_map, save_demo_script
-from voxhunt.trainer import (
-    INDEX_FORMAT,
-    Columns,
-    TrajectoryLog,
-    _read_index,
-    index_path,
-    run_training,
-)
+from voxhunt.rundir import INDEX_FORMAT, Columns, TrajectoryLog, _read_index, index_path
+from voxhunt.trainer import run_training
 from voxhunt.triage import (
     EXPORT_FIELDS,
     EXPORT_OPTIONAL,
@@ -499,7 +493,7 @@ class TestDatasetIndex:
     @pytest.mark.parametrize(
         "case, indexed",
         [
-            ("int_alpha", False),
+            ("int_alpha", True),
             ("no_bug_regions", False),
             ("empty_bug_regions", True),
             ("position_beyond_int16", False),
